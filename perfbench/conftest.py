@@ -1,0 +1,12 @@
+"""Make the benchmark's modules and the premval source importable in its tests.
+
+    python -m pytest perfbench -q
+"""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+for path in (HERE, HERE.parent / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
