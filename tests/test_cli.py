@@ -1,5 +1,8 @@
 """Command-line behavior: exit codes, deterministic reports, file handling."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 import premval as pv
@@ -9,6 +12,11 @@ from premval.cli import main
 MODEL = str(fx.bundled_path(fx.MODEL_FILE))
 BASE = str(fx.bundled_path(fx.BASE_MODEL_FILE))
 TABLE = str(fx.bundled_path(fx.TABLE_FILE))
+
+#: Reports captured from the CLI before the chain builder and the premium
+#: selector were introduced; ``{MODEL}`` and ``{TABLE}`` stand for the
+#: bundled files.
+GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text(encoding="utf-8"))
 
 
 def run(capsys, *argv):
@@ -248,3 +256,12 @@ class TestFileCommands:
                            "--discount-file", str(factors), "--accel", "0.5", "--single")
         assert code == 1
         assert "expected 26" in err
+
+
+class TestGoldenReports:
+    @pytest.mark.parametrize("case", GOLDEN, ids=[
+        " ".join(a for a in c["argv"] if a not in ("--model", "--table", "{MODEL}", "{TABLE}")) for c in GOLDEN])
+    def test_report_is_byte_identical(self, capsys, case):
+        argv = [{"{MODEL}": MODEL, "{TABLE}": TABLE}.get(a, a) for a in case["argv"]]
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (case["exit"], case["stdout"])
