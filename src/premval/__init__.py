@@ -13,13 +13,13 @@ from .errors import ParseError, PremvalError, ValidationError
 from .statemodel import (UNREACHABLE, ArrivalOffsets, ExtendedStateModel, ModelFile, StateModel,
                          StateClassification, classify_states, extend_model, format_model,
                          load_model_file, parse_model_text, shortest_arrival, validate_model)
-from .lifetable import (DistributionMatrix, IncrementDecrementTable, TransitionSequence,
-                        allowed_pattern, diagonal_residuals, distribution_matrix,
+from .lifetable import (Chain, DistributionMatrix, IncrementDecrementTable, TransitionSequence,
+                        allowed_pattern, build_chain, diagonal_residuals, distribution_matrix,
                         infer_reflex_columns, load_table, pattern_violations, state_probability,
                         transition_sequence, unit_distribution)
 from .cashflow import (CashflowEntry, CashflowMatrix, accelerated_benefit, build_cashflow,
                        ceased_cover_states, dread_disease_case, load_cashflow_file,
-                       parse_cashflow_text, premium_outflow, split)
+                       parse_cashflow_text, premium_outflow, premium_selector, split)
 from .valuation import (DiscountVector, PremiumResult, annuity_due, constant_rate_discount,
                         equivalence_residual, expected_pv, load_discount_file, net_single_premium,
                         parse_discount_text, period_premium, period_premium_initial)
@@ -34,13 +34,13 @@ __all__ = [
     "UNREACHABLE", "ArrivalOffsets", "ExtendedStateModel", "ModelFile", "StateModel",
     "StateClassification", "classify_states", "extend_model", "format_model",
     "load_model_file", "parse_model_text", "shortest_arrival", "validate_model",
-    "DistributionMatrix", "IncrementDecrementTable", "TransitionSequence",
-    "allowed_pattern", "diagonal_residuals", "distribution_matrix", "infer_reflex_columns",
-    "load_table", "pattern_violations", "state_probability", "transition_sequence",
-    "unit_distribution",
+    "Chain", "DistributionMatrix", "IncrementDecrementTable", "TransitionSequence",
+    "allowed_pattern", "build_chain", "diagonal_residuals", "distribution_matrix",
+    "infer_reflex_columns", "load_table", "pattern_violations", "state_probability",
+    "transition_sequence", "unit_distribution",
     "CashflowEntry", "CashflowMatrix", "accelerated_benefit", "build_cashflow",
     "ceased_cover_states", "dread_disease_case", "load_cashflow_file", "parse_cashflow_text",
-    "premium_outflow", "split",
+    "premium_outflow", "premium_selector", "split",
     "DiscountVector", "PremiumResult", "annuity_due", "constant_rate_discount",
     "equivalence_residual", "expected_pv", "load_discount_file", "net_single_premium",
     "parse_discount_text", "period_premium", "period_premium_initial",

@@ -19,6 +19,10 @@ States 3..6 order the terminal illness by remaining lifetime; a new terminal
 case always enters at state 3, one step after diagnosis at the earliest, so
 per-state payments start at the row matching each state's earliest possible
 arrival time.
+
+Premiums use the same shape: :func:`premium_selector` alone says where a
+premium is payable, as a 0/1 matrix that every premium computation takes
+against the distribution or the simulated paths.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ class CashflowMatrix:
         c = self.matrix
         if c.ndim != 2:
             raise ValidationError(f"cash-flow matrix must be 2-D, got shape {c.shape}")
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise ValidationError("non-finite cash-flow amount")
 
     @property
@@ -176,21 +180,29 @@ def split(c: CashflowMatrix) -> tuple[CashflowMatrix, CashflowMatrix]:
     return CashflowMatrix(inflow), CashflowMatrix(outflow)
 
 
-def premium_outflow(premium: float, pay_states, offsets: ArrivalOffsets, m: int,
-                    n: int, n_states: int) -> CashflowMatrix:
-    """Outflow matrix of a period premium payable in several states.
+def premium_selector(pay_states, offsets: ArrivalOffsets, m: int, n: int,
+                     n_states: int) -> CashflowMatrix:
+    """0/1 matrix of the times and states in which a period premium is payable.
 
-    Column i carries ``-premium`` from each state's earliest arrival time
-    through m-1.  States that cannot be reached before m contribute
-    nothing; if no state can, there is nowhere to collect and the premium
-    is undefined.
+    A state of ``pay_states`` collects from its earliest arrival time
+    through m-1, so a state not reachable before m never collects.  With
+    nowhere to collect, the premium is undefined.
     """
     if not 1 <= m <= n:
         raise ValidationError(f"premium horizon m={m} out of range 1..{n}")
-    effective = [s for s in sorted(set(pay_states)) if offsets.payable(s, m)]
-    if not effective:
-        raise ValidationError(f"no payable state: none of {sorted(set(pay_states))} is reachable before m={m}")
-    c = np.zeros((n + 1, n_states))
-    for s in effective:
-        c[offsets.offset(s):m, s - 1] = -premium
-    return CashflowMatrix(c)
+    pay = sorted(set(pay_states))
+    selector = np.zeros((n + 1, n_states))
+    for s in pay:
+        if not 1 <= s <= n_states:
+            raise ValidationError(f"pay state {s} out of range 1..{n_states}")
+        if offsets.payable(s, m):
+            selector[offsets.offset(s):m, s - 1] = 1.0
+    if not selector.any():
+        raise ValidationError(f"no payable state: none of {pay} is reachable before m={m}")
+    return CashflowMatrix(selector)
+
+
+def premium_outflow(premium: float, pay_states, offsets: ArrivalOffsets, m: int,
+                    n: int, n_states: int) -> CashflowMatrix:
+    """Outflow matrix of a period premium: ``-premium`` wherever the selector is one."""
+    return CashflowMatrix(-premium * premium_selector(pay_states, offsets, m, n, n_states).matrix)

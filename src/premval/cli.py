@@ -15,10 +15,9 @@ import numpy as np
 
 from . import fixtures
 from .cashflow import (CashflowMatrix, accelerated_benefit, build_cashflow, ceased_cover_states,
-                       dread_disease_case, load_cashflow_file, premium_outflow, split)
+                       dread_disease_case, load_cashflow_file, premium_outflow)
 from .errors import ParseError, PremvalError, ValidationError
-from .lifetable import (diagonal_residuals, distribution_matrix, infer_reflex_columns, load_table,
-                        pattern_violations, transition_sequence, unit_distribution)
+from .lifetable import build_chain, diagonal_residuals, pattern_violations
 from .oracle import mc_pv, simulate
 from .statemodel import (UNREACHABLE, extend_model, format_model, load_model_file, shortest_arrival,
                          validate_model)
@@ -43,8 +42,7 @@ class RunConfig:
     initial_state: "int | None" = None
 
     def __post_init__(self):
-        if (self.rate is None) == (self.discount_path is None):
-            raise ValidationError("pass exactly one discount source: --rate or --discount-file")
+        _check_discount_source(self.rate, self.discount_path)
         sources = [x is not None for x in (self.accel, self.case, self.cashflow_path)]
         if sum(sources) != 1:
             raise ValidationError("pass exactly one contract source: --accel, --case or --cashflow")
@@ -52,6 +50,11 @@ class RunConfig:
             raise ValidationError(f"unknown mode {self.mode!r}")
         if self.mode == "period" and (self.m is None or not self.pay_states):
             raise ValidationError("period mode requires --m and --pay-states")
+
+
+def _check_discount_source(rate, discount_path):
+    if (rate is None) == (discount_path is None):
+        raise ValidationError("pass exactly one discount source: --rate or --discount-file")
 
 
 def _parse_pay_states(text: "str | None") -> "frozenset[int] | None":
@@ -82,27 +85,15 @@ def _config_from_args(args) -> RunConfig:
     )
 
 
-def _load_inputs(model_path, table_path, rate, discount_path, initial_state):
-    """Load model and table, build distribution, discount and offsets."""
-    if (rate is None) == (discount_path is None):
-        raise ValidationError("pass exactly one discount source: --rate or --discount-file")
-    parsed = load_model_file(model_path)
-    model = parsed.model
-    table = infer_reflex_columns(load_table(table_path, model), model)
-    seq = transition_sequence(table, model)
-    initial = unit_distribution(model.n_states, initial_state or model.initial_state)
-    dist = distribution_matrix(seq, initial)
+def _chain(model_path, table_path, initial_state=None):
+    return build_chain(load_model_file(model_path).model, table_path, initial_state)
+
+
+def _discount(rate, discount_path, n: int):
+    """Discount vector from whichever source was checked to be the only one given."""
     if rate is not None:
-        discount = constant_rate_discount(table.n, rate=rate)
-    else:
-        discount = load_discount_file(discount_path, table.n)
-    offsets = shortest_arrival(model)
-    return model, table, seq, dist, discount, offsets
-
-
-def _load_chain(config: RunConfig):
-    return _load_inputs(config.model_path, config.table_path, config.rate,
-                        config.discount_path, config.initial_state)
+        return constant_rate_discount(n, rate=rate)
+    return load_discount_file(discount_path, n)
 
 
 def _contract_inflows(config: RunConfig, n: int, n_states: int) -> CashflowMatrix:
@@ -112,6 +103,14 @@ def _contract_inflows(config: RunConfig, n: int, n_states: int) -> CashflowMatri
         return dread_disease_case(config.case, n)
     entries = load_cashflow_file(config.cashflow_path)
     return build_cashflow(entries, n, n_states)
+
+
+def _load_run(args):
+    """Config, chain, discount and contract inflows of a valuation command."""
+    config = _config_from_args(args)
+    chain = _chain(config.model_path, config.table_path, config.initial_state)
+    discount = _discount(config.rate, config.discount_path, chain.table.n)
+    return config, chain, discount, _contract_inflows(config, chain.table.n, chain.model.n_states)
 
 
 def _print_matrix_csv(matrix: np.ndarray, precision: int, header: "list[str] | None" = None):
@@ -160,24 +159,19 @@ def _cmd_extend(args) -> int:
 
 
 def _cmd_delta(args) -> int:
-    parsed = load_model_file(args.model)
-    offsets = shortest_arrival(parsed.model)
-    for state in range(1, parsed.model.n_states + 1):
-        value = offsets.offset(state)
+    offsets = shortest_arrival(load_model_file(args.model).model)
+    for state, value in sorted(offsets.offsets.items()):
         print(f"{state} {'inf' if value is UNREACHABLE else value}")
     return 0
 
 
 def _cmd_table_check(args) -> int:
-    parsed = load_model_file(args.model)
-    model = parsed.model
-    table = infer_reflex_columns(load_table(args.table, model), model)
-    seq = transition_sequence(table, model)
-    violations = pattern_violations(seq, model)
+    chain = _chain(args.model, args.table)
+    model, table = chain.model, chain.table
+    violations = pattern_violations(chain.seq, model)
     if violations:
         k, i, j = violations[0]
         raise ValidationError(f"nonzero probability outside the allowed pattern at k={k}, ({i}, {j})")
-    distribution_matrix(seq, unit_distribution(model.n_states, model.initial_state))
     residuals = diagonal_residuals(table, model)
     print(f"ok: horizon {table.n}, {model.n_states} states, "
           f"{len(table.occupancy)} occupancy and {len(table.decrements)} decrement columns")
@@ -187,15 +181,10 @@ def _cmd_table_check(args) -> int:
 
 
 def _cmd_dist(args) -> int:
-    parsed = load_model_file(args.model)
-    model = parsed.model
-    table = infer_reflex_columns(load_table(args.table, model), model)
-    seq = transition_sequence(table, model)
-    initial = unit_distribution(model.n_states, args.initial or model.initial_state)
-    dist = distribution_matrix(seq, initial)
-    header = ["k"] + [f"state_{j}" for j in range(1, model.n_states + 1)]
+    chain = _chain(args.model, args.table, args.initial)
+    header = ["k"] + [f"state_{j}" for j in range(1, chain.model.n_states + 1)]
     print(",".join(header))
-    for k, row in enumerate(dist.matrix):
+    for k, row in enumerate(chain.dist.matrix):
         print(",".join([str(k)] + [f"{p:.{args.precision}g}" for p in row]))
     return 0
 
@@ -213,14 +202,12 @@ def _cmd_cashflow(args) -> int:
 
 
 def _cmd_premium(args) -> int:
-    config = _config_from_args(args)
-    model, table, seq, dist, discount, offsets = _load_chain(config)
-    c_in = _contract_inflows(config, table.n, model.n_states)
+    config, chain, discount, c_in = _load_run(args)
     if config.mode == "single":
-        result = net_single_premium(c_in, dist, discount)
+        result = net_single_premium(c_in, chain.dist, discount)
         print(f"net single premium: {result.value:.{args.precision}f}")
     else:
-        result = period_premium(c_in, dist, discount, config.pay_states, offsets, config.m)
+        result = period_premium(c_in, chain.dist, discount, config.pay_states, chain.offsets, config.m)
         states = ",".join(str(s) for s in sorted(result.pay_states))
         print(f"net period premium (states {{{states}}}, m={result.m}): {result.value:.{args.precision}f}")
         print(f"  benefit value {result.numerator:.{args.precision}f} / "
@@ -229,39 +216,34 @@ def _cmd_premium(args) -> int:
 
 
 def _cmd_annuity(args) -> int:
-    model, table, seq, dist, discount, offsets = _load_inputs(
-        args.model, args.table, args.rate, args.discount_file, args.initial)
-    value = annuity_due(dist, discount, args.state, args.from_k, args.to_k)
+    _check_discount_source(args.rate, args.discount_file)
+    chain = _chain(args.model, args.table, args.initial)
+    discount = _discount(args.rate, args.discount_file, chain.table.n)
+    value = annuity_due(chain.dist, discount, args.state, args.from_k, args.to_k)
     print(f"annuity value, state {args.state}, [{args.from_k}, {args.to_k}): {value:.{args.precision}f}")
     return 0
 
 
 def _cmd_check(args) -> int:
-    config = _config_from_args(args)
-    model, table, seq, dist, discount, offsets = _load_chain(config)
-    c_in = _contract_inflows(config, table.n, model.n_states)
+    config, chain, discount, c_in = _load_run(args)
     if config.mode == "single":
         outflow = np.zeros_like(c_in.matrix)
-        state = config.initial_state or model.initial_state
-        outflow[0, state - 1] = -args.premium
+        outflow[0] = -args.premium * chain.initial  # paid at time 0 in the starting state
         c_out = CashflowMatrix(outflow)
     else:
-        c_out = premium_outflow(args.premium, config.pay_states, offsets, config.m,
-                                table.n, model.n_states)
-    residual = equivalence_residual(c_in, c_out, dist, discount)
-    benefit = expected_pv(c_in, dist, discount)
+        c_out = premium_outflow(args.premium, config.pay_states, chain.offsets, config.m,
+                                chain.table.n, chain.model.n_states)
+    residual = equivalence_residual(c_in, c_out, chain.dist, discount)
+    benefit = expected_pv(c_in, chain.dist, discount)
     print(f"equivalence residual: {residual:.3e} (benefit value {benefit:.{args.precision}f})")
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    config = _config_from_args(args)
-    model, table, seq, dist, discount, offsets = _load_chain(config)
-    c_in = _contract_inflows(config, table.n, model.n_states)
-    initial = unit_distribution(model.n_states, config.initial_state or model.initial_state)
-    ensemble = simulate(seq, initial, args.paths, args.seed, chunk_size=args.chunk_size)
+    _config, chain, discount, c_in = _load_run(args)
+    ensemble = simulate(chain.seq, chain.initial, args.paths, args.seed, chunk_size=args.chunk_size)
     estimate = mc_pv(ensemble, c_in, discount)
-    exact = expected_pv(c_in, dist, discount)
+    exact = expected_pv(c_in, chain.dist, discount)
     gap = abs(estimate.mean - exact)
     z = gap / estimate.std_error if estimate.std_error > 0 else 0.0
     print(f"matrix value:    {exact:.{args.precision}f}")
@@ -276,24 +258,13 @@ _DEMO_PAY_SETS = (frozenset({1}), frozenset({1, 2}), frozenset({1, 2, 3, 4, 5, 6
 _DEMO_RATE = 0.01
 
 
-def _demo_chain():
-    model = fixtures.dread_disease_model()
-    table = load_table(fixtures.bundled_path(fixtures.TABLE_FILE), model, entry_age=fixtures.ENTRY_AGE)
-    table = infer_reflex_columns(table, model)
-    seq = transition_sequence(table, model)
-    dist = distribution_matrix(seq, unit_distribution(model.n_states, model.initial_state))
-    discount = constant_rate_discount(table.n, rate=_DEMO_RATE)
-    offsets = shortest_arrival(model)
-    return model, table, dist, discount, offsets
-
-
-def _demo_row(label, c_in, dist, discount, offsets, m, precision, ceased=frozenset()):
-    cells = [label, f"{net_single_premium(c_in, dist, discount).value:.{precision}f}"]
+def _demo_row(label, c_in, chain, discount, m, precision, ceased=frozenset()):
+    cells = [label, f"{net_single_premium(c_in, chain.dist, discount).value:.{precision}f}"]
     for pay in _DEMO_PAY_SETS:
         if pay & ceased:
             cells.append("—")
         else:
-            cells.append(f"{period_premium(c_in, dist, discount, pay, offsets, m).value:.{precision}f}")
+            cells.append(f"{period_premium(c_in, chain.dist, discount, pay, chain.offsets, m).value:.{precision}f}")
     return cells
 
 
@@ -308,7 +279,10 @@ def _print_table(rows, fmt):
 
 
 def _cmd_demo(args) -> int:
-    model, table, dist, discount, offsets = _demo_chain()
+    chain = build_chain(fixtures.dread_disease_model(), fixtures.bundled_path(fixtures.TABLE_FILE),
+                        entry_age=fixtures.ENTRY_AGE)
+    table = chain.table
+    discount = _discount(_DEMO_RATE, None, table.n)
     m = table.n
     print(f"dread-disease demo [{args.scenario}] on the bundled SYNTHETIC table "
           f"(entry age {fixtures.ENTRY_AGE}, horizon {table.n} years, rate {_DEMO_RATE:.0%}, m={m})")
@@ -318,13 +292,13 @@ def _cmd_demo(args) -> int:
         header[0] = "lambda"
         for lam in _DEMO_LAMBDAS:
             c_in = accelerated_benefit(lam, table.n)
-            rows.append(_demo_row(f"{lam:g}", c_in, dist, discount, offsets, m,
+            rows.append(_demo_row(f"{lam:g}", c_in, chain, discount, m,
                                   args.precision, ceased_cover_states(lam)))
     else:
         header[0] = "case"
         case = int(args.scenario[-1])
         c_in = dread_disease_case(case, table.n)
-        rows.append(_demo_row(str(case), c_in, dist, discount, offsets, m, args.precision))
+        rows.append(_demo_row(str(case), c_in, chain, discount, m, args.precision))
     _print_table(rows, args.format)
     return 0
 

@@ -9,7 +9,8 @@ equals the previous period's inflow and can be inferred.  A tabulated
 occupancy column for a reflex state is accepted and taken as authoritative.
 
 From a table and its model we build the period transition matrices and the
-row-stacked distribution of the process started from a given initial state.
+row-stacked distribution of the process started from a given initial state;
+:func:`build_chain` runs the whole way from a table to a :class:`Chain`.
 """
 
 from __future__ import annotations
@@ -17,13 +18,13 @@ from __future__ import annotations
 import csv
 import io
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .statemodel import StateModel, classify_states
+from .statemodel import ArrivalOffsets, StateModel, classify_states, shortest_arrival
 
 _ROW_SUM_TOL = 1e-12
 _PROB_TOL = 1e-12
@@ -327,6 +328,30 @@ def distribution_matrix(seq: TransitionSequence, initial: np.ndarray) -> Distrib
         p = p @ seq.matrices[k]
         rows[k + 1] = p
     return DistributionMatrix(rows)
+
+
+@dataclass(frozen=True)
+class Chain:
+    """A model with its table, transition matrices and occupancy distribution.
+
+    ``offsets`` count from the model's initial state, whatever ``initial`` is.
+    """
+
+    model: StateModel
+    table: IncrementDecrementTable
+    seq: TransitionSequence
+    initial: np.ndarray
+    dist: DistributionMatrix
+    offsets: ArrivalOffsets
+
+
+def build_chain(model: StateModel, table_source, initial_state: "int | None" = None,
+                entry_age: int = 0) -> Chain:
+    """Chain from a table (path or CSV text), started in ``initial_state`` or the model's."""
+    table = infer_reflex_columns(load_table(table_source, model, entry_age), model)
+    seq = transition_sequence(table, model)
+    initial = unit_distribution(model.n_states, model.initial_state if initial_state is None else initial_state)
+    return Chain(model, table, seq, initial, distribution_matrix(seq, initial), shortest_arrival(model))
 
 
 def state_probability(dist: DistributionMatrix, t: int, state: int) -> float:

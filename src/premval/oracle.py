@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cashflow import CashflowMatrix
+from .cashflow import CashflowMatrix, premium_selector
 from .errors import ValidationError
 from .lifetable import DistributionMatrix, TransitionSequence
 from .statemodel import ArrivalOffsets
@@ -187,27 +187,16 @@ def mc_premium(ensemble: PathEnsemble, c_in: CashflowMatrix, discount: DiscountV
     """Monte Carlo estimate of the period premium paid in ``pay_states``.
 
     The numerator is the per-path discounted benefit total; the denominator
-    is the per-path discounted count of premium-paying times, i.e. times
-    k < m spent in a premium state at or after its earliest arrival time.
-    The premium estimate is the ratio of means and its standard error comes
-    from the delta method.
+    is the per-path discounted total of the premium selector, i.e. of the
+    times k < m spent in a premium state at or after its earliest arrival
+    time.  The premium estimate is the ratio of means and its standard
+    error comes from the delta method.
     """
     if np.any(c_in.matrix < 0):
         raise ValidationError("negative entry in inflow matrix")
     benefit = _path_values(ensemble, c_in, discount)
-    n = ensemble.n
-    if not 1 <= m <= n:
-        raise ValidationError(f"premium horizon m={m} out of range 1..{n}")
-    paying = np.zeros(ensemble.n_paths)
-    effective = [s for s in sorted(set(pay_states)) if offsets.payable(s, m)]
-    if not effective:
-        raise ValidationError(f"no payable state: none of {sorted(set(pay_states))} is reachable before m={m}")
-    for k in range(m):
-        states_k = [s for s in effective if offsets.offset(s) <= k]
-        if not states_k:
-            continue
-        member = np.isin(ensemble.paths[:, k], states_k)
-        paying += discount.values[k] * member
+    selector = premium_selector(pay_states, offsets, m, ensemble.n, c_in.n_states)
+    paying = _path_values(ensemble, selector, discount)
     mean_benefit = float(np.mean(benefit))
     mean_paying = float(np.mean(paying))
     if mean_paying == 0.0:

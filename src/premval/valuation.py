@@ -7,10 +7,10 @@ discount vector M is
     sum over k of  m_k * sum over j of  C[k, j] * D[k, j].
 
 Net single premiums apply the kernel to the inflow matrix.  Period premiums
-divide it by a sum of state-conditional annuity values, one per premium
-state, each starting at the state's earliest possible arrival time.  All
-interval arguments are half-open: [k1, k2) covers payments at times
-k1, ..., k2 - 1.
+divide it by the same contraction taken against the 0/1 premium selector:
+the sum of state-conditional annuity values, one per premium state, each
+starting at the state's earliest possible arrival time.  All interval
+arguments are half-open: [k1, k2) covers payments at times k1, ..., k2 - 1.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cashflow import CashflowMatrix
+from .cashflow import CashflowMatrix, premium_selector
 from .errors import ParseError, ValidationError
 from .lifetable import DistributionMatrix
 from .statemodel import ArrivalOffsets
@@ -172,25 +172,19 @@ def period_premium(c_in: CashflowMatrix, dist: DistributionMatrix, discount: Dis
                    pay_states, offsets: ArrivalOffsets, m: int) -> PremiumResult:
     """Net period premium payable in every state of ``pay_states``.
 
-    Each premium state contributes an annuity from its earliest possible
-    arrival time through m-1; states unreachable before m contribute
-    nothing.  The premium is the benefit value divided by the sum of these
-    annuity values.
+    The denominator contracts the distribution with the premium selector,
+    summing sequentially over k and then over states, so it equals the sum
+    of the paying states' :func:`annuity_due` values bit for bit.
     """
-    if not 1 <= m <= dist.n:
-        raise ValidationError(f"premium horizon m={m} out of range 1..{dist.n}")
-    pay = sorted(set(pay_states))
-    effective = [s for s in pay if offsets.payable(s, m)]
-    if not effective:
-        raise ValidationError(f"no payable state: none of {pay} is reachable before m={m}")
+    pay = frozenset(pay_states)
+    selector = premium_selector(pay, offsets, m, dist.n, dist.n_states)
     numerator = net_single_premium(c_in, dist, discount).value
-    denominator = 0.0
-    for s in effective:
-        denominator += annuity_due(dist, discount, s, offsets.offset(s), m)
+    weighted = discount.values[:, None] * dist.matrix * selector.matrix
+    denominator = float(np.add.accumulate(np.add.accumulate(weighted)[-1])[-1])
     if denominator == 0.0:
         raise ValidationError("premium annuity value is zero; the premium is undefined")
     return PremiumResult(value=numerator / denominator, kind="period",
-                         pay_states=frozenset(pay), m=m,
+                         pay_states=pay, m=m,
                          numerator=numerator, denominator=denominator)
 
 

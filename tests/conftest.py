@@ -27,10 +27,7 @@ def model3():
 
 @pytest.fixture
 def chain3(model3):
-    table = pv.infer_reflex_columns(pv.load_table(THREE_STATE_TABLE, model3), model3)
-    seq = pv.transition_sequence(table, model3)
-    dist = pv.distribution_matrix(seq, pv.unit_distribution(3, 1))
-    return SimpleNamespace(model=model3, table=table, seq=seq, dist=dist)
+    return pv.build_chain(model3, THREE_STATE_TABLE)
 
 
 @pytest.fixture
@@ -52,15 +49,8 @@ def geometric_discount3():
 @pytest.fixture(scope="session")
 def dread():
     """The bundled ten-state dread-disease chain at a 1% yearly rate."""
-    model = fx.dread_disease_model()
-    table = pv.load_table(fx.bundled_path(fx.TABLE_FILE), model, entry_age=fx.ENTRY_AGE)
-    table = pv.infer_reflex_columns(table, model)
-    seq = pv.transition_sequence(table, model)
-    dist = pv.distribution_matrix(seq, pv.unit_distribution(model.n_states, 1))
-    discount = pv.constant_rate_discount(table.n, rate=0.01)
-    offsets = pv.shortest_arrival(model)
-    return SimpleNamespace(model=model, table=table, seq=seq, dist=dist,
-                           discount=discount, offsets=offsets)
+    chain = pv.build_chain(fx.dread_disease_model(), fx.bundled_path(fx.TABLE_FILE), entry_age=fx.ENTRY_AGE)
+    return SimpleNamespace(**vars(chain), discount=pv.constant_rate_discount(chain.table.n, rate=0.01))
 
 
 # --------------------------------------------------------------------------

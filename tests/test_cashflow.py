@@ -1,5 +1,5 @@
 """Cash-flow matrices: builders for the dread-disease contracts, the file
-format, sign splitting and premium outflows."""
+format, sign splitting, the premium selector and premium outflows."""
 
 import numpy as np
 import pytest
@@ -140,6 +140,39 @@ class TestSplit:
         assert (pos.matrix >= 0).all()
         assert (neg.matrix <= 0).all()
         np.testing.assert_array_equal(pos.matrix * neg.matrix, np.zeros_like(c.matrix))
+
+
+class TestPremiumSelector:
+    def test_ones_from_earliest_arrival_to_m(self, model3):
+        offsets = pv.shortest_arrival(model3)
+        s = pv.premium_selector({1, 2}, offsets, m=2, n=2, n_states=3)
+        np.testing.assert_array_equal(s.matrix, [[1.0, 0.0, 0.0],
+                                                 [1.0, 1.0, 0.0],
+                                                 [0.0, 0.0, 0.0]])
+
+    def test_state_reached_at_m_is_left_out(self, model3):
+        offsets = pv.shortest_arrival(model3)
+        s = pv.premium_selector({1, 2}, offsets, m=1, n=2, n_states=3)
+        np.testing.assert_array_equal(s.matrix[:, 1], np.zeros(3))
+
+    @pytest.mark.parametrize("pay, bad", [({0}, 0), ({4}, 4), ({1, 4}, 4), ({0, 9}, 0)])
+    def test_pay_state_out_of_range(self, model3, pay, bad):
+        offsets = pv.shortest_arrival(model3)
+        with pytest.raises(pv.ValidationError, match=f"^pay state {bad} out of range 1..3$"):
+            pv.premium_selector(pay, offsets, m=2, n=2, n_states=3)
+
+    def test_fixture_pay_state_out_of_range_in_every_consumer(self, dread):
+        c_in = pv.accelerated_benefit(0.5, dread.table.n)
+        ensemble = pv.simulate(dread.seq, dread.initial, 10, 1)
+        calls = [
+            lambda: pv.premium_selector({99}, dread.offsets, 25, 25, 10),
+            lambda: pv.premium_outflow(0.1, {1, 11}, dread.offsets, 25, 25, 10),
+            lambda: pv.period_premium(c_in, dread.dist, dread.discount, {99}, dread.offsets, 25),
+            lambda: pv.mc_premium(ensemble, c_in, dread.discount, {99}, dread.offsets, 25),
+        ]
+        for call, bad in zip(calls, (99, 11, 99, 99)):
+            with pytest.raises(pv.ValidationError, match=f"^pay state {bad} out of range 1..10$"):
+                call()
 
 
 class TestPremiumOutflow:

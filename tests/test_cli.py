@@ -82,6 +82,25 @@ class TestExitCodes:
         assert "--pay-states" in err
 
 
+    @pytest.mark.parametrize("command, extra", [("premium", ()), ("check", ("--premium", "0.01"))])
+    @pytest.mark.parametrize("pay, bad", [("99", 99), ("0", 0), ("1,11", 11)])
+    def test_pay_state_out_of_range(self, capsys, command, extra, pay, bad):
+        code, out, err = run(capsys, command, "--model", MODEL, "--table", TABLE,
+                             "--rate", "0.01", "--accel", "0.5", *extra, "--period",
+                             "--m", "25", "--pay-states", pay)
+        assert (code, out) == (1, "")
+        assert err == f"error: pay state {bad} out of range 1..10\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("premium", "--model", MODEL, "--table", TABLE, "--rate", "0.01", "--accel", "0.5", "--single"),
+        ("dist", MODEL, TABLE),
+    ], ids=["premium", "dist"])
+    def test_initial_state_zero_rejected(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--initial", "0")
+        assert (code, out) == (1, "")
+        assert err == "error: state 0 out of range 1..10\n"
+
+
 class TestReports:
     def test_single_premium_line(self, capsys):
         code, out, _ = run(capsys, "premium", "--model", MODEL, "--table", TABLE,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import premval as pv
+import premval.fixtures as fx
 from conftest import THREE_STATE_TABLE, make_three_state_model, random_table_case
 
 
@@ -173,6 +174,35 @@ class TestDistributionMatrix:
     def test_mass_conserved_on_bundled_table(self, dread):
         total = dread.dist.matrix.sum(axis=1)
         np.testing.assert_allclose(total, 1.0, rtol=0, atol=1e-12)
+
+
+class TestBuildChain:
+    def test_matches_stage_by_stage(self, model3):
+        chain = pv.build_chain(model3, THREE_STATE_TABLE, entry_age=40)
+        table = pv.infer_reflex_columns(pv.load_table(THREE_STATE_TABLE, model3), model3)
+        seq = pv.transition_sequence(table, model3)
+        dist = pv.distribution_matrix(seq, pv.unit_distribution(3, 1))
+        assert chain.model is model3
+        assert chain.table.entry_age == 40
+        np.testing.assert_array_equal(chain.table.occupancy[2], table.occupancy[2])
+        np.testing.assert_array_equal(chain.seq.matrices, seq.matrices)
+        np.testing.assert_array_equal(chain.initial, [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(chain.dist.matrix, dist.matrix)
+        assert chain.offsets == pv.shortest_arrival(model3)
+
+    def test_explicit_initial_state(self, dread):
+        chain = pv.build_chain(dread.model, fx.bundled_path(fx.TABLE_FILE), initial_state=2)
+        np.testing.assert_array_equal(chain.dist.matrix[0], pv.unit_distribution(10, 2))
+        assert chain.offsets.offset(1) == 0  # still measured from the model's initial state
+
+    @pytest.mark.parametrize("state", [0, 4])
+    def test_initial_state_out_of_range(self, model3, state):
+        with pytest.raises(pv.ValidationError, match=f"state {state} out of range 1..3"):
+            pv.build_chain(model3, THREE_STATE_TABLE, initial_state=state)
+
+    def test_chain_is_frozen(self, chain3):
+        with pytest.raises(AttributeError):
+            chain3.dist = None
 
 
 class TestAllowedPattern:
