@@ -18,7 +18,7 @@ from .cashflow import (CashflowMatrix, accelerated_benefit, build_cashflow, ceas
                        dread_disease_case, load_cashflow_file, premium_outflow)
 from .errors import ParseError, PremvalError, ValidationError
 from .lifetable import build_chain, diagonal_residuals, pattern_violations
-from .oracle import mc_pv, simulate
+from .oracle import CHUNK_SIZE, mc_pv, simulate
 from .statemodel import (UNREACHABLE, extend_model, format_model, load_model_file, shortest_arrival,
                          validate_model)
 from .valuation import (annuity_due, constant_rate_discount, equivalence_residual, expected_pv,
@@ -326,10 +326,20 @@ def _add_contract_options(parser):
     parser.add_argument("--cashflow", help="cash-flow file (flow <state> <k1> <k2> <amount>)")
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="premval",
                                      description="Multistate insurance valuation by the matrix method")
-    parser.add_argument("--precision", type=int, default=5, help="decimal places in reports")
+    parser.add_argument("--precision", type=_nonnegative_int, default=5, help="decimal places in reports")
     parser.add_argument("--format", choices=("plain", "csv"), default="plain", help="tabular output format")
     parser.add_argument("--seed", type=int, default=0, help="default master seed for simulation")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -419,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", type=int, required=True)
     p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                    help="master seed (falls back to the global --seed)")
-    p.add_argument("--chunk-size", type=int, default=1 << 16)
+    p.add_argument("--chunk-size", type=int, default=CHUNK_SIZE)
     p.add_argument("--initial", type=int)
     p.set_defaults(func=_cmd_simulate)
 

@@ -81,6 +81,8 @@ def constant_rate_discount(n: int, v: "float | None" = None, rate: "float | None
     if (v is None) == (rate is None):
         raise ValidationError("pass exactly one of v or rate")
     if v is None:
+        if not rate > -1.0:
+            raise ValidationError(f"interest rate {rate!r} must exceed -1")
         v = 1.0 / (1.0 + rate)
     if not 0.0 < v <= 1.0:
         raise ValidationError(f"discount factor {v!r} outside (0, 1]")

@@ -100,6 +100,22 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err == "error: state 0 out of range 1..10\n"
 
+    @pytest.mark.parametrize("command, extra", [("premium", ("--single",)), ("simulate", ("--paths", "10"))])
+    def test_rate_minus_one_rejected(self, capsys, command, extra):
+        code, out, err = run(capsys, command, "--model", MODEL, "--table", TABLE,
+                             "--rate", "-1", "--accel", "0.5", *extra)
+        assert (code, out) == (1, "")
+        assert err == "error: interest rate -1.0 must exceed -1\n"
+
+    @pytest.mark.parametrize("precision", ["-1", "x"])
+    def test_precision_must_be_nonnegative(self, capsys, precision):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--precision", precision, "premium", "--model", MODEL, "--table", TABLE,
+                  "--rate", "0.01", "--accel", "0.5", "--single"])
+        _, err = capsys.readouterr()
+        assert exit_info.value.code == 2
+        assert f"argument --precision: expected a nonnegative integer, got '{precision}'" in err
+
 
 class TestReports:
     def test_single_premium_line(self, capsys):

@@ -82,6 +82,12 @@ class TestSimulate:
         share = (ensemble.paths[:, 0] == 1).mean()
         assert abs(share - 0.5) < 4 * 0.5 / np.sqrt(4_000)
 
+    def test_zero_horizon_draws_only_initial_states(self):
+        seq = pv.TransitionSequence(np.zeros((0, 3, 3)))
+        ensemble = pv.simulate(seq, np.array([0.2, 0.3, 0.5]), 400, master_seed=10)
+        assert ensemble.paths.shape == (400, 1)
+        assert set(ensemble.paths[:, 0]) == {1, 2, 3}
+
     def test_seed_out_of_range_rejected(self, chain3):
         with pytest.raises(pv.ValidationError, match="64-bit"):
             pv.simulate(chain3.seq, _unit(3, 1), 10, master_seed=-1)

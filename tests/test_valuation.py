@@ -26,6 +26,11 @@ class TestDiscountVector:
         with pytest.raises(pv.ValidationError, match="outside"):
             pv.constant_rate_discount(3, v=0.0)
 
+    @pytest.mark.parametrize("rate", [-1.0, -2.5, float("nan")])
+    def test_rate_at_or_below_minus_one_rejected(self, rate):
+        with pytest.raises(pv.ValidationError, match=f"interest rate {rate!r} must exceed -1"):
+            pv.constant_rate_discount(3, rate=rate)
+
     def test_first_factor_must_be_one(self):
         with pytest.raises(pv.ValidationError, match="m_0"):
             pv.DiscountVector(np.array([0.99, 0.98]))
