@@ -56,10 +56,12 @@ class IncrementDecrementTable:
             if np.any(column < 0):
                 k = int(np.argmax(column < 0))
                 raise ValidationError(f"negative count at k={k}, column {name!r}")
+        outflow: dict[int, np.ndarray] = {}
+        for (i, _j), col in self.decrements.items():
+            outflow[i] = outflow.get(i, 0) + col
         for i, l_col in self.occupancy.items():
-            outflow = sum(col for (a, _b), col in self.decrements.items() if a == i)
-            if isinstance(outflow, np.ndarray):
-                bad = outflow > l_col + _COUNT_SLACK * np.maximum(1.0, l_col)
+            if i in outflow:
+                bad = outflow[i] > l_col + _COUNT_SLACK * np.maximum(1.0, l_col)
                 if np.any(bad):
                     k = int(np.argmax(bad))
                     raise ValidationError(f"decrement exceeds occupancy at k={k} for state {i}")
@@ -88,7 +90,7 @@ class TransitionSequence:
         sums = q.sum(axis=2)
         if np.any(np.abs(sums - 1.0) > _ROW_SUM_TOL):
             k, i = np.unravel_index(int(np.argmax(np.abs(sums - 1.0))), sums.shape)
-            raise ValidationError(f"row {i + 1} of Q({k}) sums to {sums[k, i]!r}, not 1")
+            raise ValidationError(f"row {i + 1} of Q({k}) sums to {float(sums[k, i])!r}, not 1")
 
     @property
     def n(self) -> int:
@@ -116,7 +118,7 @@ class DistributionMatrix:
         sums = d.sum(axis=1)
         if np.any(np.abs(sums - 1.0) > _ROW_SUM_TOL):
             k = int(np.argmax(np.abs(sums - 1.0)))
-            raise ValidationError(f"row {k} sums to {sums[k]!r}, not 1")
+            raise ValidationError(f"row {k} sums to {float(sums[k])!r}, not 1")
 
     @property
     def n(self) -> int:
@@ -127,24 +129,22 @@ class DistributionMatrix:
         return self.matrix.shape[1]
 
 
-def _parse_header(names: list[str]) -> tuple[list[int], list[tuple[int, int]]]:
+def _parse_header(names: list[str]) -> tuple[dict[int, int], dict[tuple[int, int], int]]:
+    """Data column index of each ``l_<i>`` by state and each ``d_<i>_<j>`` by transition."""
     if not names or names[0] != "k":
         raise ParseError("first CSV column must be 'k'")
-    l_states: list[int] = []
-    d_pairs: list[tuple[int, int]] = []
-    for name in names[1:]:
-        m = _L_COLUMN.match(name)
-        if m:
-            l_states.append(int(m.group(1)))
-            continue
-        m = _D_COLUMN.match(name)
-        if m:
-            d_pairs.append((int(m.group(1)), int(m.group(2))))
-            continue
-        raise ParseError(f"unrecognized column name {name!r} (expected l_<i> or d_<i>_<j>)")
-    if len(set(l_states)) != len(l_states) or len(set(d_pairs)) != len(d_pairs):
+    l_columns: dict[int, int] = {}
+    d_columns: dict[tuple[int, int], int] = {}
+    for idx, name in enumerate(names[1:]):
+        if m := _L_COLUMN.match(name):
+            l_columns[int(m.group(1))] = idx
+        elif m := _D_COLUMN.match(name):
+            d_columns[(int(m.group(1)), int(m.group(2)))] = idx
+        else:
+            raise ParseError(f"unrecognized column name {name!r} (expected l_<i> or d_<i>_<j>)")
+    if len(l_columns) + len(d_columns) != len(names) - 1:
         raise ParseError("duplicate column in CSV header")
-    return l_states, d_pairs
+    return l_columns, d_columns
 
 
 def load_table(path_or_text, model: StateModel, entry_age: int = 0) -> IncrementDecrementTable:
@@ -169,23 +169,22 @@ def load_table(path_or_text, model: StateModel, entry_age: int = 0) -> Increment
     if not rows:
         raise ParseError("empty table file")
     header = [name.strip() for name in rows[0]]
-    l_states, d_pairs = _parse_header(header)
+    l_columns, d_columns = _parse_header(header)
 
     classes = classify_states(model)
     problems: list[str] = []
-    required_l = sorted(classes.transient)
     required_d = sorted((i, j) for (i, j) in model.transitions if i in classes.transient)
-    for i in required_l:
-        if i not in l_states:
+    for i in sorted(classes.transient):
+        if i not in l_columns:
             problems.append(f"missing column 'l_{i}'")
     for (i, j) in required_d:
-        if (i, j) not in d_pairs:
+        if (i, j) not in d_columns:
             problems.append(f"missing column 'd_{i}_{j}'")
-    for i in l_states:
+    for i in l_columns:
         if i not in classes.transient and i not in classes.reflex:
             problems.append(f"column 'l_{i}' does not match a transient or reflex state")
-    for (i, j) in d_pairs:
-        if (i, j) not in required_d:
+    for (i, j) in d_columns:
+        if i not in classes.transient or (i, j) not in model.transitions:
             problems.append(f"column 'd_{i}_{j}' does not match a transition out of a transient state")
     if problems:
         raise ValidationError("; ".join(problems))
@@ -206,16 +205,17 @@ def load_table(path_or_text, model: StateModel, entry_age: int = 0) -> Increment
             raise ParseError(f"rows must run k=0..n in order; found k={k} at position {r}")
         data[r] = values
 
-    occupancy = {}
-    decrements = {}
-    for idx, name in enumerate(header[1:]):
-        m = _L_COLUMN.match(name)
-        if m:
-            occupancy[int(m.group(1))] = data[:, idx].copy()
-        else:
-            m = _D_COLUMN.match(name)
-            decrements[(int(m.group(1)), int(m.group(2)))] = data[:, idx].copy()
+    occupancy = {i: data[:, idx].copy() for i, idx in l_columns.items()}
+    decrements = {pair: data[:, idx].copy() for pair, idx in d_columns.items()}
     return IncrementDecrementTable(n=n, occupancy=occupancy, decrements=decrements, entry_age=entry_age)
+
+
+def _successors(model: StateModel) -> dict[int, list[int]]:
+    """Successors of every state in increasing order, from one pass over the transitions."""
+    successors: dict[int, list[int]] = {s: [] for s in range(1, model.n_states + 1)}
+    for (i, j) in sorted(model.transitions):
+        successors[i].append(j)
+    return successors
 
 
 def infer_reflex_columns(table: IncrementDecrementTable, model: StateModel) -> IncrementDecrementTable:
@@ -224,84 +224,83 @@ def infer_reflex_columns(table: IncrementDecrementTable, model: StateModel) -> I
     A reflex state is always left after one period, so its occupancy at k
     equals the total inflow during [k-1, k): the tabulated decrements into
     it, or the full occupancy of a reflex feeder (whose occupants all move
-    on).  Inferred occupancies start at zero for k = 0.  The single exit
-    count of a reflex state equals its occupancy.  Tabulated reflex
-    occupancy columns are kept as-is; already-present values are never
-    overwritten, so the operation is idempotent.
+    on), added in predecessor order.  Those columns are found once; one
+    sweep over k fills every reflex state even when reflex states feed each
+    other, since occupancy at k depends only on period k-1.  Inferred
+    occupancies start at zero for k = 0.  The single exit count of a reflex
+    state equals its occupancy.  Tabulated reflex occupancy columns are kept
+    as-is; already-present values are never overwritten, so the operation
+    is idempotent.
     """
     classes = classify_states(model)
     occupancy = {i: col.copy() for i, col in table.occupancy.items()}
     decrements = {pair: col.copy() for pair, col in table.decrements.items()}
     n = table.n
 
-    for r in sorted(classes.reflex):
-        if not model.predecessors(r):
+    predecessors: dict[int, list[int]] = {r: [] for r in sorted(classes.reflex)}
+    for (i, r) in sorted(model.transitions):
+        if r in predecessors:
+            predecessors[r].append(i)
+    for r, feeders in predecessors.items():
+        if not feeders:
             raise ValidationError(f"reflex state {r} has no inbound transition; its occupancy cannot be inferred")
 
-    todo = [r for r in sorted(classes.reflex) if r not in occupancy]
+    todo = [r for r in predecessors if r not in occupancy]
     for r in todo:
         occupancy[r] = np.zeros(n + 1)
-    # Occupancy at k depends only on period k-1, so one forward sweep fills
-    # every reflex state even when reflex states feed each other.
+        for i in predecessors[r]:
+            if (i, r) not in decrements and i not in classes.reflex:
+                raise ValidationError(f"no decrement column for transition ({i}, {r})")
+    inflows = {r: [decrements[(i, r)] if (i, r) in decrements else occupancy[i] for i in predecessors[r]] for r in todo}
     for k in range(1, n + 1):
-        for r in todo:
-            inflow = 0.0
-            for i in model.predecessors(r):
-                if (i, r) in decrements:
-                    inflow += decrements[(i, r)][k - 1]
-                elif i in classes.reflex:
-                    inflow += occupancy[i][k - 1]
-                else:
-                    raise ValidationError(f"no decrement column for transition ({i}, {r})")
-            occupancy[r][k] = inflow
+        for r, columns in inflows.items():
+            occupancy[r][k] = sum(column[k - 1] for column in columns)
 
-    for r in sorted(classes.reflex):
-        successor = model.successors(r)[0]
-        if (r, successor) not in decrements:
-            decrements[(r, successor)] = occupancy[r].copy()
+    successors = _successors(model)
+    for r in predecessors:
+        decrements.setdefault((r, successors[r][0]), occupancy[r].copy())
     return IncrementDecrementTable(n=n, occupancy=occupancy, decrements=decrements, entry_age=table.entry_age)
 
 
 def transition_sequence(table: IncrementDecrementTable, model: StateModel) -> TransitionSequence:
     """Build the period transition matrices from table counts.
 
-    Off-diagonal entries of row i are decrement counts over occupancy; the
-    diagonal is one minus the row's exits.  Reflex rows route all mass to
-    the unique successor, absorbing rows keep it in place, and rows for
-    periods where a state is unoccupied fall back to the identity row.
+    A transient row is built for all periods at once: each off-diagonal
+    column is a decrement column over the occupancy column, clamped to
+    [0, 1], and the diagonal is one minus those exits added in successor
+    order.  Reflex rows route all mass to the unique successor, absorbing
+    rows keep it in place, and periods where a state is unoccupied get the
+    identity row.  The fault named is the first by state, then k, then
+    successor, then the row's exit total.
     """
     classes = classify_states(model)
     n, n_states = table.n, model.n_states
     q = np.zeros((n, n_states, n_states))
     for i in sorted(classes.absorbing):
         q[:, i - 1, i - 1] = 1.0
+    successors = _successors(model)
     for i in sorted(classes.reflex):
-        successor = model.successors(i)[0]
-        q[:, i - 1, successor - 1] = 1.0
+        q[:, i - 1, successors[i][0] - 1] = 1.0
     for i in sorted(classes.transient):
         if i not in table.occupancy:
             raise ValidationError(f"missing occupancy column 'l_{i}'")
-        out_pairs = [(i, j) for j in model.successors(i)]
-        for pair in out_pairs:
-            if pair not in table.decrements:
-                raise ValidationError(f"missing decrement column 'd_{pair[0]}_{pair[1]}'")
-        for k in range(n):
-            living = table.occupancy[i][k]
-            if living <= 0.0:
-                q[k, i - 1, i - 1] = 1.0
-                continue
-            total = 0.0
-            for (a, b) in out_pairs:
-                p = table.decrements[(a, b)][k] / living
-                if p < -_PROB_TOL or p > 1 + _PROB_TOL:
-                    raise ValidationError(f"probability {p!r} outside [0, 1] at k={k}, transition ({a}, {b})")
-                p = min(max(p, 0.0), 1.0)
-                q[k, i - 1, b - 1] = p
-                total += p
-            diagonal = 1.0 - total
-            if diagonal < -_PROB_TOL:
-                raise ValidationError(f"exit probabilities exceed 1 at k={k}, state {i}")
-            q[k, i - 1, i - 1] = max(diagonal, 0.0)
+        for j in successors[i]:
+            if (i, j) not in table.decrements:
+                raise ValidationError(f"missing decrement column 'd_{i}_{j}'")
+        living = table.occupancy[i][:n]
+        raw = np.array([np.divide(table.decrements[(i, j)][:n], living, out=np.zeros(n), where=living > 0.0)
+                        for j in successors[i]])
+        p = np.clip(raw, 0.0, 1.0)
+        diagonal = 1.0 - sum(p)
+        faults = np.vstack([(raw < -_PROB_TOL) | (raw > 1 + _PROB_TOL), diagonal < -_PROB_TOL])
+        if faults.any():
+            k, c = (int(x) for x in np.argwhere(faults.T)[0])
+            if c < len(successors[i]):
+                raise ValidationError(f"probability {float(raw[c, k])!r} outside [0, 1] at k={k}, "
+                                      f"transition ({i}, {successors[i][c]})")
+            raise ValidationError(f"exit probabilities exceed 1 at k={k}, state {i}")
+        q[:, i - 1, np.array(successors[i]) - 1] = p.T
+        q[:, i - 1, i - 1] = np.maximum(diagonal, 0.0)
     return TransitionSequence(q)
 
 
@@ -397,18 +396,16 @@ def diagonal_residuals(table: IncrementDecrementTable, model: StateModel, tol: f
     convention would misread (or an inconsistent table).
     """
     classes = classify_states(model)
+    successors = _successors(model)
+    n = table.n
     residuals: dict[tuple[int, int], float] = {}
-    for i in sorted(classes.transient):
-        if i not in table.occupancy:
-            continue
+    for i in sorted(classes.transient & table.occupancy.keys()):
         l_col = table.occupancy[i]
-        for k in range(table.n):
-            if l_col[k] <= 0.0:
-                continue
-            exits = sum(table.decrements[(i, j)][k] for j in model.successors(i) if (i, j) in table.decrements)
-            alternative = (l_col[k + 1] - exits) / l_col[k]
-            row_complement = 1.0 - exits / l_col[k]
-            gap = alternative - row_complement
-            if abs(gap) > tol:
-                residuals[(k, i)] = float(gap)
+        living = l_col[:n]
+        exits = sum((table.decrements[(i, j)][:n] for j in successors[i] if (i, j) in table.decrements), np.zeros(n))
+        alternative = np.divide(l_col[1:] - exits, living, out=np.zeros(n), where=living > 0.0)
+        row_complement = 1.0 - np.divide(exits, living, out=np.zeros(n), where=living > 0.0)
+        gap = alternative - row_complement
+        for k in np.flatnonzero((living > 0.0) & (np.abs(gap) > tol)):
+            residuals[(int(k), i)] = float(gap[k])
     return residuals

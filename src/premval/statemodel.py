@@ -12,7 +12,7 @@ payments.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -129,7 +129,7 @@ def validate_model(model: StateModel) -> list[str]:
     return problems
 
 
-def classify_states(model: StateModel, reflex_flags: "frozenset[int] | None" = None) -> StateClassification:
+def classify_states(model: StateModel) -> StateClassification:
     """Classify every state as transient, absorbing or reflex.
 
     Absorbing means no outgoing transition.  Reflex means the state is
@@ -139,17 +139,17 @@ def classify_states(model: StateModel, reflex_flags: "frozenset[int] | None" = N
     problems = validate_model(model)
     if problems:
         raise ValidationError("; ".join(problems))
-    flags = model.reflex if reflex_flags is None else frozenset(reflex_flags)
+    degrees = Counter(i for (i, _) in model.transitions)
     absorbing = set()
     reflex = set()
     transient = set()
     for s in range(1, model.n_states + 1):
-        degree = model.out_degree(s)
+        degree = degrees[s]
         if degree == 0:
-            if s in flags:
+            if s in model.reflex:
                 raise ValidationError(f"reflex flag on state {s}, which has no outgoing transition")
             absorbing.add(s)
-        elif s in flags:
+        elif s in model.reflex:
             if degree != 1:
                 raise ValidationError(
                     f"reflex flag on state {s}, which has {degree} outgoing transitions (exactly one required)"

@@ -41,7 +41,7 @@ class DiscountVector:
         if not np.all(np.isfinite(v)) or np.any(v <= 0):
             raise ValidationError("discount factors must be positive and finite")
         if abs(v[0] - 1.0) > _M0_TOL:
-            raise ValidationError(f"m_0 must equal 1, got {v[0]!r}")
+            raise ValidationError(f"m_0 must equal 1, got {float(v[0])!r}")
 
     @property
     def n(self) -> int:
@@ -131,7 +131,7 @@ def net_single_premium(c_in: CashflowMatrix, dist: DistributionMatrix, discount:
     """Net single premium of the benefit inflows (all entries nonnegative)."""
     if np.any(c_in.matrix < 0):
         k, j = np.unravel_index(int(np.argmin(c_in.matrix)), c_in.matrix.shape)
-        raise ValidationError(f"negative entry {c_in.matrix[k, j]!r} at (k={k}, state={j + 1}) in inflow matrix")
+        raise ValidationError(f"negative entry {float(c_in.matrix[k, j])!r} at (k={k}, state={j + 1}) in inflow matrix")
     value = expected_pv(c_in, dist, discount)
     return PremiumResult(value=value, kind="single")
 

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import premval as pv
-from conftest import (THREE_STATE_TABLE, dijkstra_offsets, make_three_state_model,
-                      random_chain, random_digraph, random_table_case)
+from chains import (THREE_STATE_TABLE, dijkstra_offsets, make_three_state_model,
+                    random_chain, random_digraph, random_table_case)
 
 MASTER_SEED = 20260817
 PAY_SETS = (frozenset({1}), frozenset({1, 2}), frozenset({1, 2, 3, 4, 5, 6}))

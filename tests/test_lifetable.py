@@ -6,7 +6,7 @@ import pytest
 
 import premval as pv
 import premval.fixtures as fx
-from conftest import THREE_STATE_TABLE, make_three_state_model, random_table_case
+from chains import THREE_STATE_TABLE, make_three_state_model, random_table_case
 
 
 class TestLoadTable:
@@ -141,7 +141,7 @@ class TestTransitionSequence:
 
     def test_nonstochastic_matrix_rejected(self):
         q = np.ones((1, 2, 2))
-        with pytest.raises(pv.ValidationError, match="sums to"):
+        with pytest.raises(pv.ValidationError, match=r"^row 1 of Q\(0\) sums to 2\.0, not 1$"):
             pv.TransitionSequence(q)
 
     def test_probability_outside_unit_interval_rejected(self):
@@ -170,6 +170,10 @@ class TestDistributionMatrix:
             pv.distribution_matrix(chain3.seq, np.ones(5))
         with pytest.raises(pv.ValidationError, match="sum to 1"):
             pv.distribution_matrix(chain3.seq, np.array([0.5, 0.0, 0.0]))
+
+    def test_row_not_summing_to_one_rejected(self):
+        with pytest.raises(pv.ValidationError, match=r"^row 1 sums to 0\.9, not 1$"):
+            pv.DistributionMatrix(np.array([[1.0, 0.0], [0.5, 0.4]]))
 
     def test_mass_conserved_on_bundled_table(self, dread):
         total = dread.dist.matrix.sum(axis=1)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import premval as pv
-from conftest import random_chain
+from chains import random_chain
 
 
 def _unit(n_states, state):

@@ -6,7 +6,7 @@ import pytest
 
 import premval as pv
 import premval.fixtures as fx
-from conftest import dijkstra_offsets, make_three_state_model, random_digraph
+from chains import dijkstra_offsets, make_three_state_model, random_digraph
 
 
 class TestValidateModel:

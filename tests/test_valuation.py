@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import premval as pv
-from conftest import random_table_case
+from chains import random_table_case
 
 
 class TestDiscountVector:
@@ -32,7 +32,7 @@ class TestDiscountVector:
             pv.constant_rate_discount(3, rate=rate)
 
     def test_first_factor_must_be_one(self):
-        with pytest.raises(pv.ValidationError, match="m_0"):
+        with pytest.raises(pv.ValidationError, match=r"^m_0 must equal 1, got 0\.99$"):
             pv.DiscountVector(np.array([0.99, 0.98]))
 
     def test_nonpositive_factor_rejected(self):
@@ -83,7 +83,7 @@ class TestNetSinglePremium:
     def test_negative_inflow_rejected_with_location(self, chain3, geometric_discount3):
         cash = np.zeros((3, 3))
         cash[1, 1] = -2.0
-        with pytest.raises(pv.ValidationError, match=r"\(k=1, state=2\)"):
+        with pytest.raises(pv.ValidationError, match=r"^negative entry -2\.0 at \(k=1, state=2\) in inflow matrix$"):
             pv.net_single_premium(pv.CashflowMatrix(cash), chain3.dist, geometric_discount3)
 
 
