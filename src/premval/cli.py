@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,38 +24,6 @@ from .valuation import (annuity_due, constant_rate_discount, equivalence_residua
                         load_discount_file, net_single_premium, period_premium)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated inputs of a valuation run."""
-
-    model_path: str
-    table_path: str
-    rate: "float | None" = None
-    discount_path: "str | None" = None
-    accel: "float | None" = None
-    case: "int | None" = None
-    cashflow_path: "str | None" = None
-    mode: str = "single"
-    m: "int | None" = None
-    pay_states: "frozenset[int] | None" = None
-    initial_state: "int | None" = None
-
-    def __post_init__(self):
-        _check_discount_source(self.rate, self.discount_path)
-        sources = [x is not None for x in (self.accel, self.case, self.cashflow_path)]
-        if sum(sources) != 1:
-            raise ValidationError("pass exactly one contract source: --accel, --case or --cashflow")
-        if self.mode not in ("single", "period"):
-            raise ValidationError(f"unknown mode {self.mode!r}")
-        if self.mode == "period" and (self.m is None or not self.pay_states):
-            raise ValidationError("period mode requires --m and --pay-states")
-
-
-def _check_discount_source(rate, discount_path):
-    if (rate is None) == (discount_path is None):
-        raise ValidationError("pass exactly one discount source: --rate or --discount-file")
-
-
 def _parse_pay_states(text: "str | None") -> "frozenset[int] | None":
     if text is None:
         return None
@@ -69,53 +36,37 @@ def _parse_pay_states(text: "str | None") -> "frozenset[int] | None":
     return states
 
 
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        model_path=args.model,
-        table_path=args.table,
-        rate=args.rate,
-        discount_path=args.discount_file,
-        accel=getattr(args, "accel", None),
-        case=getattr(args, "case", None),
-        cashflow_path=getattr(args, "cashflow", None),
-        mode="period" if getattr(args, "period", False) else "single",
-        m=getattr(args, "m", None),
-        pay_states=_parse_pay_states(getattr(args, "pay_states", None)),
-        initial_state=getattr(args, "initial", None),
-    )
+def _load_run(args, contract: bool = True):
+    """Chain, discount, contract inflows and pay states of a valuation command.
+
+    Every option check runs before any file is read.  Without ``contract``
+    the inflows are ``None``.
+    """
+    pay_states = _parse_pay_states(getattr(args, "pay_states", None))
+    if (args.rate is None) == (args.discount_file is None):
+        raise ValidationError("pass exactly one discount source: --rate or --discount-file")
+    if contract and sum(x is not None for x in (args.accel, args.case, args.cashflow)) != 1:
+        raise ValidationError("pass exactly one contract source: --accel, --case or --cashflow")
+    if getattr(args, "period", False) and (args.m is None or pay_states is None):
+        raise ValidationError("period mode requires --m and --pay-states")
+    chain = build_chain(load_model_file(args.model).model, args.table, args.initial)
+    n = chain.table.n
+    if args.rate is not None:
+        discount = constant_rate_discount(n, rate=args.rate)
+    else:
+        discount = load_discount_file(args.discount_file, n)
+    if not contract:
+        c_in = None
+    elif args.accel is not None:
+        c_in = accelerated_benefit(args.accel, n)
+    elif args.case is not None:
+        c_in = dread_disease_case(args.case, n)
+    else:
+        c_in = build_cashflow(load_cashflow_file(args.cashflow), n, chain.model.n_states)
+    return chain, discount, c_in, pay_states
 
 
-def _chain(model_path, table_path, initial_state=None):
-    return build_chain(load_model_file(model_path).model, table_path, initial_state)
-
-
-def _discount(rate, discount_path, n: int):
-    """Discount vector from whichever source was checked to be the only one given."""
-    if rate is not None:
-        return constant_rate_discount(n, rate=rate)
-    return load_discount_file(discount_path, n)
-
-
-def _contract_inflows(config: RunConfig, n: int, n_states: int) -> CashflowMatrix:
-    if config.accel is not None:
-        return accelerated_benefit(config.accel, n)
-    if config.case is not None:
-        return dread_disease_case(config.case, n)
-    entries = load_cashflow_file(config.cashflow_path)
-    return build_cashflow(entries, n, n_states)
-
-
-def _load_run(args):
-    """Config, chain, discount and contract inflows of a valuation command."""
-    config = _config_from_args(args)
-    chain = _chain(config.model_path, config.table_path, config.initial_state)
-    discount = _discount(config.rate, config.discount_path, chain.table.n)
-    return config, chain, discount, _contract_inflows(config, chain.table.n, chain.model.n_states)
-
-
-def _print_matrix_csv(matrix: np.ndarray, precision: int, header: "list[str] | None" = None):
-    if header:
-        print(",".join(header))
+def _print_matrix_csv(matrix: np.ndarray, precision: int):
     for row in matrix:
         print(",".join(f"{value:.{precision}g}" for value in row))
 
@@ -145,6 +96,12 @@ def _cmd_validate(args) -> int:
 def _cmd_extend(args) -> int:
     parsed = load_model_file(args.model)
     extended, attachments = extend_model(parsed.model, parsed.lump_sums)
+    for s, amount in sorted(parsed.attachments.items()):
+        if s not in extended.state_renumbering:
+            raise ValidationError(f"attachment on unknown state {s}")
+        if extended.state_renumbering[s] in attachments:
+            raise ValidationError(f"attachment on state {s} collides with a lump sum rewritten onto it")
+        attachments[extended.state_renumbering[s]] = amount
     text = format_model(extended, attachments=attachments)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -166,7 +123,7 @@ def _cmd_delta(args) -> int:
 
 
 def _cmd_table_check(args) -> int:
-    chain = _chain(args.model, args.table)
+    chain = build_chain(load_model_file(args.model).model, args.table)
     model, table = chain.model, chain.table
     violations = pattern_violations(chain.seq, model)
     if violations:
@@ -181,7 +138,7 @@ def _cmd_table_check(args) -> int:
 
 
 def _cmd_dist(args) -> int:
-    chain = _chain(args.model, args.table, args.initial)
+    chain = build_chain(load_model_file(args.model).model, args.table, args.initial)
     header = ["k"] + [f"state_{j}" for j in range(1, chain.model.n_states + 1)]
     print(",".join(header))
     for k, row in enumerate(chain.dist.matrix):
@@ -202,12 +159,12 @@ def _cmd_cashflow(args) -> int:
 
 
 def _cmd_premium(args) -> int:
-    config, chain, discount, c_in = _load_run(args)
-    if config.mode == "single":
+    chain, discount, c_in, pay_states = _load_run(args)
+    if not args.period:
         result = net_single_premium(c_in, chain.dist, discount)
         print(f"net single premium: {result.value:.{args.precision}f}")
     else:
-        result = period_premium(c_in, chain.dist, discount, config.pay_states, chain.offsets, config.m)
+        result = period_premium(c_in, chain.dist, discount, pay_states, chain.offsets, args.m)
         states = ",".join(str(s) for s in sorted(result.pay_states))
         print(f"net period premium (states {{{states}}}, m={result.m}): {result.value:.{args.precision}f}")
         print(f"  benefit value {result.numerator:.{args.precision}f} / "
@@ -216,22 +173,20 @@ def _cmd_premium(args) -> int:
 
 
 def _cmd_annuity(args) -> int:
-    _check_discount_source(args.rate, args.discount_file)
-    chain = _chain(args.model, args.table, args.initial)
-    discount = _discount(args.rate, args.discount_file, chain.table.n)
+    chain, discount, _, _ = _load_run(args, contract=False)
     value = annuity_due(chain.dist, discount, args.state, args.from_k, args.to_k)
     print(f"annuity value, state {args.state}, [{args.from_k}, {args.to_k}): {value:.{args.precision}f}")
     return 0
 
 
 def _cmd_check(args) -> int:
-    config, chain, discount, c_in = _load_run(args)
-    if config.mode == "single":
+    chain, discount, c_in, pay_states = _load_run(args)
+    if not args.period:
         outflow = np.zeros_like(c_in.matrix)
         outflow[0] = -args.premium * chain.initial  # paid at time 0 in the starting state
         c_out = CashflowMatrix(outflow)
     else:
-        c_out = premium_outflow(args.premium, config.pay_states, chain.offsets, config.m,
+        c_out = premium_outflow(args.premium, pay_states, chain.offsets, args.m,
                                 chain.table.n, chain.model.n_states)
     residual = equivalence_residual(c_in, c_out, chain.dist, discount)
     benefit = expected_pv(c_in, chain.dist, discount)
@@ -240,7 +195,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    _config, chain, discount, c_in = _load_run(args)
+    chain, discount, c_in, _ = _load_run(args)
     ensemble = simulate(chain.seq, chain.initial, args.paths, args.seed, chunk_size=args.chunk_size)
     estimate = mc_pv(ensemble, c_in, discount)
     exact = expected_pv(c_in, chain.dist, discount)
@@ -282,7 +237,7 @@ def _cmd_demo(args) -> int:
     chain = build_chain(fixtures.dread_disease_model(), fixtures.bundled_path(fixtures.TABLE_FILE),
                         entry_age=fixtures.ENTRY_AGE)
     table = chain.table
-    discount = _discount(_DEMO_RATE, None, table.n)
+    discount = constant_rate_discount(table.n, rate=_DEMO_RATE)
     m = table.n
     print(f"dread-disease demo [{args.scenario}] on the bundled SYNTHETIC table "
           f"(entry age {fixtures.ENTRY_AGE}, horizon {table.n} years, rate {_DEMO_RATE:.0%}, m={m})")
@@ -314,16 +269,18 @@ def _cmd_fixtures(args) -> int:
 # --------------------------------------------------------------------------
 
 
-def _add_discount_options(parser):
+def _add_run_options(parser, contract: bool = True):
+    """The options ``_load_run`` reads."""
+    parser.add_argument("--model", required=True)
+    parser.add_argument("--table", required=True)
     parser.add_argument("--rate", type=float, help="constant yearly interest rate")
     parser.add_argument("--discount-file", help="file with n+1 discount factors, first must be 1")
-
-
-def _add_contract_options(parser):
-    parser.add_argument("--accel", type=float, metavar="LAMBDA",
-                        help="accelerated benefit with the given accelerated share")
-    parser.add_argument("--case", type=int, choices=(1, 2, 3), help="additional-benefit case")
-    parser.add_argument("--cashflow", help="cash-flow file (flow <state> <k1> <k2> <amount>)")
+    parser.add_argument("--initial", type=int, help="initial state (default: the model's)")
+    if contract:
+        parser.add_argument("--accel", type=float, metavar="LAMBDA",
+                            help="accelerated benefit with the given accelerated share")
+        parser.add_argument("--case", type=int, choices=(1, 2, 3), help="additional-benefit case")
+        parser.add_argument("--cashflow", help="cash-flow file (flow <state> <k1> <k2> <amount>)")
 
 
 def _nonnegative_int(text: str) -> int:
@@ -374,63 +331,48 @@ def build_parser() -> argparse.ArgumentParser:
     cashflow_sub = cashflow_parser.add_subparsers(dest="builder", required=True)
     p = cashflow_sub.add_parser("accel", help="accelerated death benefit")
     p.add_argument("--lambda", dest="lam", type=float, required=True, help="accelerated share in [0, 1]")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_nonnegative_int, required=True)
     p.set_defaults(func=_cmd_cashflow, builder="accel")
     p = cashflow_sub.add_parser("case", help="additional-benefit case")
     p.add_argument("--id", type=int, choices=(1, 2, 3), required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_nonnegative_int, required=True)
     p.set_defaults(func=_cmd_cashflow, builder="case")
     p = cashflow_sub.add_parser("build", help="build from a cash-flow file")
     p.add_argument("--flows", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--states", type=int, required=True)
+    p.add_argument("--n", type=_nonnegative_int, required=True)
+    p.add_argument("--states", type=_nonnegative_int, required=True)
     p.set_defaults(func=_cmd_cashflow, builder="build")
 
     p = sub.add_parser("premium", help="net single or period premium")
-    p.add_argument("--model", required=True)
-    p.add_argument("--table", required=True)
-    _add_discount_options(p)
-    _add_contract_options(p)
+    _add_run_options(p)
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--single", action="store_true", help="net single premium")
     mode.add_argument("--period", action="store_true", help="net period premium")
     p.add_argument("--m", type=int, help="premiums payable at times 0..m-1")
     p.add_argument("--pay-states", help="comma-separated premium states, e.g. 1,2")
-    p.add_argument("--initial", type=int, help="initial state (default: the model's)")
     p.set_defaults(func=_cmd_premium)
 
     p = sub.add_parser("annuity", help="state-conditional annuity value")
-    p.add_argument("--model", required=True)
-    p.add_argument("--table", required=True)
-    _add_discount_options(p)
+    _add_run_options(p, contract=False)
     p.add_argument("--state", type=int, required=True)
     p.add_argument("--from", dest="from_k", type=int, required=True)
     p.add_argument("--to", dest="to_k", type=int, required=True)
-    p.add_argument("--initial", type=int, help="initial state (default: the model's)")
     p.set_defaults(func=_cmd_annuity)
 
     p = sub.add_parser("check", help="equivalence residual of a quoted premium")
-    p.add_argument("--model", required=True)
-    p.add_argument("--table", required=True)
-    _add_discount_options(p)
-    _add_contract_options(p)
+    _add_run_options(p)
     p.add_argument("--premium", type=float, required=True)
     p.add_argument("--period", action="store_true", help="treat the premium as a period premium")
     p.add_argument("--m", type=int)
     p.add_argument("--pay-states")
-    p.add_argument("--initial", type=int)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("simulate", help="cross-check the matrix value by simulation")
-    p.add_argument("--model", required=True)
-    p.add_argument("--table", required=True)
-    _add_discount_options(p)
-    _add_contract_options(p)
+    _add_run_options(p)
     p.add_argument("--paths", type=int, required=True)
     p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                    help="master seed (falls back to the global --seed)")
     p.add_argument("--chunk-size", type=int, default=CHUNK_SIZE)
-    p.add_argument("--initial", type=int)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("demo", help="premium tables for the bundled SYNTHETIC fixture")
@@ -449,18 +391,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except PremvalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

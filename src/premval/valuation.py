@@ -90,11 +90,14 @@ def constant_rate_discount(n: int, v: "float | None" = None, rate: "float | None
 
 
 def parse_discount_text(text: str, n: int) -> DiscountVector:
+    """Parse n+1 factors separated by whitespace or commas ('#' comments)."""
     values = []
-    for token in text.replace(",", " ").split():
-        if token.startswith("#"):
-            break
-        values.append(float(token))
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        for token in raw.split("#", 1)[0].replace(",", " ").split():
+            try:
+                values.append(float(token))
+            except ValueError as exc:
+                raise ParseError(f"line {line_no}: {exc}") from exc
     if len(values) != n + 1:
         raise ValidationError(f"discount file holds {len(values)} values, expected {n + 1}")
     return DiscountVector(np.asarray(values))
@@ -108,7 +111,7 @@ def load_discount_file(path, n: int) -> DiscountVector:
         raise ParseError(f"cannot read discount file {path}: {exc}") from exc
     try:
         return parse_discount_text(text, n)
-    except ValueError as exc:
+    except ParseError as exc:
         raise ParseError(f"discount file {path}: {exc}") from exc
 
 

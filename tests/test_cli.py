@@ -1,13 +1,15 @@
 """Command-line behavior: exit codes, deterministic reports, file handling."""
 
+import argparse
 import json
+import os
 from pathlib import Path
 
 import pytest
 
 import premval as pv
 import premval.fixtures as fx
-from premval.cli import main
+from premval.cli import build_parser, main
 
 MODEL = str(fx.bundled_path(fx.MODEL_FILE))
 BASE = str(fx.bundled_path(fx.BASE_MODEL_FILE))
@@ -20,7 +22,10 @@ GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_te
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse refusing an option
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -109,12 +114,149 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("precision", ["-1", "x"])
     def test_precision_must_be_nonnegative(self, capsys, precision):
-        with pytest.raises(SystemExit) as exit_info:
-            main(["--precision", precision, "premium", "--model", MODEL, "--table", TABLE,
-                  "--rate", "0.01", "--accel", "0.5", "--single"])
-        _, err = capsys.readouterr()
-        assert exit_info.value.code == 2
+        code, out, err = run(capsys, "--precision", precision, "premium", "--model", MODEL, "--table", TABLE,
+                             "--rate", "0.01", "--accel", "0.5", "--single")
+        assert (code, out) == (2, "")
         assert f"argument --precision: expected a nonnegative integer, got '{precision}'" in err
+
+    @pytest.mark.parametrize("argv, option, value", [
+        (("cashflow", "accel", "--lambda", "0.5", "--n"), "--n", "-3"),
+        (("cashflow", "case", "--id", "1", "--n"), "--n", "-1"),
+        (("cashflow", "build", "--flows", os.devnull, "--n", "2", "--states"), "--states", "-1"),
+        (("cashflow", "build", "--flows", os.devnull, "--states", "2", "--n"), "--n", "-1"),
+    ], ids=["accel-n", "case-n", "build-states", "build-n"])
+    def test_cashflow_sizes_must_be_nonnegative(self, capsys, argv, option, value):
+        code, out, err = run(capsys, *argv, value)
+        assert (code, out) == (2, "")
+        assert f"argument {option}: expected a nonnegative integer, got '{value}'" in err
+
+    def test_cashflow_zero_states_keeps_its_validation_error(self, capsys, tmp_path):
+        flows = tmp_path / "c.flows"
+        flows.write_text("flow 1 0 2 1.5\n")
+        code, out, err = run(capsys, "cashflow", "build", "--flows", str(flows), "--n", "2", "--states", "0")
+        assert (code, out, err) == (1, "", "error: state 1 out of range 1..0\n")
+
+
+class TestInputChecks:
+    """The valuation commands check their options in one fixed order, all before reading a file."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("premium", "--accel", "0.5", "--period", "--m", "25", "--pay-states", "1,x"), "bad --pay-states '1,x'"),
+        (("premium", "--accel", "0.5", "--case", "1", "--single"), "pass exactly one discount source"),
+        (("check", "--premium", "0.1", "--accel", "0.5", "--case", "1"), "pass exactly one discount source"),
+        (("simulate", "--paths", "10", "--rate", "0.01"), "pass exactly one contract source"),
+        (("premium", "--rate", "0.01", "--accel", "0.5", "--period", "--m", "25"),
+         "period mode requires --m and --pay-states"),
+        (("check", "--premium", "0.1", "--rate", "0.01", "--case", "2", "--period", "--pay-states", "1"),
+         "period mode requires --m and --pay-states"),
+        (("annuity", "--state", "1", "--from", "0", "--to", "25"), "pass exactly one discount source"),
+    ], ids=["pay-states-before-discount", "discount-before-contract", "check-discount-before-contract",
+            "contract", "premium-period", "check-period", "annuity-discount"])
+    def test_first_fault_is_reported_before_any_file_is_read(self, capsys, tmp_path, argv, message):
+        absent = str(tmp_path / "absent")
+        code, out, err = run(capsys, *argv, "--model", absent, "--table", absent)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message}")
+
+
+#: Each subcommand's options and their defaults: scripts depend on them, so
+#: no refactor of the parser may add, drop or re-default one.
+OPTIONS = {
+    "": {"--precision": 5, "--format": "plain", "--seed": 0},
+    "validate": {"model": None},
+    "extend": {"model": None, "-o/--output": None},
+    "delta": {"model": None},
+    "table": {},
+    "table check": {"model": None, "table": None},
+    "dist": {"model": None, "table": None, "--initial": None},
+    "cashflow": {},
+    "cashflow accel": {"--lambda": None, "--n": None},
+    "cashflow case": {"--id": None, "--n": None},
+    "cashflow build": {"--flows": None, "--n": None, "--states": None},
+    "premium": {"--model": None, "--table": None, "--rate": None, "--discount-file": None, "--initial": None,
+                "--accel": None, "--case": None, "--cashflow": None, "--single": False, "--period": False,
+                "--m": None, "--pay-states": None},
+    "annuity": {"--model": None, "--table": None, "--rate": None, "--discount-file": None, "--initial": None,
+                "--state": None, "--from": None, "--to": None},
+    "check": {"--model": None, "--table": None, "--rate": None, "--discount-file": None, "--initial": None,
+              "--accel": None, "--case": None, "--cashflow": None, "--premium": None, "--period": False,
+              "--m": None, "--pay-states": None},
+    "simulate": {"--model": None, "--table": None, "--rate": None, "--discount-file": None, "--initial": None,
+                 "--accel": None, "--case": None, "--cashflow": None, "--paths": None,
+                 "--seed": argparse.SUPPRESS, "--chunk-size": 32768},
+    "demo": {"scenario": None},
+    "fixtures": {"--out": None},
+}
+
+
+def declared_options(parser, path=""):
+    table = {path: {}}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                table.update(declared_options(sub, f"{path} {name}".strip()))
+        elif not isinstance(action, argparse._HelpAction):
+            table[path]["/".join(action.option_strings) or action.dest] = action.default
+    return table
+
+
+def test_every_subcommand_keeps_its_options_and_defaults():
+    assert declared_options(build_parser()) == OPTIONS
+
+
+#: A well-formed command line per subcommand with numeric options; the
+#: sweep below swaps one option's value for a malformed one.
+VALID = {
+    "premium": ("premium", "--model", MODEL, "--table", TABLE, "--rate", "0.01", "--accel", "0.5",
+                "--period", "--m", "25", "--pay-states", "1", "--initial", "1"),
+    "check": ("check", "--model", MODEL, "--table", TABLE, "--rate", "0.01", "--accel", "0.5",
+              "--premium", "0.1", "--initial", "1"),
+    "simulate": ("simulate", "--model", MODEL, "--table", TABLE, "--rate", "0.01", "--accel", "0.5",
+                 "--paths", "10", "--seed", "1", "--chunk-size", "4", "--initial", "1"),
+    "annuity": ("annuity", "--model", MODEL, "--table", TABLE, "--rate", "0.01", "--state", "1",
+                "--from", "0", "--to", "25", "--initial", "1"),
+    "dist": ("dist", MODEL, TABLE, "--initial", "1"),
+    "cashflow accel": ("cashflow", "accel", "--lambda", "0.5", "--n", "3"),
+    "cashflow case": ("cashflow", "case", "--id", "1", "--n", "3"),
+    "cashflow build": ("cashflow", "build", "--flows", os.devnull, "--n", "3", "--states", "2"),
+}
+
+MALFORMED = [
+    ("premium", "--rate", ["x", "nan", "-1", "-inf"]),
+    ("premium", "--accel", ["x", "nan", "-0.5", "1.5"]),
+    ("premium", "--m", ["x", "-1", "26"]),
+    ("premium", "--initial", ["x", "0", "11"]),
+    ("premium", "--pay-states", ["x", ",", "0"]),
+    ("check", "--premium", ["x", "nan", "inf"]),
+    ("check", "--accel", ["x", "nan"]),
+    ("check", "--initial", ["x", "-1"]),
+    ("simulate", "--paths", ["x", "-1"]),
+    ("simulate", "--seed", ["x", "-1"]),
+    ("simulate", "--chunk-size", ["x", "0", "-4"]),
+    ("simulate", "--rate", ["nan"]),
+    ("annuity", "--state", ["x", "0", "11"]),
+    ("annuity", "--from", ["x", "-1", "26"]),
+    ("annuity", "--to", ["x", "27"]),
+    ("annuity", "--rate", ["x", "nan"]),
+    ("dist", "--initial", ["x", "0", "11"]),
+    ("cashflow accel", "--lambda", ["x", "nan", "-1"]),
+    ("cashflow accel", "--n", ["x", "-1", "-3"]),
+    ("cashflow case", "--id", ["x", "0", "4"]),
+    ("cashflow case", "--n", ["x", "-1", "-3"]),
+    ("cashflow build", "--n", ["x", "-1"]),
+    ("cashflow build", "--states", ["x", "-1"]),
+]
+
+
+@pytest.mark.parametrize("command, option, value", [
+    (command, option, value) for command, option, values in MALFORMED for value in values])
+def test_malformed_numeric_option_fails_cleanly(capsys, command, option, value):
+    argv = list(VALID[command])
+    argv[argv.index(option) + 1] = value
+    code, out, err = run(capsys, *argv)
+    assert code in (1, 2)
+    assert out == ""
+    assert "Traceback" not in err
 
 
 class TestReports:
@@ -245,6 +387,29 @@ class TestFileCommands:
         assert "8 -> 10 states" in err
         assert out_path.read_text() == fx.bundled_path(fx.MODEL_FILE).read_text()
 
+    def test_extending_the_shipped_model_reproduces_it(self, capsys):
+        code, out, err = run(capsys, "extend", MODEL)
+        assert code == 0
+        assert "10 -> 10 states; plus states none; attachments at [3, 7, 9]" in err
+        assert out == fx.bundled_path(fx.MODEL_FILE).read_text()
+
+    def test_extend_renumbers_attach_lines(self, capsys, tmp_path):
+        model = tmp_path / "m.model"
+        model.write_text("states 3\ntransition 1 2\ntransition 1 3\nlumpsum 1 3 1.0\nattach 2 0.25\nattach 3 0.5\n")
+        code, out, _ = run(capsys, "extend", str(model))
+        assert code == 0
+        assert out.splitlines()[-3:] == ["attach 2 0.25", "attach 3 1.0", "attach 4 0.5"]
+
+    @pytest.mark.parametrize("text, message", [
+        ("states 2\ntransition 1 2\nattach 5 0.5\n", "attachment on unknown state 5"),
+        ("states 3\nreflex 2\ntransition 1 2\ntransition 2 3\nlumpsum 1 2 1.0\nattach 2 0.5\n",
+         "attachment on state 2 collides with a lump sum rewritten onto it"),
+    ], ids=["unknown-state", "collision"])
+    def test_extend_refuses_bad_attach_lines(self, capsys, tmp_path, text, message):
+        model = tmp_path / "m.model"
+        model.write_text(text)
+        assert run(capsys, "extend", str(model)) == (1, "", f"error: {message}\n")
+
     def test_extend_to_stdout(self, capsys):
         code, out, _ = run(capsys, "extend", BASE)
         assert code == 0
@@ -283,6 +448,26 @@ class TestFileCommands:
         code, out, _ = run(capsys, "premium", "--model", MODEL, "--table", TABLE,
                            "--discount-file", str(factors), "--accel", "0.5", "--single")
         assert code == 0
+
+    def test_commented_discount_file_prices_like_the_plain_one(self, capsys, tmp_path):
+        factors = ["1.0"] + [repr(1.01 ** -k) for k in range(1, 26)]
+        commented = tmp_path / "commented.txt"
+        commented.write_text("# factors m_0..m_25\n" + "\n".join(f"{f}  # k" for f in factors) + "\n")
+        code, out, _ = run(capsys, "premium", "--model", MODEL, "--table", TABLE,
+                           "--discount-file", str(commented), "--accel", "0.5", "--single")
+        assert code == 0
+        plain = tmp_path / "plain.txt"
+        plain.write_text("\n".join(factors) + "\n")
+        assert run(capsys, "premium", "--model", MODEL, "--table", TABLE,
+                   "--discount-file", str(plain), "--accel", "0.5", "--single")[1] == out
+
+    def test_bad_token_in_discount_file(self, capsys, tmp_path):
+        factors = tmp_path / "m.txt"
+        factors.write_text("1.0\n0.99 x\n")
+        code, out, err = run(capsys, "premium", "--model", MODEL, "--table", TABLE,
+                             "--discount-file", str(factors), "--accel", "0.5", "--single")
+        assert (code, out) == (2, "")
+        assert err == f"error: discount file {factors}: line 2: could not convert string to float: 'x'\n"
 
     def test_wrong_length_discount_file(self, capsys, tmp_path):
         factors = tmp_path / "m.txt"

@@ -34,8 +34,9 @@ def path_digest(paths: np.ndarray) -> str:
 
 def wide_sequence(n: int, seed: int = 20261018) -> pv.TransitionSequence:
     """A seeded N=200 chain: 1-4 nonzeros per row, about 15% identity rows
-    and about 20% rows whose diagonal is ``1 - total`` in [-1e-12, 0), as
-    ``transition_sequence`` leaves it when the exits round above 1."""
+    and about 20% rows whose diagonal is ``1 - total`` in [-1e-12, 0).
+    ``transition_sequence`` clamps its diagonals at 0, so rows like these
+    reach ``simulate`` only from a hand-built ``TransitionSequence``."""
     rng = np.random.default_rng(seed)
     q = np.zeros((n, WIDE_STATES, WIDE_STATES))
     for k in range(n):

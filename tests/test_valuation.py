@@ -45,6 +45,14 @@ class TestDiscountVector:
         with pytest.raises(pv.ValidationError, match="expected 4"):
             pv.parse_discount_text("1.0\n0.9\n", n=3)
 
+    def test_comments_end_at_the_line_end(self):
+        d = pv.parse_discount_text("# factors\n1.0  # m_0\n0.9, 0.81\n", n=2)
+        np.testing.assert_array_equal(d.values, [1.0, 0.9, 0.81])
+
+    def test_bad_token_is_parse_error_naming_the_line(self):
+        with pytest.raises(pv.ParseError, match="^line 2: could not convert string to float: 'x'$"):
+            pv.parse_discount_text("1\n0.9 x\n", n=2)
+
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(pv.ParseError, match="cannot read discount file"):
             pv.load_discount_file(tmp_path / "absent.txt", n=2)
