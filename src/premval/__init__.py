@@ -15,11 +15,11 @@ from .statemodel import (UNREACHABLE, ArrivalOffsets, ExtendedStateModel, ModelF
                          load_model_file, parse_model_text, shortest_arrival, validate_model)
 from .lifetable import (Chain, DistributionMatrix, IncrementDecrementTable, TransitionSequence,
                         allowed_pattern, build_chain, diagonal_residuals, distribution_matrix,
-                        infer_reflex_columns, load_table, pattern_violations, state_probability,
-                        transition_sequence, unit_distribution)
+                        infer_reflex_columns, load_table, pattern_violations, transition_sequence,
+                        unit_distribution)
 from .cashflow import (CashflowEntry, CashflowMatrix, accelerated_benefit, build_cashflow,
                        ceased_cover_states, dread_disease_case, load_cashflow_file,
-                       parse_cashflow_text, premium_outflow, premium_selector, split)
+                       parse_cashflow_text, premium_outflow, premium_selector)
 from .valuation import (DiscountVector, PremiumResult, annuity_due, constant_rate_discount,
                         equivalence_residual, expected_pv, load_discount_file, net_single_premium,
                         parse_discount_text, period_premium, period_premium_initial)
@@ -36,11 +36,11 @@ __all__ = [
     "load_model_file", "parse_model_text", "shortest_arrival", "validate_model",
     "Chain", "DistributionMatrix", "IncrementDecrementTable", "TransitionSequence",
     "allowed_pattern", "build_chain", "diagonal_residuals", "distribution_matrix",
-    "infer_reflex_columns", "load_table", "pattern_violations", "state_probability",
-    "transition_sequence", "unit_distribution",
+    "infer_reflex_columns", "load_table", "pattern_violations", "transition_sequence",
+    "unit_distribution",
     "CashflowEntry", "CashflowMatrix", "accelerated_benefit", "build_cashflow",
     "ceased_cover_states", "dread_disease_case", "load_cashflow_file", "parse_cashflow_text",
-    "premium_outflow", "premium_selector", "split",
+    "premium_outflow", "premium_selector",
     "DiscountVector", "PremiumResult", "annuity_due", "constant_rate_discount",
     "equivalence_residual", "expected_pv", "load_discount_file", "net_single_premium",
     "parse_discount_text", "period_premium", "period_premium_initial",

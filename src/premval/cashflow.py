@@ -51,6 +51,8 @@ class CashflowMatrix:
         c = self.matrix
         if c.ndim != 2:
             raise ValidationError(f"cash-flow matrix must be 2-D, got shape {c.shape}")
+        if c.shape[1] == 0:
+            raise ValidationError("cash-flow matrix has no states")
         if not np.isfinite(c).all():
             raise ValidationError("non-finite cash-flow amount")
 
@@ -80,7 +82,7 @@ class CashflowEntry:
 
 def build_cashflow(entries, n: int, n_states: int) -> CashflowMatrix:
     """Accumulate entries into a matrix; overlapping entries add up."""
-    c = np.zeros((n + 1, n_states))
+    c = np.zeros((n + 1, max(n_states, 0)))
     for e in entries:
         if not 1 <= e.state <= n_states:
             raise ValidationError(f"state {e.state} out of range 1..{n_states}")
@@ -171,13 +173,6 @@ def dread_disease_case(case: int, n: int, *, lump_sum: float = 1.0, annuity_rate
     if case == 3:
         c[n, 0:6] += endowment
     return CashflowMatrix(c)
-
-
-def split(c: CashflowMatrix) -> tuple[CashflowMatrix, CashflowMatrix]:
-    """Split into the inflow part and the outflow part; they sum back exactly."""
-    inflow = np.maximum(c.matrix, 0.0)
-    outflow = np.minimum(c.matrix, 0.0)
-    return CashflowMatrix(inflow), CashflowMatrix(outflow)
 
 
 def premium_selector(pay_states, offsets: ArrivalOffsets, m: int, n: int,

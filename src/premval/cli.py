@@ -49,6 +49,8 @@ def _load_run(args, contract: bool = True):
         raise ValidationError("pass exactly one contract source: --accel, --case or --cashflow")
     if getattr(args, "period", False) and (args.m is None or pay_states is None):
         raise ValidationError("period mode requires --m and --pay-states")
+    if not np.isfinite(getattr(args, "premium", 0.0)):
+        raise ValidationError(f"--premium must be finite, got {args.premium}")
     chain = build_chain(load_model_file(args.model).model, args.table, args.initial)
     n = chain.table.n
     if args.rate is not None:

@@ -353,15 +353,6 @@ def build_chain(model: StateModel, table_source, initial_state: "int | None" = N
     return Chain(model, table, seq, initial, distribution_matrix(seq, initial), shortest_arrival(model))
 
 
-def state_probability(dist: DistributionMatrix, t: int, state: int) -> float:
-    """Probability of occupying ``state`` at time ``t``."""
-    if not 0 <= t <= dist.n:
-        raise ValidationError(f"time {t} out of range 0..{dist.n}")
-    if not 1 <= state <= dist.n_states:
-        raise ValidationError(f"state {state} out of range 1..{dist.n_states}")
-    return float(dist.matrix[t, state - 1])
-
-
 def allowed_pattern(model: StateModel) -> np.ndarray:
     """Boolean mask of entries that may be nonzero in any period matrix.
 

@@ -41,7 +41,13 @@ CHUNK_SIZE = 1 << 15
 
 @dataclass(frozen=True)
 class PathEnsemble:
-    """Simulated paths; entry (i, k) is the 1-based state at time k."""
+    """Simulated paths; entry (i, k) is the 1-based state of path i at time k.
+
+    ``simulate`` stores the states time-major: ``paths`` is the transpose of
+    a C-contiguous (n+1, n_paths) array, so ``paths.T[k]``, the state of
+    every path at time k, is one contiguous vector.  The estimators read
+    those rows; a C-ordered ``paths`` gives the same results, only slower.
+    """
 
     paths: np.ndarray  # shape (n_paths, n+1), integer dtype
     master_seed: int
@@ -198,12 +204,13 @@ def simulate(seq: TransitionSequence, initial: np.ndarray, n_paths: int, master_
     Each step gathers a path's row from compact run-length tables (see
     ``_step_tables``) instead of a dense row of N cumulative values, so
     memory and time scale with the nonzeros, not with N.  Chunks of
-    ``chunk_size`` paths bound the uniform draws held at once.  The default
-    of 32 768 keeps each chunk's buffers small enough for the allocator to
-    reuse memory it already holds: on perfbench's mc-fixture workload
+    ``chunk_size`` paths bound the uniform draws held at once; each chunk
+    writes its states straight into its columns of the time-major path
+    array (see ``PathEnsemble``).  On perfbench's mc-fixture workload
     (200 000 fixture paths, 2 cores, numpy 2.4.6) the peak resident size
-    read 92.7 MB with it and 106.7 MB with 65 536.  See the module docstring
-    for the reproducibility contract.
+    read 90.3-90.4 MB with the default of 32 768 and 91.7-91.8 MB with
+    65 536, three runs each.  See the module docstring for the
+    reproducibility contract.
     """
     n, n_states = seq.n, seq.n_states
     initial = np.asarray(initial, dtype=float)
@@ -220,37 +227,37 @@ def simulate(seq: TransitionSequence, initial: np.ndarray, n_paths: int, master_
     thresholds, lengths = _step_tables(seq.matrices)
 
     dtype = np.int16 if n_states < 2 ** 15 else np.int32
-    paths = np.empty((n_paths, n + 1), dtype=dtype)
+    # Time-major, so that every step reads and writes contiguous vectors.
+    time_major = np.empty((n + 1, n_paths), dtype=dtype)
     for start in range(0, n_paths, chunk_size):
         count = min(chunk_size, n_paths - start)
-        # Time-major, so that every step reads and writes contiguous vectors.
+        columns = time_major[:, start:start + count]
         u = _chunk_uniforms(master_seed, n, start, count).T.copy()
-        chunk = np.empty((n + 1, count), dtype=dtype)
         states = _step(initial_thresholds[0], initial_lengths[0], np.zeros(count, dtype=np.intp), u[0])
-        chunk[0] = states
+        np.add(states, 1, out=columns[0])
         for k in range(n):
             states = _step(thresholds[k], lengths[k], states, u[k + 1])
-            chunk[k + 1] = states
-        paths[start:start + count] = chunk.T
-    paths += 1
-    return PathEnsemble(paths=paths, master_seed=master_seed)
+            np.add(states, 1, out=columns[k + 1])
+    return PathEnsemble(paths=time_major.T, master_seed=master_seed)
 
 
-def _path_values(ensemble: PathEnsemble, c: CashflowMatrix, discount: DiscountVector) -> np.ndarray:
-    """Discounted cash total of every path; one fixed-order pass over k."""
+def _path_totals(ensemble: PathEnsemble, cashflows: list[CashflowMatrix],
+                 discount: DiscountVector) -> np.ndarray:
+    """Discounted cash total of every path under each of K cash-flow
+    matrices, shape (K, n_paths); one fixed-order pass over k."""
     n = ensemble.n
-    if c.matrix.shape[0] != n + 1 or discount.values.shape[0] != n + 1:
+    if any(c.matrix.shape[0] != n + 1 for c in cashflows) or discount.values.shape[0] != n + 1:
         raise ValidationError("cash-flow or discount shape does not match the ensemble horizon")
-    weighted = discount.values[:, None] * c.matrix
-    values = np.zeros(ensemble.n_paths)
-    for k in range(n + 1):
-        values += weighted[k, ensemble.paths[:, k] - 1]
-    return values
+    weighted = discount.values[:, None, None] * np.stack([c.matrix for c in cashflows], axis=2)
+    totals = np.zeros((ensemble.n_paths, len(cashflows)))
+    for k, states in enumerate(ensemble.paths.T):
+        totals += weighted[k].take(states - 1, axis=0)
+    return np.ascontiguousarray(totals.T)
 
 
 def mc_pv(ensemble: PathEnsemble, c: CashflowMatrix, discount: DiscountVector) -> McEstimate:
     """Monte Carlo estimate of the expected present value."""
-    values = _path_values(ensemble, c, discount)
+    (values,) = _path_totals(ensemble, [c], discount)
     mean = float(np.mean(values))
     if values.shape[0] > 1:
         std_error = float(np.std(values, ddof=1) / np.sqrt(values.shape[0]))
@@ -271,9 +278,8 @@ def mc_premium(ensemble: PathEnsemble, c_in: CashflowMatrix, discount: DiscountV
     """
     if np.any(c_in.matrix < 0):
         raise ValidationError("negative entry in inflow matrix")
-    benefit = _path_values(ensemble, c_in, discount)
     selector = premium_selector(pay_states, offsets, m, ensemble.n, c_in.n_states)
-    paying = _path_values(ensemble, selector, discount)
+    benefit, paying = _path_totals(ensemble, [c_in, selector], discount)
     mean_benefit = float(np.mean(benefit))
     mean_paying = float(np.mean(paying))
     if mean_paying == 0.0:
@@ -291,8 +297,8 @@ def empirical_distribution(ensemble: PathEnsemble, n_states: int) -> np.ndarray:
     """Occupancy frequencies by (time, state); shape (n+1, n_states)."""
     n = ensemble.n
     counts = np.empty((n + 1, n_states))
-    for k in range(n + 1):
-        counts[k] = np.bincount(ensemble.paths[:, k] - 1, minlength=n_states)
+    for k, states in enumerate(ensemble.paths.T):
+        counts[k] = np.bincount(states - 1, minlength=n_states)
     return counts / ensemble.n_paths
 
 

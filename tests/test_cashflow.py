@@ -1,11 +1,8 @@
 """Cash-flow matrices: builders for the dread-disease contracts, the file
-format, sign splitting, the premium selector and premium outflows."""
+format, the premium selector and premium outflows."""
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 import premval as pv
 
@@ -44,6 +41,11 @@ class TestBuildCashflow:
     def test_period_out_of_range(self):
         with pytest.raises(pv.ValidationError, match="out of range"):
             pv.build_cashflow([pv.CashflowEntry(1, 0, 9, 1.0)], n=2, n_states=2)
+
+    @pytest.mark.parametrize("n_states", [0, -1])
+    def test_no_states_rejected(self, n_states):
+        with pytest.raises(pv.ValidationError, match="cash-flow matrix has no states"):
+            pv.build_cashflow([], n=2, n_states=n_states)
 
     def test_parse_round_trip(self):
         entries = pv.parse_cashflow_text("# contract\nflow 2 1 3 0.25\nflow 1 0 1 -1\n")
@@ -121,25 +123,6 @@ class TestDreadDiseaseCases:
     def test_scalable_amounts(self):
         doubled = pv.dread_disease_case(1, n=4, lump_sum=2.0, death_benefit=2.0).matrix
         np.testing.assert_array_equal(doubled, 2.0 * pv.dread_disease_case(1, n=4).matrix)
-
-
-class TestSplit:
-    @given(hnp.arrays(np.float64, (4, 3),
-                      elements=st.floats(-1e6, 1e6, allow_nan=False)))
-    def test_partitions_any_matrix(self, matrix):
-        pos, neg = pv.split(pv.CashflowMatrix(matrix))
-        np.testing.assert_array_equal(pos.matrix + neg.matrix, matrix)
-        assert (pos.matrix >= 0).all()
-        assert (neg.matrix <= 0).all()
-
-    def test_partition(self):
-        rng = np.random.default_rng(5)
-        c = pv.CashflowMatrix(rng.normal(size=(4, 3)))
-        pos, neg = pv.split(c)
-        np.testing.assert_array_equal(pos.matrix + neg.matrix, c.matrix)
-        assert (pos.matrix >= 0).all()
-        assert (neg.matrix <= 0).all()
-        np.testing.assert_array_equal(pos.matrix * neg.matrix, np.zeros_like(c.matrix))
 
 
 class TestPremiumSelector:

@@ -3,6 +3,8 @@
 import argparse
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -135,6 +137,23 @@ class TestExitCodes:
         flows.write_text("flow 1 0 2 1.5\n")
         code, out, err = run(capsys, "cashflow", "build", "--flows", str(flows), "--n", "2", "--states", "0")
         assert (code, out, err) == (1, "", "error: state 1 out of range 1..0\n")
+
+    def test_cashflow_zero_states_without_flows_rejected(self, capsys):
+        code, out, err = run(capsys, "cashflow", "build", "--flows", os.devnull, "--n", "2", "--states", "0")
+        assert (code, out, err) == (1, "", "error: cash-flow matrix has no states\n")
+
+    @pytest.mark.parametrize("premium", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("period", [(), ("--period", "--m", "25", "--pay-states", "1")], ids=["single", "period"])
+    def test_non_finite_premium_rejected(self, premium, period):
+        # A child process, so that a numpy warning would reach stderr.
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(pv.__file__).parents[1])] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run([sys.executable, "-m", "premval.cli", "check", "--model", MODEL, "--table", TABLE,
+                               "--rate", "0.01", "--accel", "0.5", f"--premium={premium}", *period],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert "--premium" in done.stderr
+        assert "RuntimeWarning" not in done.stderr
 
 
 class TestInputChecks:

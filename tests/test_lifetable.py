@@ -157,14 +157,6 @@ class TestDistributionMatrix:
                                     [0.9, 0.1, 0.0],
                                     [0.81, 0.09, 0.1]], rtol=1e-15, atol=0)
 
-    def test_state_probability_lookup(self, chain3):
-        assert pv.state_probability(chain3.dist, 0, 1) == 1.0
-        assert pv.state_probability(chain3.dist, 2, 3) == pytest.approx(0.1, rel=1e-15)
-        with pytest.raises(pv.ValidationError, match="time 9 out of range"):
-            pv.state_probability(chain3.dist, 9, 1)
-        with pytest.raises(pv.ValidationError, match="state 7 out of range"):
-            pv.state_probability(chain3.dist, 0, 7)
-
     def test_initial_distribution_validated(self, chain3):
         with pytest.raises(pv.ValidationError, match="shape"):
             pv.distribution_matrix(chain3.seq, np.ones(5))

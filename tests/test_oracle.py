@@ -1,6 +1,8 @@
 """The independent valuation oracle: exhaustive path enumeration for tiny
 chains and reproducible path simulation for big ones."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,16 @@ class TestMcEstimates:
         ensemble = pv.simulate(seq, _unit(3, 1), 200, master_seed=6)
         with pytest.raises(pv.ValidationError, match="no simulated path"):
             pv.mc_premium(ensemble, cash, discount, {2}, offsets, m=2)
+
+    def test_estimators_read_either_path_layout(self, chain3, claim_cash3, geometric_discount3):
+        time_major = pv.simulate(chain3.seq, _unit(3, 1), 5_000, master_seed=14)
+        assert time_major.paths.T.flags.c_contiguous
+        c_ordered = dataclasses.replace(time_major, paths=np.ascontiguousarray(time_major.paths))
+        offsets = pv.shortest_arrival(chain3.model)
+        results = [(pv.mc_pv(e, claim_cash3, geometric_discount3),
+                    pv.mc_premium(e, claim_cash3, geometric_discount3, {1, 2}, offsets, m=2),
+                    pv.empirical_distribution(e, 3).tolist()) for e in (time_major, c_ordered)]
+        assert results[0] == results[1]
 
     def test_invalid_standard_error_rejected(self):
         with pytest.raises(pv.ValidationError, match="standard error"):
