@@ -313,13 +313,20 @@ def unit_distribution(n_states: int, state: int) -> np.ndarray:
     return p
 
 
+def initial_distribution(initial, n_states: int) -> np.ndarray:
+    """``initial`` as a float vector, refused unless it is a distribution
+    over ``n_states`` states (NaN fails the sum test)."""
+    initial = np.asarray(initial, dtype=float)
+    if initial.shape != (n_states,):
+        raise ValidationError(f"initial distribution has shape {initial.shape}, expected ({n_states},)")
+    if not abs(initial.sum() - 1.0) <= _ROW_SUM_TOL or np.any(initial < -_PROB_TOL):
+        raise ValidationError("initial distribution must be nonnegative and sum to 1")
+    return initial
+
+
 def distribution_matrix(seq: TransitionSequence, initial: np.ndarray) -> DistributionMatrix:
     """Stack the state distribution at times 0..n, starting from ``initial``."""
-    initial = np.asarray(initial, dtype=float)
-    if initial.shape != (seq.n_states,):
-        raise ValidationError(f"initial distribution has shape {initial.shape}, expected ({seq.n_states},)")
-    if abs(initial.sum() - 1.0) > _ROW_SUM_TOL or np.any(initial < -_PROB_TOL):
-        raise ValidationError("initial distribution must be nonnegative and sum to 1")
+    initial = initial_distribution(initial, seq.n_states)
     rows = np.empty((seq.n + 1, seq.n_states))
     rows[0] = initial
     p = initial

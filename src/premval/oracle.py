@@ -25,7 +25,7 @@ import numpy as np
 
 from .cashflow import CashflowMatrix, premium_selector
 from .errors import ValidationError
-from .lifetable import DistributionMatrix, TransitionSequence
+from .lifetable import DistributionMatrix, TransitionSequence, initial_distribution
 from .statemodel import ArrivalOffsets
 from .valuation import DiscountVector
 
@@ -43,6 +43,10 @@ CHUNK_SIZE = 1 << 15
 class PathEnsemble:
     """Simulated paths; entry (i, k) is the 1-based state of path i at time k.
 
+    States are numbered 1..N, as in the model; an ensemble holding a state
+    below 1 is refused, because the estimators index cash flows by
+    ``state - 1``.
+
     ``simulate`` stores the states time-major: ``paths`` is the transpose of
     a C-contiguous (n+1, n_paths) array, so ``paths.T[k]``, the state of
     every path at time k, is one contiguous vector.  The estimators read
@@ -55,6 +59,9 @@ class PathEnsemble:
     def __post_init__(self):
         if self.paths.ndim != 2:
             raise ValidationError(f"paths must be 2-D, got shape {self.paths.shape}")
+        if self.paths.size and self.paths.min() < 1:
+            i, k = np.argwhere(self.paths < 1)[0]
+            raise ValidationError(f"state {int(self.paths[i, k])} below 1 in path {i} at time {k}")
 
     @property
     def n_paths(self) -> int:
@@ -91,9 +98,7 @@ def enumerate_pv(seq: TransitionSequence, initial: np.ndarray, c: CashflowMatrix
         raise ValidationError(
             f"enumeration is limited to {MAX_ENUM_STATES} states and horizon {MAX_ENUM_HORIZON}; "
             f"got {n_states} states, horizon {n}")
-    initial = np.asarray(initial, dtype=float)
-    if initial.shape != (n_states,):
-        raise ValidationError(f"initial distribution has shape {initial.shape}, expected ({n_states},)")
+    initial = initial_distribution(initial, n_states)
     if c.matrix.shape != (n + 1, n_states) or discount.values.shape[0] != n + 1:
         raise ValidationError("cash-flow or discount shape does not match the transition sequence")
 
@@ -213,9 +218,7 @@ def simulate(seq: TransitionSequence, initial: np.ndarray, n_paths: int, master_
     reproducibility contract.
     """
     n, n_states = seq.n, seq.n_states
-    initial = np.asarray(initial, dtype=float)
-    if initial.shape != (n_states,):
-        raise ValidationError(f"initial distribution has shape {initial.shape}, expected ({n_states},)")
+    initial = initial_distribution(initial, n_states)
     if n_paths < 1:
         raise ValidationError("n_paths must be positive")
     if chunk_size < 1:

@@ -12,6 +12,7 @@ payments.
 
 from __future__ import annotations
 
+import math
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -126,6 +127,7 @@ def validate_model(model: StateModel) -> list[str]:
     for r in sorted(model.reflex):
         if r not in valid:
             problems.append(f"reflex flag out of range: {r}")
+    problems += [f"label out of range: {s}" for s in sorted(model.labels) if s not in valid]
     return problems
 
 
@@ -193,8 +195,6 @@ def _amount_key(amount) -> tuple:
 
 
 def _check_amount(amount, where: str):
-    import math
-
     values = amount if isinstance(amount, tuple) else (amount,)
     for v in values:
         if not isinstance(v, (int, float)) or not math.isfinite(v):
@@ -204,144 +204,88 @@ def _check_amount(amount, where: str):
 def extend_model(model: StateModel, lump_sums: Mapping[Transition, object]) -> tuple[ExtendedStateModel, dict[int, object]]:
     """Rewrite transition lump sums as state-attached amounts.
 
-    For each distinct (target, amount) class among lump sums whose target is
-    not a reflex state, a plus state is inserted immediately in front of the
-    target: the paying transitions are redirected into it, it feeds the
-    target with certainty after one period, and the amount attaches to it.
-    A lump sum into a reflex target needs no plus state, because every
-    occupancy of a reflex state is an arrival; the amount attaches to the
-    target itself.  Two different amounts attaching to the same reflex
-    target cannot be told apart and raise an error asking for a split into
-    separate amount classes.
+    Each (target, amount class) among lump sums into a non-reflex target
+    gets a plus state: the paying transitions are redirected into it, it
+    feeds the target with certainty after one period, and the amount
+    attaches to it.  A lump sum into a reflex target attaches to the target
+    itself, because every occupancy of a reflex state is an arrival; two
+    amounts into one reflex target, or paying and non-paying transitions
+    into it, cannot be told apart there and are refused.
 
-    Reflex markers on states with several exits do not survive into the
-    extended model; for such states the one-period character is carried by
-    the table data (all occupants decrement away each period), not by the
-    graph.
+    Numbering walks the original states in order; a target's plus states,
+    one per amount class in sorted class order, come just before it.
+    ``state_renumbering`` composes with the input's when the input is itself
+    extended.
 
-    Returns the extended model and the map of state-attached amounts
-    (plus states and in-place reflex targets) in the new numbering.
+    A reflex flag is kept when its state has exactly one exit, or when
+    nothing is paid.  Exits are counted on the input model: a redirect
+    changes where a transition goes, not how many leave a state.  A flagged
+    state with several exits keeps its one-period character in the table
+    data, not in the graph.
+
+    Returns the extended model and the state-attached amounts (plus states
+    and in-place reflex targets) in the new numbering.
     """
     problems = validate_model(model)
     if problems:
         raise ValidationError("; ".join(problems))
     lump_sums = dict(lump_sums)
-    if not lump_sums:
-        if isinstance(model, ExtendedStateModel):
-            return model, {}
-        identity = {s: s for s in range(1, model.n_states + 1)}
-        extended = ExtendedStateModel(
-            n_states=model.n_states,
-            transitions=model.transitions,
-            labels=dict(model.labels),
-            initial_state=model.initial_state,
-            reflex=model.reflex,
-            plus_state_origin={},
-            state_renumbering=identity,
-        )
-        return extended, {}
+    if not lump_sums and isinstance(model, ExtendedStateModel):
+        return model, {}
 
+    # Amount classes per target, each keeping its first amount in transition order.
+    classes: dict[int, dict[tuple, object]] = {}
     for (i, j), amount in sorted(lump_sums.items()):
         if (i, j) not in model.transitions:
             raise ValidationError(f"lump sum on missing transition ({i}, {j})")
         _check_amount(amount, f"on transition ({i}, {j})")
-
-    # Group the paying transitions by (target, amount class).
-    groups: dict[tuple[int, tuple], list[Transition]] = {}
-    for (i, j), amount in sorted(lump_sums.items()):
-        groups.setdefault((j, _amount_key(amount)), []).append((i, j))
-
+        classes.setdefault(j, {}).setdefault(_amount_key(amount), amount)
     in_place: dict[int, object] = {}
-    plus_groups: list[tuple[int, tuple, list[Transition]]] = []
-    for (target, key), pairs in sorted(groups.items()):
-        amount = lump_sums[pairs[0]]
-        if target in model.reflex:
-            seen = in_place.get(target)
-            if seen is not None and _amount_key(seen) != key:
-                raise ValidationError(
-                    f"conflicting amounts attach to reflex state {target}; "
-                    f"split them into separate amount classes on distinct states"
-                )
-            unpaid = [(i, j) for (i, j) in sorted(model.transitions) if j == target and (i, j) not in lump_sums]
-            if unpaid:
-                raise ValidationError(
-                    f"reflex state {target} receives both paying and non-paying transitions "
-                    f"(e.g. {unpaid[0]}); amounts attached in place would be ambiguous"
-                )
-            in_place[target] = amount
-        else:
-            plus_groups.append((target, key, pairs))
-
-    # New numbering: walk original states in order, inserting each plus
-    # state immediately before its target (amount classes in sorted order).
-    plus_by_target: dict[int, list[tuple[tuple, list[Transition]]]] = {}
-    for target, key, pairs in plus_groups:
-        plus_by_target.setdefault(target, []).append((key, pairs))
+    for target in sorted(model.reflex & classes.keys()):
+        unpaid = [(i, j) for (i, j) in sorted(model.transitions) if j == target and (i, j) not in lump_sums]
+        if unpaid:
+            raise ValidationError(
+                f"reflex state {target} receives both paying and non-paying transitions "
+                f"(e.g. {unpaid[0]}); amounts attached in place would be ambiguous"
+            )
+        amounts = list(classes.pop(target).values())
+        if len(amounts) > 1:
+            raise ValidationError(
+                f"conflicting amounts attach to reflex state {target}; "
+                f"split them into separate amount classes on distinct states"
+            )
+        in_place[target] = amounts[0]
 
     renumber: dict[int, int] = {}
     plus_id: dict[tuple[int, tuple], int] = {}
-    next_id = 1
     for s in range(1, model.n_states + 1):
-        for key, _pairs in sorted(plus_by_target.get(s, [])):
-            plus_id[(s, key)] = next_id
-            next_id += 1
-        renumber[s] = next_id
-        next_id += 1
-    n_new = next_id - 1
+        for key in sorted(classes.get(s, ())):
+            plus_id[(s, key)] = len(renumber) + len(plus_id) + 1
+        renumber[s] = len(renumber) + len(plus_id) + 1
 
-    redirected: dict[Transition, int] = {}
-    for target, key, pairs in plus_groups:
-        for pair in pairs:
-            redirected[pair] = plus_id[(target, key)]
+    def entered(i: int, j: int) -> int:
+        """New id of the state that transition (i, j) now enters."""
+        if j in classes and (i, j) in lump_sums:
+            return plus_id[(j, _amount_key(lump_sums[(i, j)]))]
+        return renumber[j]
 
-    new_transitions = set()
-    for (i, j) in model.transitions:
-        if (i, j) in redirected:
-            new_transitions.add((renumber[i], redirected[(i, j)]))
-        else:
-            new_transitions.add((renumber[i], renumber[j]))
-    for (target, key), p in plus_id.items():
-        new_transitions.add((p, renumber[target]))
-
-    new_labels: dict[int, str] = {}
-    for s, text in model.labels.items():
-        new_labels[renumber[s]] = text
-    for (target, _key), p in plus_id.items():
-        base = model.labels.get(target)
-        if base:
-            new_labels[p] = base + "+"
-
-    plus_states = set(plus_id.values())
-    kept_reflex = set()
-    out_degree: dict[int, int] = {}
-    for (i, _j) in new_transitions:
-        out_degree[i] = out_degree.get(i, 0) + 1
-    for r in model.reflex:
-        if out_degree.get(renumber[r], 0) == 1:
-            kept_reflex.add(renumber[r])
-
-    origin: dict[int, tuple[int, object]] = {}
-    attachments: dict[int, object] = {}
-    for target, key, pairs in plus_groups:
-        p = plus_id[(target, key)]
-        amount = lump_sums[pairs[0]]
-        origin[p] = (renumber[target], amount)
-        attachments[p] = amount
-    for target, amount in sorted(in_place.items()):
-        attachments[renumber[target]] = amount
-
+    degrees = Counter(i for (i, _) in model.transitions)
+    origin = {p: (renumber[t], classes[t][key]) for (t, key), p in plus_id.items()}
+    attachments = {p: a for p, (_, a) in origin.items()} | {renumber[t]: a for t, a in sorted(in_place.items())}
     renumbering = renumber
     if isinstance(model, ExtendedStateModel) and model.state_renumbering:
         # Compose with the earlier renumbering so original ids still resolve.
         renumbering = {orig: renumber[mid] for orig, mid in model.state_renumbering.items()}
         origin.update({renumber[p]: (renumber[t], a) for p, (t, a) in model.plus_state_origin.items()})
-
     extended = ExtendedStateModel(
-        n_states=n_new,
-        transitions=frozenset(new_transitions),
-        labels=new_labels,
+        n_states=len(renumber) + len(plus_id),
+        transitions=frozenset({(renumber[i], entered(i, j)) for (i, j) in model.transitions}
+                              | {(p, renumber[t]) for (t, _), p in plus_id.items()}),
+        labels={renumber[s]: text for s, text in model.labels.items()}
+        | {p: model.labels[t] + "+" for (t, _), p in plus_id.items() if model.labels.get(t)},
         initial_state=renumber[model.initial_state],
-        reflex=frozenset(kept_reflex | plus_states),
+        reflex=frozenset({renumber[r] for r in model.reflex if degrees[r] == 1 or not lump_sums}
+                         | set(plus_id.values())),
         plus_state_origin=origin,
         state_renumbering=renumbering,
     )
@@ -384,6 +328,12 @@ def parse_model_text(text: str) -> ModelFile:
     def fail(line_no, message):
         raise ParseError(f"line {line_no}: {message}")
 
+    def amount(line_no, text):
+        value = float(text)
+        if not math.isfinite(value):
+            fail(line_no, f"amount must be finite, got {text}")
+        return value
+
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -410,11 +360,11 @@ def parse_model_text(text: str) -> ModelFile:
             elif keyword == "lumpsum":
                 if len(args) != 3:
                     fail(line_no, "expected: lumpsum <i> <j> <amount>")
-                lump_sums[(int(args[0]), int(args[1]))] = float(args[2])
+                lump_sums[(int(args[0]), int(args[1]))] = amount(line_no, args[2])
             elif keyword == "attach":
                 if len(args) != 2:
                     fail(line_no, "expected: attach <state> <amount>")
-                attachments[int(args[0])] = float(args[1])
+                attachments[int(args[0])] = amount(line_no, args[1])
             elif keyword == "initial":
                 if len(args) != 1:
                     fail(line_no, "expected: initial <id>")

@@ -429,6 +429,14 @@ class TestFileCommands:
         model.write_text(text)
         assert run(capsys, "extend", str(model)) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("line", ["lumpsum 1 2 nan", "lumpsum 1 2 -inf", "attach 2 inf", "attach 2 NaN"])
+    @pytest.mark.parametrize("command", ["validate", "extend"])
+    def test_non_finite_amounts_are_parse_errors(self, capsys, tmp_path, command, line):
+        model = tmp_path / "m.model"
+        model.write_text(f"states 2\ntransition 1 2\n{line}\n")
+        text = line.split()[-1]
+        assert run(capsys, command, str(model)) == (2, "", f"error: line 3: amount must be finite, got {text}\n")
+
     def test_extend_to_stdout(self, capsys):
         code, out, _ = run(capsys, "extend", BASE)
         assert code == 0

@@ -163,6 +163,10 @@ class TestDistributionMatrix:
         with pytest.raises(pv.ValidationError, match="sum to 1"):
             pv.distribution_matrix(chain3.seq, np.array([0.5, 0.0, 0.0]))
 
+    def test_nan_initial_distribution_refused(self, chain3):
+        with pytest.raises(pv.ValidationError, match="^initial distribution must be nonnegative and sum to 1$"):
+            pv.distribution_matrix(chain3.seq, np.array([np.nan, 0.0, 0.0]))
+
     def test_row_not_summing_to_one_rejected(self):
         with pytest.raises(pv.ValidationError, match=r"^row 1 sums to 0\.9, not 1$"):
             pv.DistributionMatrix(np.array([[1.0, 0.0], [0.5, 0.4]]))

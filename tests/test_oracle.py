@@ -104,6 +104,24 @@ class TestSimulate:
         with pytest.raises(pv.ValidationError, match="2-D"):
             pv.PathEnsemble(np.array([1, 2, 3]), master_seed=0)
 
+    @pytest.mark.parametrize("layout", ["path-major", "time-major"])
+    def test_ensemble_states_below_one_refused(self, layout):
+        # The estimators take cash flows at state - 1, which wraps -1 to state N.
+        paths = np.array([[1, 2, 3], [2, 3, 3], [1, 0, -1]], dtype=np.int16)
+        if layout == "time-major":
+            paths = np.ascontiguousarray(paths.T).T
+        with pytest.raises(pv.ValidationError, match=r"^state 0 below 1 in path 2 at time 1$"):
+            pv.PathEnsemble(paths, master_seed=0)
+
+    @pytest.mark.parametrize("initial", [[0.0, 0.0, 0.0], [2.0, -1.0, 0.0], [np.nan, 0.0, 0.0], [1.0, 0.0]],
+                             ids=["zeros", "negative", "nan", "shape"])
+    def test_initial_must_be_a_distribution(self, chain3, claim_cash3, flat_discount3, initial):
+        message = "shape" if len(initial) == 2 else r"^initial distribution must be nonnegative and sum to 1$"
+        with pytest.raises(pv.ValidationError, match=message):
+            pv.simulate(chain3.seq, initial, 10, master_seed=1)
+        with pytest.raises(pv.ValidationError, match=message):
+            pv.enumerate_pv(chain3.seq, initial, claim_cash3, flat_discount3)
+
 
 class TestMcEstimates:
     def test_pv_within_four_standard_errors(self, chain3, claim_cash3, geometric_discount3):

@@ -29,6 +29,14 @@ class TestValidateModel:
         model = pv.StateModel(n_states=2, transitions=frozenset({(1, 2)}), reflex=frozenset({9}))
         assert any("reflex flag out of range" in p for p in pv.validate_model(model))
 
+    @pytest.mark.parametrize("lump_sums", [{}, {(1, 2): 1.0}], ids=["plain", "paying"])
+    def test_bad_label_reported_and_refused_by_extend(self, lump_sums):
+        # extend_model renumbers every label, so it needs them all in range.
+        model = pv.StateModel(n_states=2, transitions=frozenset({(1, 2)}), labels={1: "a", 5: "ghost"})
+        assert pv.validate_model(model) == ["label out of range: 5"]
+        with pytest.raises(pv.ValidationError, match=r"^label out of range: 5$"):
+            pv.extend_model(model, lump_sums)
+
     def test_zero_states_rejected(self):
         with pytest.raises(pv.ValidationError):
             pv.StateModel(n_states=0, transitions=frozenset())
