@@ -40,6 +40,8 @@ class IncrementDecrementTable:
 
     Counts are nonnegative reals (graduated tables are common).  The entry
     age is metadata only; every computation is keyed by the period index.
+
+    Checked per column (length, non-finite, negative), then outflow summed in mapping order.
     """
 
     n: int
@@ -48,14 +50,18 @@ class IncrementDecrementTable:
     entry_age: int = 0
 
     def __post_init__(self):
-        for name, column in self._columns():
-            if column.shape != (self.n + 1,):
-                raise ValidationError(f"column {name!r} has {column.shape[0]} rows, expected {self.n + 1}")
-            if not np.all(np.isfinite(column)):
+        columns = list(self._columns())
+        shaped = next((c for c, (_, column) in enumerate(columns) if column.shape != (self.n + 1,)), len(columns))
+        stacked = np.array([column for _, column in columns[:shaped]]).reshape(shaped, self.n + 1)
+        faulty = np.flatnonzero(~np.isfinite(stacked).all(axis=1) | (stacked < 0).any(axis=1))
+        if faulty.size:
+            name, column = columns[faulty[0]]
+            if not np.isfinite(column).all():
                 raise ValidationError(f"non-finite count in column {name!r}")
-            if np.any(column < 0):
-                k = int(np.argmax(column < 0))
-                raise ValidationError(f"negative count at k={k}, column {name!r}")
+            raise ValidationError(f"negative count at k={int(np.argmax(column < 0))}, column {name!r}")
+        if shaped < len(columns):
+            name, column = columns[shaped]
+            raise ValidationError(f"column {name!r} has {column.shape[0]} rows, expected {self.n + 1}")
         outflow: dict[int, np.ndarray] = {}
         for (i, _j), col in self.decrements.items():
             outflow[i] = outflow.get(i, 0) + col
@@ -75,7 +81,10 @@ class IncrementDecrementTable:
 
 @dataclass(frozen=True)
 class TransitionSequence:
-    """Period transition matrices Q(0), ..., Q(n-1), each row-stochastic."""
+    """Period transition matrices Q(0), ..., Q(n-1), each row-stochastic.
+
+    Checked for shape, non-finite and range (min and max propagate NaN), then row sums.
+    """
 
     matrices: np.ndarray  # shape (n, N, N)
 
@@ -83,9 +92,10 @@ class TransitionSequence:
         q = self.matrices
         if q.ndim != 3 or q.shape[1] != q.shape[2]:
             raise ValidationError(f"transition sequence must be (n, N, N), got {q.shape}")
-        if not np.all(np.isfinite(q)):
+        lo, hi = np.min(q, initial=0.0), np.max(q, initial=0.0)
+        if not np.isfinite([lo, hi]).all():
             raise ValidationError("non-finite transition probability")
-        if np.any(q < -_PROB_TOL) or np.any(q > 1 + _PROB_TOL):
+        if lo < -_PROB_TOL or hi > 1 + _PROB_TOL:
             raise ValidationError("transition probability outside [0, 1]")
         sums = q.sum(axis=2)
         if np.any(np.abs(sums - 1.0) > _ROW_SUM_TOL):
@@ -224,13 +234,13 @@ def infer_reflex_columns(table: IncrementDecrementTable, model: StateModel) -> I
     A reflex state is always left after one period, so its occupancy at k
     equals the total inflow during [k-1, k): the tabulated decrements into
     it, or the full occupancy of a reflex feeder (whose occupants all move
-    on), added in predecessor order.  Those columns are found once; one
-    sweep over k fills every reflex state even when reflex states feed each
-    other, since occupancy at k depends only on period k-1.  Inferred
-    occupancies start at zero for k = 0.  The single exit count of a reflex
-    state equals its occupancy.  Tabulated reflex occupancy columns are kept
-    as-is; already-present values are never overwritten, so the operation
-    is idempotent.
+    on), added in predecessor order from +0.0 as Python's ``sum`` does.
+    One sweep over k, gathering row k-1 of all columns stacked, fills every
+    reflex state even when reflex states feed each other, since occupancy
+    at k depends only on period k-1.  Inferred occupancies start at zero
+    for k = 0.  The single exit count of a reflex state equals its
+    occupancy.  Tabulated reflex occupancy columns are kept as-is;
+    already-present values are never overwritten, so it is idempotent.
     """
     classes = classify_states(model)
     occupancy = {i: col.copy() for i, col in table.occupancy.items()}
@@ -251,10 +261,16 @@ def infer_reflex_columns(table: IncrementDecrementTable, model: StateModel) -> I
         for i in predecessors[r]:
             if (i, r) not in decrements and i not in classes.reflex:
                 raise ValidationError(f"no decrement column for transition ({i}, {r})")
-    inflows = {r: [decrements[(i, r)] if (i, r) in decrements else occupancy[i] for i in predecessors[r]] for r in todo}
+    # All columns stacked, inferred ones first; a last zero column (index -1) pads the feeders.
+    columns = {**dict.fromkeys(todo), **occupancy, **decrements}
+    index = {key: c for c, key in enumerate(columns)}
+    stack = np.array([*columns.values(), np.zeros(n + 1)]).T
+    feeders = np.full((max((len(predecessors[r]) for r in todo), default=0), len(todo)), -1)
+    for c, r in enumerate(todo):
+        feeders[:len(predecessors[r]), c] = [index[(i, r) if (i, r) in decrements else i] for i in predecessors[r]]
     for k in range(1, n + 1):
-        for r, columns in inflows.items():
-            occupancy[r][k] = sum(column[k - 1] for column in columns)
+        stack[k, :len(todo)] = sum(stack[k - 1].take(feeders), np.zeros(len(todo)))
+    occupancy.update({r: stack[:, c].copy() for c, r in enumerate(todo)})
 
     successors = _successors(model)
     for r in predecessors:
@@ -265,13 +281,13 @@ def infer_reflex_columns(table: IncrementDecrementTable, model: StateModel) -> I
 def transition_sequence(table: IncrementDecrementTable, model: StateModel) -> TransitionSequence:
     """Build the period transition matrices from table counts.
 
-    A transient row is built for all periods at once: each off-diagonal
-    column is a decrement column over the occupancy column, clamped to
-    [0, 1], and the diagonal is one minus those exits added in successor
-    order.  Reflex rows route all mass to the unique successor, absorbing
-    rows keep it in place, and periods where a state is unoccupied get the
-    identity row.  The fault named is the first by state, then k, then
-    successor, then the row's exit total.
+    All transient rows are built at once from one stack of their decrement
+    columns, zero-padded to the widest out-degree: each off-diagonal entry
+    is a decrement over the occupancy, clamped to [0, 1], and the diagonal
+    is one minus those exits added in successor order.  Reflex rows route
+    all mass to the unique successor, absorbing rows keep it in place, and
+    unoccupied periods get the identity row.  The fault named is the first
+    by state (missing column first), k, successor, then the exit total.
     """
     classes = classify_states(model)
     n, n_states = table.n, model.n_states
@@ -281,26 +297,33 @@ def transition_sequence(table: IncrementDecrementTable, model: StateModel) -> Tr
     successors = _successors(model)
     for i in sorted(classes.reflex):
         q[:, i - 1, successors[i][0] - 1] = 1.0
-    for i in sorted(classes.transient):
-        if i not in table.occupancy:
-            raise ValidationError(f"missing occupancy column 'l_{i}'")
-        for j in successors[i]:
-            if (i, j) not in table.decrements:
-                raise ValidationError(f"missing decrement column 'd_{i}_{j}'")
-        living = table.occupancy[i][:n]
-        raw = np.array([np.divide(table.decrements[(i, j)][:n], living, out=np.zeros(n), where=living > 0.0)
-                        for j in successors[i]])
-        p = np.clip(raw, 0.0, 1.0)
-        diagonal = 1.0 - sum(p)
-        faults = np.vstack([(raw < -_PROB_TOL) | (raw > 1 + _PROB_TOL), diagonal < -_PROB_TOL])
-        if faults.any():
-            k, c = (int(x) for x in np.argwhere(faults.T)[0])
-            if c < len(successors[i]):
-                raise ValidationError(f"probability {float(raw[c, k])!r} outside [0, 1] at k={k}, "
-                                      f"transition ({i}, {successors[i][c]})")
-            raise ValidationError(f"exit probabilities exceed 1 at k={k}, state {i}")
-        q[:, i - 1, np.array(successors[i]) - 1] = p.T
-        q[:, i - 1, i - 1] = np.maximum(diagonal, 0.0)
+    transient = sorted(classes.transient)
+    gaps = [(t, -1, f"missing occupancy column 'l_{i}'") for t, i in enumerate(transient) if i not in table.occupancy]
+    gaps += [(t, w, f"missing decrement column 'd_{i}_{j}'") for t, i in enumerate(transient)
+             for w, j in enumerate(successors[i]) if (i, j) not in table.decrements]
+    stop, _, missing = min(gaps, default=(len(transient), 0, None))
+    transient = transient[:stop]
+    width = max((len(successors[i]) for i in transient), default=0)
+    # Padded slots point at the diagonal, which is written last; 0 / living cannot fault.
+    targets = np.array([successors[i] + [i] * (width - len(successors[i])) for i in transient], dtype=np.intp)
+    exits = np.array([[table.decrements[(i, j)][:n] for j in successors[i]] + [np.zeros(n)] * (width - len(successors[i]))
+                      for i in transient]).reshape(len(transient), width, n)
+    living = np.array([table.occupancy[i][:n] for i in transient]).reshape(len(transient), 1, n)
+    raw = np.divide(exits, living, out=np.zeros_like(exits), where=living > 0.0)
+    p = np.clip(raw, 0.0, 1.0)
+    diagonal = 1.0 - sum((p[:, w] for w in range(width)), np.zeros((len(transient), n)))
+    faults = np.concatenate([(raw < -_PROB_TOL) | (raw > 1 + _PROB_TOL), diagonal[:, None] < -_PROB_TOL], axis=1)
+    if faults.any():
+        t, k, c = (int(x) for x in np.argwhere(faults.transpose(0, 2, 1))[0])
+        if c < width:
+            raise ValidationError(f"probability {float(raw[t, c, k])!r} outside [0, 1] at k={k}, "
+                                  f"transition ({transient[t]}, {targets[t, c]})")
+        raise ValidationError(f"exit probabilities exceed 1 at k={k}, state {transient[t]}")
+    if missing is not None:
+        raise ValidationError(missing)
+    rows = np.array(transient, dtype=np.intp) - 1
+    q[:, rows[:, None], targets - 1] = p.transpose(2, 0, 1)
+    q[:, rows, rows] = np.maximum(diagonal, 0.0).T
     return TransitionSequence(q)
 
 

@@ -44,8 +44,8 @@ class PathEnsemble:
     """Simulated paths; entry (i, k) is the 1-based state of path i at time k.
 
     States are numbered 1..N, as in the model; an ensemble holding a state
-    below 1 is refused, because the estimators index cash flows by
-    ``state - 1``.
+    below 1 is refused, and the estimators refuse one above their N,
+    because they index cash flows by ``state - 1``.
 
     ``simulate`` stores the states time-major: ``paths`` is the transpose of
     a C-contiguous (n+1, n_paths) array, so ``paths.T[k]``, the state of
@@ -62,6 +62,11 @@ class PathEnsemble:
         if self.paths.size and self.paths.min() < 1:
             i, k = np.argwhere(self.paths < 1)[0]
             raise ValidationError(f"state {int(self.paths[i, k])} below 1 in path {i} at time {k}")
+
+    def _check_states_up_to(self, n_states: int):
+        if self.paths.size and self.paths.max() > n_states:
+            i, k = np.argwhere(self.paths > n_states)[0]
+            raise ValidationError(f"state {int(self.paths[i, k])} above {n_states} in path {i} at time {k}")
 
     @property
     def n_paths(self) -> int:
@@ -251,6 +256,7 @@ def _path_totals(ensemble: PathEnsemble, cashflows: list[CashflowMatrix],
     n = ensemble.n
     if any(c.matrix.shape[0] != n + 1 for c in cashflows) or discount.values.shape[0] != n + 1:
         raise ValidationError("cash-flow or discount shape does not match the ensemble horizon")
+    ensemble._check_states_up_to(cashflows[0].n_states)
     weighted = discount.values[:, None, None] * np.stack([c.matrix for c in cashflows], axis=2)
     totals = np.zeros((ensemble.n_paths, len(cashflows)))
     for k, states in enumerate(ensemble.paths.T):
@@ -299,6 +305,7 @@ def mc_premium(ensemble: PathEnsemble, c_in: CashflowMatrix, discount: DiscountV
 def empirical_distribution(ensemble: PathEnsemble, n_states: int) -> np.ndarray:
     """Occupancy frequencies by (time, state); shape (n+1, n_states)."""
     n = ensemble.n
+    ensemble._check_states_up_to(n_states)
     counts = np.empty((n + 1, n_states))
     for k, states in enumerate(ensemble.paths.T):
         counts[k] = np.bincount(states - 1, minlength=n_states)

@@ -296,7 +296,7 @@ def extend_model(model: StateModel, lump_sums: Mapping[Transition, object]) -> t
 # Line-oriented model file format.
 #
 #   states N
-#   label <id> <text>
+#   label <id> [<text>]
 #   reflex <id> [<id> ...]
 #   transition <i> <j>
 #   lumpsum <i> <j> <amount>
@@ -346,8 +346,8 @@ def parse_model_text(text: str) -> ModelFile:
                     fail(line_no, "expected: states N")
                 n_states = int(args[0])
             elif keyword == "label":
-                if len(args) < 2:
-                    fail(line_no, "expected: label <id> <text>")
+                if not args:
+                    fail(line_no, "expected: label <id> [<text>]")
                 labels[int(args[0])] = " ".join(args[1:])
             elif keyword == "reflex":
                 if not args:

@@ -6,15 +6,21 @@ reflex inference) and of the ``diagonal_residuals`` items, for the fixture,
 the three-state chain, 200 seeded ``random_table_case`` tables and one
 wider generated table with graduated counts, reflex states feeding reflex
 states, and periods in which a state is unoccupied.  A malformed table
-must keep naming the fault that the per-period build named first.
+must keep naming the fault that the per-period build named first, and a
+malformed table or sequence the fault its per-column checks named first.
+The stacked reflex inference and Q build are checked against the
+per-state loops they replaced, and the check of Q against the size of Q.
 """
 
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import premval as pv
 import premval.fixtures as fx
@@ -191,3 +197,226 @@ def test_first_fault_is_named(faults, message):
     table = pv.load_table(fault_table(faults), FAULT_MODEL)
     with pytest.raises(pv.ValidationError, match=message):
         pv.transition_sequence(table, FAULT_MODEL)
+
+
+# The table is checked column by column in ``_columns`` order (occupancy
+# by state, then decrements by transition); within a column the length
+# comes first, then non-finite counts, then negative ones.
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("occupancy, decrements, message", [
+    ({1: [1.0, NAN, 1.0], 2: [1.0, 1.0]}, {}, r"^non-finite count in column 'l_1'$"),
+    ({1: [1.0, 1.0], 2: [1.0, NAN, 1.0]}, {}, r"^column 'l_1' has 2 rows, expected 3$"),
+    ({1: [1.0, -1.0, 1.0]}, {(1, 2): [NAN, 0.0, 0.0]}, r"^negative count at k=1, column 'l_1'$"),
+    ({1: [1.0, 1.0, 1.0]}, {(1, 2): [0.0, -1.0, -2.0]}, r"^negative count at k=1, column 'd_1_2'$"),
+    ({1: [-1.0, INF, 1.0]}, {}, r"^non-finite count in column 'l_1'$"),
+    ({3: [1.0, 1.0, -INF]}, {(1, 2): [-1.0, 0.0, 0.0]}, r"^non-finite count in column 'l_3'$"),
+    ({1: [1.0, 1.0, 1.0]}, {(1, 2): [0.0, 0.0, -1.0], (2, 3): [1.0, 1.0]},
+     r"^negative count at k=2, column 'd_1_2'$"),
+], ids=["nan-before-short", "short-before-nan", "negative-before-later-nan", "first-negative-k",
+        "nan-before-negative-in-column", "occupancy-before-decrement", "negative-before-later-short"])
+def test_first_table_fault_is_named(occupancy, decrements, message):
+    with pytest.raises(pv.ValidationError, match=message):
+        pv.IncrementDecrementTable(n=2, occupancy={i: np.array(c) for i, c in occupancy.items()},
+                                   decrements={pair: np.array(c) for pair, c in decrements.items()})
+
+
+def two_period_identity() -> np.ndarray:
+    return np.tile(np.eye(3), (2, 1, 1))
+
+
+@pytest.mark.parametrize("entries, message", [
+    ({(1, 0, 1): NAN}, r"^non-finite transition probability$"),
+    ({(1, 0, 1): -INF}, r"^non-finite transition probability$"),
+    ({(1, 0, 1): INF}, r"^non-finite transition probability$"),
+    ({(0, 0, 0): 2.0, (1, 2, 2): NAN}, r"^non-finite transition probability$"),
+    ({(1, 0, 1): 1e308}, r"^transition probability outside \[0, 1\]$"),
+    ({(1, 0, 1): -1e-11}, r"^transition probability outside \[0, 1\]$"),
+], ids=["nan", "-inf", "+inf", "nan-after-out-of-range", "huge-finite", "small-negative"])
+def test_first_sequence_fault_is_named(entries, message):
+    q = two_period_identity()
+    for at, value in entries.items():
+        q[at] = value
+    with pytest.raises(pv.ValidationError, match=message):
+        pv.TransitionSequence(q)
+
+
+def test_empty_sequence_accepted():
+    assert pv.TransitionSequence(np.zeros((0, 3, 3))).n == 0
+
+
+def test_negative_zero_inflow_gives_positive_zero_occupancy(model3):
+    table = pv.infer_reflex_columns(pv.load_table("k,l_1,d_1_2\n0,100,-0\n1,90,9\n2,81,0\n", model3), model3)
+    assert table.occupancy[2].tolist() == [0.0, 0.0, 9.0]
+    assert not np.signbit(table.occupancy[2]).any()
+    assert not np.signbit(table.decrements[(2, 3)]).any()
+
+
+def test_sequence_check_allocates_no_full_size_temporary():
+    states = np.arange(200)
+    q = np.zeros((120, 200, 200))
+    q[:, states, states] = 0.75
+    q[:, states, (states + 1) % 200] = 0.25
+    tracemalloc.start()
+    try:
+        pv.TransitionSequence(q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < q.nbytes / 32, f"peak {peak / 1e6:.2f} MB of {q.nbytes / 1e6:.1f} MB"
+
+
+# The per-state and per-(k, reflex state) loops that the stacked builds
+# replaced, kept as the reference: the stacked builds must give the same
+# bits, or refuse with the same message.
+def reference_infer_reflex_columns(table: pv.IncrementDecrementTable, model: pv.StateModel):
+    classes = pv.classify_states(model)
+    occupancy = {i: col.copy() for i, col in table.occupancy.items()}
+    decrements = {pair: col.copy() for pair, col in table.decrements.items()}
+    n = table.n
+
+    predecessors: dict[int, list[int]] = {r: [] for r in sorted(classes.reflex)}
+    for (i, r) in sorted(model.transitions):
+        if r in predecessors:
+            predecessors[r].append(i)
+    for r, feeders in predecessors.items():
+        if not feeders:
+            raise pv.ValidationError(f"reflex state {r} has no inbound transition; its occupancy cannot be inferred")
+
+    todo = [r for r in predecessors if r not in occupancy]
+    for r in todo:
+        occupancy[r] = np.zeros(n + 1)
+        for i in predecessors[r]:
+            if (i, r) not in decrements and i not in classes.reflex:
+                raise pv.ValidationError(f"no decrement column for transition ({i}, {r})")
+    inflows = {r: [decrements[(i, r)] if (i, r) in decrements else occupancy[i] for i in predecessors[r]] for r in todo}
+    for k in range(1, n + 1):
+        for r, columns in inflows.items():
+            occupancy[r][k] = sum(column[k - 1] for column in columns)
+
+    for r in predecessors:
+        decrements.setdefault((r, model.successors(r)[0]), occupancy[r].copy())
+    return pv.IncrementDecrementTable(n=n, occupancy=occupancy, decrements=decrements, entry_age=table.entry_age)
+
+
+def reference_transition_sequence(table: pv.IncrementDecrementTable, model: pv.StateModel):
+    classes = pv.classify_states(model)
+    n, n_states = table.n, model.n_states
+    q = np.zeros((n, n_states, n_states))
+    for i in sorted(classes.absorbing):
+        q[:, i - 1, i - 1] = 1.0
+    successors = {s: model.successors(s) for s in range(1, n_states + 1)}
+    for i in sorted(classes.reflex):
+        q[:, i - 1, successors[i][0] - 1] = 1.0
+    for i in sorted(classes.transient):
+        if i not in table.occupancy:
+            raise pv.ValidationError(f"missing occupancy column 'l_{i}'")
+        for j in successors[i]:
+            if (i, j) not in table.decrements:
+                raise pv.ValidationError(f"missing decrement column 'd_{i}_{j}'")
+        living = table.occupancy[i][:n]
+        raw = np.array([np.divide(table.decrements[(i, j)][:n], living, out=np.zeros(n), where=living > 0.0)
+                        for j in successors[i]])
+        p = np.clip(raw, 0.0, 1.0)
+        diagonal = 1.0 - sum(p)
+        faults = np.vstack([(raw < -1e-12) | (raw > 1 + 1e-12), diagonal < -1e-12])
+        if faults.any():
+            k, c = (int(x) for x in np.argwhere(faults.T)[0])
+            if c < len(successors[i]):
+                raise pv.ValidationError(f"probability {float(raw[c, k])!r} outside [0, 1] at k={k}, "
+                                         f"transition ({i}, {successors[i][c]})")
+            raise pv.ValidationError(f"exit probabilities exceed 1 at k={k}, state {i}")
+        q[:, i - 1, np.array(successors[i]) - 1] = p.T
+        q[:, i - 1, i - 1] = np.maximum(diagonal, 0.0)
+    return pv.TransitionSequence(q)
+
+
+COUNTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 7.0, 100.0]), st.floats(0.0, 1e6))
+# Exits scaled past the occupancy by less than the table's 1e-9 slack:
+# within, at and beyond the 1e-12 probability tolerance.
+STRETCHES = st.sampled_from([1.0, 1.0, 1.0 + 1e-13, 1.0 + 1e-11, 1.0 + 1e-10])
+
+
+@st.composite
+def reflex_tables(draw):
+    """A model of transient, reflex and absorbing states with shuffled ids,
+    and a hand-built table for it.  Reflex states may feed each other, and
+    two of them may form a cycle fed from a transient state.  Counts
+    include zero occupancy, -0.0 and exits that round above the occupancy;
+    one column may be missing."""
+    n_states = draw(st.integers(3, 8))
+    ids = draw(st.permutations(range(1, n_states + 1)))
+    others = ids[draw(st.integers(1, 2)):]
+    reflex = set(draw(st.lists(st.sampled_from(others), unique=True, max_size=len(others) - 1)))
+    transient = [s for s in others if s not in reflex]
+    out = {i: draw(st.lists(st.sampled_from([j for j in ids if j != i]), min_size=1, max_size=3, unique=True))
+           for i in transient}
+    out.update({r: [draw(st.sampled_from([j for j in ids if j != r]))] for r in sorted(reflex)})
+    if len(reflex) >= 2 and draw(st.booleans()):
+        a, b = draw(st.lists(st.sampled_from(sorted(reflex)), min_size=2, max_size=2, unique=True))
+        out[a], out[b] = [b], [a]
+        feeder = draw(st.sampled_from(transient))
+        out[feeder] = sorted(set(out[feeder]) | {a})
+    for r in sorted(reflex):
+        if not any(r in js for js in out.values()):
+            feeder = draw(st.sampled_from(transient))
+            out[feeder] = sorted(set(out[feeder]) | {r})
+    model = pv.StateModel(n_states=n_states, reflex=frozenset(reflex),
+                          transitions=frozenset((i, j) for i, js in out.items() for j in js))
+
+    n = draw(st.integers(1, 5))
+    occupancy, decrements = {}, {}
+    for i in transient:
+        living = np.array(draw(st.lists(COUNTS, min_size=n + 1, max_size=n + 1)))
+        exits = np.zeros((len(out[i]), n + 1))
+        for k, lives in enumerate(living):
+            if lives == 0.0:
+                exits[:, k] = draw(st.lists(st.sampled_from([0.0, -0.0, 1e-10]),
+                                            min_size=len(out[i]), max_size=len(out[i])))
+                continue
+            hazards = np.array(draw(st.lists(st.one_of(st.sampled_from([-0.0, 1.0]), st.floats(0.0, 1.0)),
+                                             min_size=len(out[i]), max_size=len(out[i]))))
+            exits[:, k] = lives * hazards / max(1.0, hazards.sum()) * draw(STRETCHES)
+        occupancy[i] = living
+        decrements.update({(i, j): exits[c] for c, j in enumerate(out[i])})
+    for r in sorted(reflex):
+        if draw(st.integers(0, 3)) == 0:
+            occupancy[r] = np.array(draw(st.lists(COUNTS, min_size=n + 1, max_size=n + 1)))
+    if draw(st.integers(0, 5)) == 0:
+        dropped = draw(st.sampled_from(sorted(occupancy) + sorted(decrements)))
+        occupancy.pop(dropped, None)
+        decrements.pop(dropped, None)
+    return model, pv.IncrementDecrementTable(n=n, occupancy=occupancy, decrements=decrements)
+
+
+def outcome(build, table, model):
+    """What ``build`` returns, or the message of the ValidationError it raises."""
+    try:
+        return build(table, model)
+    except pv.ValidationError as exc:
+        return str(exc)
+
+
+def table_columns(table: pv.IncrementDecrementTable) -> list:
+    return ([(f"l_{i}", col.tobytes()) for i, col in sorted(table.occupancy.items())]
+            + [(f"d_{i}_{j}", col.tobytes()) for (i, j), col in sorted(table.decrements.items())])
+
+
+@settings(max_examples=400, deadline=None)
+@given(reflex_tables())
+def test_stacked_builds_match_the_per_state_loops(case):
+    model, table = case
+    got = outcome(pv.infer_reflex_columns, table, model)
+    want = outcome(reference_infer_reflex_columns, table, model)
+    if isinstance(want, str):
+        assert got == want
+        got = want = table
+    else:
+        assert table_columns(got) == table_columns(want)
+    got = outcome(pv.transition_sequence, got, model)
+    want = outcome(reference_transition_sequence, want, model)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got.matrices.tobytes() == want.matrices.tobytes()

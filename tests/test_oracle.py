@@ -113,6 +113,24 @@ class TestSimulate:
         with pytest.raises(pv.ValidationError, match=r"^state 0 below 1 in path 2 at time 1$"):
             pv.PathEnsemble(paths, master_seed=0)
 
+    @pytest.mark.parametrize("layout", ["path-major", "time-major"])
+    @pytest.mark.parametrize("estimator", ["mc_pv", "mc_premium", "empirical_distribution"])
+    def test_states_above_the_cash_flow_width_refused(self, chain3, claim_cash3, flat_discount3,
+                                                      estimator, layout):
+        estimate = {
+            "mc_pv": lambda e: pv.mc_pv(e, claim_cash3, flat_discount3),
+            "mc_premium": lambda e: pv.mc_premium(e, claim_cash3, flat_discount3, [1], chain3.offsets, 2),
+            "empirical_distribution": lambda e: pv.empirical_distribution(e, 3),
+        }[estimator]
+        uniform = np.full((4, 3), 5, dtype=np.int16)
+        mixed = np.array([[1, 2, 3], [2, 3, 4], [1, 5, 3]], dtype=np.int16)
+        for paths, message in [(uniform, r"^state 5 above 3 in path 0 at time 0$"),
+                               (mixed, r"^state 4 above 3 in path 1 at time 2$")]:
+            if layout == "time-major":
+                paths = np.ascontiguousarray(paths.T).T
+            with pytest.raises(pv.ValidationError, match=message):
+                estimate(pv.PathEnsemble(paths, master_seed=0))
+
     @pytest.mark.parametrize("initial", [[0.0, 0.0, 0.0], [2.0, -1.0, 0.0], [np.nan, 0.0, 0.0], [1.0, 0.0]],
                              ids=["zeros", "negative", "nan", "shape"])
     def test_initial_must_be_a_distribution(self, chain3, claim_cash3, flat_discount3, initial):

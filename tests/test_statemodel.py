@@ -190,6 +190,12 @@ class TestModelFiles:
         assert parsed.lump_sums == dict(base.lump_sums)
         assert pv.format_model(parsed.model, parsed.lump_sums) == text
 
+    def test_empty_label_round_trip(self):
+        model = pv.StateModel(n_states=3, transitions=frozenset({(1, 2), (2, 3)}), labels={1: "", 2: "ill"})
+        text = pv.format_model(model)
+        assert pv.parse_model_text(text).model == model
+        assert pv.parse_model_text("states 2\nlabel 2\n").model.labels == {2: ""}
+
     def test_attachments_round_trip(self):
         base = fx.base_dread_disease()
         extended, attachments = pv.extend_model(base.model, base.lump_sums)
