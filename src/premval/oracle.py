@@ -4,8 +4,19 @@ enumeration on small models and Monte Carlo simulation on any model.
 The simulator is counter-based: path i always consumes the same fixed block
 of the Philox stream derived from the master seed, regardless of how paths
 are batched into chunks.  Results are therefore bit-reproducible for a given
-(master_seed, n_paths), whether generated serially, in chunks of any size,
-or by parallel workers that split on path index.
+(master_seed, n_paths), whatever the chunk size and the number of threads.
+
+Every loop over the path axis (``simulate``'s chunks, the gather behind
+``mc_pv`` and ``mc_premium``, and ``empirical_distribution``'s counts) runs
+on contiguous path blocks, spread over the cores this process may run on
+(``os.sched_getaffinity``, else ``os.cpu_count()``), one thread per core and
+never more threads than blocks.  There is no setting for it: a block writes
+only its own paths' slice, each path's total is summed over k in the same
+order in every block, and integer counts add exactly, so every path and
+every estimate is the same bit for bit on any number of cores.  One block
+or one core runs inline and starts no thread.  ``simulate``'s
+``chunk_size`` counts the paths whose draws are held at once across all
+threads.
 
 A uniform u moves a path from row c of cumulative probabilities (last entry
 forced to 1.0) to the 0-based state ``#{j : c_j < u}``.  The cumulative sum
@@ -19,6 +30,9 @@ few thresholds per row instead of N.
 
 from __future__ import annotations
 
+import operator
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +73,8 @@ class PathEnsemble:
     def __post_init__(self):
         if self.paths.ndim != 2:
             raise ValidationError(f"paths must be 2-D, got shape {self.paths.shape}")
+        if not np.issubdtype(self.paths.dtype, np.integer):
+            raise ValidationError(f"paths must hold integer states, got dtype {self.paths.dtype}")
         if self.paths.size and self.paths.min() < 1:
             i, k = np.argwhere(self.paths < 1)[0]
             raise ValidationError(f"state {int(self.paths[i, k])} below 1 in path {i} at time {k}")
@@ -130,22 +146,77 @@ enumerate_pv.__doc__ = enumerate_pv.__doc__.format(
     MAX_ENUM_STATES=MAX_ENUM_STATES, MAX_ENUM_HORIZON=MAX_ENUM_HORIZON)
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _path_blocks(n_paths: int, chunk_size: int) -> tuple[list[tuple[int, int]], int]:
+    """Contiguous blocks [start, stop) of ``ceil(chunk_size / cores)`` paths
+    covering [0, n_paths), and the number of threads to run them on,
+    ``min(cores, blocks)``; so the blocks in flight on all threads together
+    hold at most about ``chunk_size`` paths."""
+    cores = _usable_cores()
+    size = -(-chunk_size // cores)
+    blocks = [(start, min(start + size, n_paths)) for start in range(0, n_paths, size)]
+    return blocks, min(cores, len(blocks))
+
+
+def _run_blocks(function, blocks: list[tuple[int, int]], threads: int) -> list:
+    """``function(worker, start, stop)`` for every block, results in block order.
+
+    ``threads`` threads, the calling thread among them, each take the next
+    block not yet started; ``worker`` in [0, threads) names the thread, so
+    that a function can reuse one set of buffers per thread.  One thread
+    runs the blocks inline and starts none.
+    """
+    if threads <= 1:
+        return [function(0, start, stop) for start, stop in blocks]
+    results = [None] * len(blocks)
+    errors = []
+    pending = iter(range(len(blocks)))
+    lock = threading.Lock()
+
+    def work(worker: int):
+        while not errors:
+            with lock:
+                index = next(pending, None)
+            if index is None:
+                return
+            try:
+                results[index] = function(worker, *blocks[index])
+            except BaseException as exc:  # re-raised in the calling thread below
+                errors.append(exc)
+
+    helpers = [threading.Thread(target=work, args=(worker,)) for worker in range(1, threads)]
+    for helper in helpers:
+        helper.start()
+    work(0)
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
 def _words_per_path(n: int) -> int:
     blocks = -(-(n + 1) // _PHILOX_WORDS_PER_BLOCK)
     return blocks * _PHILOX_WORDS_PER_BLOCK
 
 
-def _chunk_uniforms(master_seed: int, n: int, start_path: int, count: int) -> np.ndarray:
-    """Uniform draws for paths [start_path, start_path + count).
+def _chunk_uniforms(master_seed: int, start_path: int, out: np.ndarray):
+    """Fill ``out``, shape (count, w), with the uniform draws of paths
+    [start_path, start_path + count).
 
     Path i owns the words [i * w, (i + 1) * w) of the Philox stream keyed by
     the master seed, where w is the per-path block size; the chunk start
     only positions the counter, so batching cannot change any path's draws.
     """
-    words = _words_per_path(n)
-    blocks = start_path * (words // _PHILOX_WORDS_PER_BLOCK)
-    generator = np.random.Generator(np.random.Philox(key=master_seed).advance(blocks))
-    return generator.random((count, words))[:, : n + 1]
+    blocks = start_path * (out.shape[1] // _PHILOX_WORDS_PER_BLOCK)
+    np.random.Generator(np.random.Philox(key=master_seed).advance(blocks)).random(out=out)
 
 
 def _step_tables(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -197,6 +268,13 @@ def _step(thresholds: np.ndarray, lengths: np.ndarray, states: np.ndarray, u: np
     return following
 
 
+def _integer(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {type(value).__name__} {value}") from None
+
+
 def simulate(seq: TransitionSequence, initial: np.ndarray, n_paths: int, master_seed: int,
              chunk_size: int = CHUNK_SIZE) -> PathEnsemble:
     """Draw state paths X(0..n) under the period transition matrices.
@@ -213,17 +291,25 @@ def simulate(seq: TransitionSequence, initial: np.ndarray, n_paths: int, master_
 
     Each step gathers a path's row from compact run-length tables (see
     ``_step_tables``) instead of a dense row of N cumulative values, so
-    memory and time scale with the nonzeros, not with N.  Chunks of
-    ``chunk_size`` paths bound the uniform draws held at once; each chunk
-    writes its states straight into its columns of the time-major path
-    array (see ``PathEnsemble``).  On perfbench's mc-fixture workload
-    (200 000 fixture paths, 2 cores, numpy 2.4.6) the peak resident size
-    read 90.3-90.4 MB with the default of 32 768 and 91.7-91.8 MB with
-    65 536, three runs each.  See the module docstring for the
-    reproducibility contract.
+    memory and time scale with the nonzeros, not with N.  ``chunk_size``
+    bounds the paths whose uniform draws are held at once, counted across
+    all threads: with one thread per usable core (see the module
+    docstring), each thread steps blocks of ``ceil(chunk_size / cores)``
+    paths and writes their states straight into their columns of the
+    time-major path array (see ``PathEnsemble``).  Each thread's draw
+    buffers are allocated once per call by the calling thread, so no
+    helper thread's malloc arena keeps them after they are freed.  On
+    perfbench's mc-fixture workload (200 000 fixture paths, 2 cores, numpy
+    2.4.6) the peak resident size read 90.7-90.8 MB with the default of
+    32 768 on two threads, against 90.6 MB on one.  ``n_paths``,
+    ``master_seed`` and ``chunk_size`` must be integers (numpy integers
+    included).  See the module docstring for the reproducibility contract.
     """
     n, n_states = seq.n, seq.n_states
     initial = initial_distribution(initial, n_states)
+    n_paths = _integer("n_paths", n_paths)
+    master_seed = _integer("master_seed", master_seed)
+    chunk_size = _integer("chunk_size", chunk_size)
     if n_paths < 1:
         raise ValidationError("n_paths must be positive")
     if chunk_size < 1:
@@ -237,15 +323,26 @@ def simulate(seq: TransitionSequence, initial: np.ndarray, n_paths: int, master_
     dtype = np.int16 if n_states < 2 ** 15 else np.int32
     # Time-major, so that every step reads and writes contiguous vectors.
     time_major = np.empty((n + 1, n_paths), dtype=dtype)
-    for start in range(0, n_paths, chunk_size):
-        count = min(chunk_size, n_paths - start)
-        columns = time_major[:, start:start + count]
-        u = _chunk_uniforms(master_seed, n, start, count).T.copy()
+    blocks, threads = _path_blocks(n_paths, chunk_size)
+    # Each thread's draws and their time-major copy, made here and reused
+    # for all of its blocks: a helper thread that allocated them itself
+    # would leave them in its own malloc arena when freed.
+    size = blocks[0][1]
+    buffers = [(np.empty((size, _words_per_path(n))), np.empty((n + 1, size))) for _ in range(threads)]
+
+    def simulate_block(worker: int, start: int, stop: int):
+        count = stop - start
+        draws, u = buffers[worker][0][:count], buffers[worker][1][:, :count]
+        _chunk_uniforms(master_seed, start, draws)
+        u[...] = draws[:, :n + 1].T
+        columns = time_major[:, start:stop]
         states = _step(initial_thresholds[0], initial_lengths[0], np.zeros(count, dtype=np.intp), u[0])
         np.add(states, 1, out=columns[0])
         for k in range(n):
             states = _step(thresholds[k], lengths[k], states, u[k + 1])
             np.add(states, 1, out=columns[k + 1])
+
+    _run_blocks(simulate_block, blocks, threads)
     return PathEnsemble(paths=time_major.T, master_seed=master_seed)
 
 
@@ -259,8 +356,13 @@ def _path_totals(ensemble: PathEnsemble, cashflows: list[CashflowMatrix],
     ensemble._check_states_up_to(cashflows[0].n_states)
     weighted = discount.values[:, None, None] * np.stack([c.matrix for c in cashflows], axis=2)
     totals = np.zeros((ensemble.n_paths, len(cashflows)))
-    for k, states in enumerate(ensemble.paths.T):
-        totals += weighted[k].take(states - 1, axis=0)
+
+    def add_block(worker: int, start: int, stop: int):
+        block = totals[start:stop]
+        for k, states in enumerate(ensemble.paths.T):
+            block += weighted[k].take(states[start:stop] - 1, axis=0)
+
+    _run_blocks(add_block, *_path_blocks(ensemble.n_paths, CHUNK_SIZE))
     return np.ascontiguousarray(totals.T)
 
 
@@ -304,12 +406,14 @@ def mc_premium(ensemble: PathEnsemble, c_in: CashflowMatrix, discount: DiscountV
 
 def empirical_distribution(ensemble: PathEnsemble, n_states: int) -> np.ndarray:
     """Occupancy frequencies by (time, state); shape (n+1, n_states)."""
-    n = ensemble.n
     ensemble._check_states_up_to(n_states)
-    counts = np.empty((n + 1, n_states))
-    for k, states in enumerate(ensemble.paths.T):
-        counts[k] = np.bincount(states - 1, minlength=n_states)
-    return counts / ensemble.n_paths
+
+    def count_block(worker: int, start: int, stop: int) -> np.ndarray:
+        return np.stack([np.bincount(states[start:stop] - 1, minlength=n_states)
+                         for states in ensemble.paths.T])
+
+    counts = _run_blocks(count_block, *_path_blocks(ensemble.n_paths, CHUNK_SIZE))
+    return sum(counts, np.zeros((ensemble.n + 1, n_states), dtype=np.intp)) / ensemble.n_paths
 
 
 def frequency_vs_distribution(ensemble: PathEnsemble, dist: DistributionMatrix) -> tuple[float, float]:

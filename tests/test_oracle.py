@@ -104,6 +104,31 @@ class TestSimulate:
         with pytest.raises(pv.ValidationError, match="2-D"):
             pv.PathEnsemble(np.array([1, 2, 3]), master_seed=0)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.bool_, object])
+    def test_ensemble_states_must_be_integers(self, dtype):
+        # A float ensemble used to be accepted and fail later inside numpy's take or bincount.
+        paths = np.ones((4, 3), dtype=dtype)
+        with pytest.raises(pv.ValidationError, match=rf"^paths must hold integer states, got dtype {np.dtype(dtype)}$"):
+            pv.PathEnsemble(paths, master_seed=0)
+
+    @pytest.mark.parametrize("argument, value, message", [
+        ("master_seed", 1.5, "master_seed must be an integer, got float 1.5"),
+        ("master_seed", np.float64(2.0), "master_seed must be an integer, got float64 2.0"),
+        ("n_paths", 8.0, "n_paths must be an integer, got float 8.0"),
+        ("chunk_size", 2.5, "chunk_size must be an integer, got float 2.5"),
+        ("chunk_size", "4", "chunk_size must be an integer, got str 4"),
+    ], ids=["float-seed", "numpy-float-seed", "float-paths", "float-chunk", "str-chunk"])
+    def test_non_integral_arguments_refused(self, chain3, argument, value, message):
+        arguments = {"n_paths": 8, "master_seed": 1, "chunk_size": 3, argument: value}
+        with pytest.raises(pv.ValidationError, match=f"^{message}$"):
+            pv.simulate(chain3.seq, _unit(3, 1), **arguments)
+
+    def test_numpy_integer_arguments_accepted(self, chain3):
+        plain = pv.simulate(chain3.seq, _unit(3, 1), 50, master_seed=3, chunk_size=7)
+        numpy = pv.simulate(chain3.seq, _unit(3, 1), np.int32(50), master_seed=np.uint64(3), chunk_size=np.int64(7))
+        assert np.array_equal(plain.paths, numpy.paths)
+        assert numpy.master_seed == 3 and type(numpy.master_seed) is int
+
     @pytest.mark.parametrize("layout", ["path-major", "time-major"])
     def test_ensemble_states_below_one_refused(self, layout):
         # The estimators take cash flows at state - 1, which wraps -1 to state N.

@@ -5,12 +5,16 @@ Every path ``simulate`` draws must stay what it was when
 little-endian int32, is pinned for the fixture chain, the three-state chain
 at the seeds ``test_oracle.py`` uses, and a wide N=200 chain with sparse
 rows, identity rows and tiny negative diagonals, at several chunk sizes.
-The step itself is checked against the dense rule it replaces, and its
-memory against the size of the transition matrices.
+The fixture and wide pins hold with the simulator's core count set to 1, 2
+and 3, and so do the fixture estimates, whose draws in flight must not grow
+with the thread count.  The step itself is checked against the dense rule it
+replaces, and its memory against the size of the transition matrices.
 """
 
 import hashlib
 import json
+import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -69,6 +73,16 @@ def wide():
     return wide_sequence(DIGESTS["wide"]["n"])
 
 
+def set_cores(monkeypatch, cores):
+    monkeypatch.setattr(oracle, "_usable_cores", lambda: cores)
+
+
+@pytest.fixture(params=[1, 2, 3], ids=lambda cores: f"cores{cores}")
+def cores(request, monkeypatch):
+    set_cores(monkeypatch, request.param)
+    return request.param
+
+
 def test_wide_sequence_has_the_rows_it_promises(wide):
     q = wide.matrices
     nonzeros = (q != 0).sum(axis=2)
@@ -80,7 +94,7 @@ def test_wide_sequence_has_the_rows_it_promises(wide):
 
 
 @pytest.mark.parametrize("seed", sorted(DIGESTS["fixture"]["digests"]))
-def test_fixture_paths_are_pinned(dread, seed):
+def test_fixture_paths_are_pinned(dread, seed, cores):
     pin = DIGESTS["fixture"]
     ensemble = pv.simulate(dread.seq, dread.initial, pin["n_paths"], int(seed))
     assert path_digest(ensemble.paths) == pin["digests"][seed]
@@ -93,11 +107,91 @@ def test_three_state_paths_are_pinned(chain3, case):
 
 
 @pytest.mark.parametrize("chunk_size", [1, 17, None], ids=["chunk1", "chunk17", "default"])
-def test_wide_paths_are_pinned(wide, chunk_size):
+def test_wide_paths_are_pinned(wide, chunk_size, cores):
     pin = DIGESTS["wide"]
     chunking = {} if chunk_size is None else {"chunk_size": chunk_size}
     ensemble = pv.simulate(wide, wide_initial(), pin["n_paths"], pin["seed"], **chunking)
     assert path_digest(ensemble.paths) == pin["digest"]
+
+
+def fixture_estimates(dread) -> list[str]:
+    """``float.hex`` of mc_pv, three mc_premium estimates and the occupancy
+    frequencies on 200 000 fixture paths."""
+    ensemble = pv.simulate(dread.seq, dread.initial, DIGESTS["fixture"]["n_paths"], 20261018)
+    benefit = pv.accelerated_benefit(0.5, dread.table.n)
+    estimates = [pv.mc_pv(ensemble, benefit, dread.discount)]
+    for pay in ({1}, {1, 2}, set(range(1, 7))):
+        estimates.append(pv.mc_premium(ensemble, benefit, dread.discount, pay, dread.offsets, dread.table.n))
+    values = [x for e in estimates for x in (e.mean, e.std_error)]
+    values += pv.empirical_distribution(ensemble, dread.model.n_states).ravel().tolist()
+    return [x.hex() for x in values]
+
+
+def test_estimates_do_not_depend_on_the_core_count(dread, monkeypatch):
+    by_cores = {}
+    for cores in (1, 2, 3):
+        set_cores(monkeypatch, cores)
+        by_cores[cores] = fixture_estimates(dread)
+    assert by_cores[2] == by_cores[1]
+    assert by_cores[3] == by_cores[1]
+
+
+def simulate_peak(dread, monkeypatch, cores) -> int:
+    set_cores(monkeypatch, cores)
+    tracemalloc.start()
+    try:
+        pv.simulate(dread.seq, dread.initial, DIGESTS["fixture"]["n_paths"], 5)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_draws_in_flight_do_not_grow_with_the_thread_count(dread, monkeypatch):
+    # chunk_size counts paths across all threads, so two threads hold about
+    # as many draws at once as one.
+    serial = simulate_peak(dread, monkeypatch, 1)
+    parallel = simulate_peak(dread, monkeypatch, 2)
+    assert parallel <= 1.1 * serial, f"peak {parallel / 1e6:.1f} MB on 2 threads, {serial / 1e6:.1f} MB on 1"
+
+
+def test_blocks_split_the_chunk_between_the_cores(monkeypatch):
+    set_cores(monkeypatch, 2)
+    assert oracle._path_blocks(40_000, 32_768) == ([(0, 16_384), (16_384, 32_768), (32_768, 40_000)], 2)
+    set_cores(monkeypatch, 3)
+    assert oracle._path_blocks(4_096, 32_768) == ([(0, 4_096)], 1)
+    assert oracle._path_blocks(5, 1) == ([(i, i + 1) for i in range(5)], 3)
+
+
+def test_every_block_runs_once_under_contention():
+    blocks = [(start, start + 1) for start in range(3_000)]
+    seen = []
+
+    def record(worker, start, stop):
+        seen.append(start)
+        return worker, start
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = oracle._run_blocks(record, blocks, threads=4)
+    finally:
+        sys.setswitchinterval(switch)
+    assert sorted(seen) == list(range(3_000))
+    assert [start for _, start in results] == list(range(3_000))
+    assert {worker for worker, _ in results} <= {0, 1, 2, 3}
+
+
+def test_a_failing_block_is_raised_after_every_thread_ends():
+    before = threading.active_count()
+
+    def fail_at_seven(worker, start, stop):
+        if start == 7:
+            raise ArithmeticError("block 7")
+        return start
+
+    with pytest.raises(ArithmeticError, match="block 7"):
+        oracle._run_blocks(fail_at_seven, [(start, start + 1) for start in range(50)], threads=3)
+    assert threading.active_count() == before
 
 
 def dense_step(row: np.ndarray, u: float) -> int:
