@@ -51,6 +51,9 @@ _PHILOX_WORDS_PER_BLOCK = 4
 
 #: Default number of paths simulated per chunk.
 CHUNK_SIZE = 1 << 15
+#: Paths whose raw draws ``simulate`` holds at once before copying them
+#: time-major: 0.9 MB of draws on the fixture.
+_STAGED_PATHS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -296,12 +299,13 @@ def simulate(seq: TransitionSequence, initial: np.ndarray, n_paths: int, master_
     all threads: with one thread per usable core (see the module
     docstring), each thread steps blocks of ``ceil(chunk_size / cores)``
     paths and writes their states straight into their columns of the
-    time-major path array (see ``PathEnsemble``).  Each thread's draw
-    buffers are allocated once per call by the calling thread, so no
-    helper thread's malloc arena keeps them after they are freed.  On
+    time-major path array (see ``PathEnsemble``).  A block's draws are
+    staged ``_STAGED_PATHS`` paths at a time into its time-major uniforms,
+    and each thread's buffers are allocated once per call by the calling
+    thread, so no helper thread's malloc arena keeps them once freed.  On
     perfbench's mc-fixture workload (200 000 fixture paths, 2 cores, numpy
-    2.4.6) the peak resident size read 90.7-90.8 MB with the default of
-    32 768 on two threads, against 90.6 MB on one.  ``n_paths``,
+    2.4.6) the peak resident size read 90.8 MB with the default of 32 768,
+    and 90.7 MB with the process held to one core.  ``n_paths``,
     ``master_seed`` and ``chunk_size`` must be integers (numpy integers
     included).  See the module docstring for the reproducibility contract.
     """
@@ -324,17 +328,21 @@ def simulate(seq: TransitionSequence, initial: np.ndarray, n_paths: int, master_
     # Time-major, so that every step reads and writes contiguous vectors.
     time_major = np.empty((n + 1, n_paths), dtype=dtype)
     blocks, threads = _path_blocks(n_paths, chunk_size)
-    # Each thread's draws and their time-major copy, made here and reused
-    # for all of its blocks: a helper thread that allocated them itself
-    # would leave them in its own malloc arena when freed.
+    # Each thread's uniforms, time-major, and a small staging buffer for
+    # their raw path-major draws, made here and reused for all of its
+    # blocks: a helper thread that allocated them itself would leave them
+    # in its own malloc arena when freed.
     size = blocks[0][1]
-    buffers = [(np.empty((size, _words_per_path(n))), np.empty((n + 1, size))) for _ in range(threads)]
+    buffers = [(np.empty((min(size, _STAGED_PATHS), _words_per_path(n))), np.empty((n + 1, size)))
+               for _ in range(threads)]
 
     def simulate_block(worker: int, start: int, stop: int):
         count = stop - start
-        draws, u = buffers[worker][0][:count], buffers[worker][1][:, :count]
-        _chunk_uniforms(master_seed, start, draws)
-        u[...] = draws[:, :n + 1].T
+        draws, u = buffers[worker][0], buffers[worker][1][:, :count]
+        for first in range(0, count, len(draws)):
+            staged = draws[:min(len(draws), count - first)]
+            _chunk_uniforms(master_seed, start + first, staged)
+            u[:, first:first + len(staged)] = staged[:, :n + 1].T
         columns = time_major[:, start:stop]
         states = _step(initial_thresholds[0], initial_lengths[0], np.zeros(count, dtype=np.intp), u[0])
         np.add(states, 1, out=columns[0])
