@@ -30,6 +30,8 @@ DIGESTS = json.loads((Path(__file__).parent / "data" / "sim_digests.json").read_
 WIDE_STATES = 200
 WIDE_PATHS = 4_096
 WIDE_INITIAL = {1: 0.5, 4: 0.3, 8: 0.2}
+#: Core counts the simulator is made to see; paths must not depend on them.
+CORE_COUNTS = (1, 2, 3)
 
 
 def path_digest(paths: np.ndarray) -> str:
@@ -77,12 +79,6 @@ def set_cores(monkeypatch, cores):
     monkeypatch.setattr(oracle, "_usable_cores", lambda: cores)
 
 
-@pytest.fixture(params=[1, 2, 3], ids=lambda cores: f"cores{cores}")
-def cores(request, monkeypatch):
-    set_cores(monkeypatch, request.param)
-    return request.param
-
-
 def test_wide_sequence_has_the_rows_it_promises(wide):
     q = wide.matrices
     nonzeros = (q != 0).sum(axis=2)
@@ -94,10 +90,12 @@ def test_wide_sequence_has_the_rows_it_promises(wide):
 
 
 @pytest.mark.parametrize("seed", sorted(DIGESTS["fixture"]["digests"]))
-def test_fixture_paths_are_pinned(dread, seed, cores):
+def test_fixture_paths_are_pinned(dread, seed, monkeypatch):
     pin = DIGESTS["fixture"]
-    ensemble = pv.simulate(dread.seq, dread.initial, pin["n_paths"], int(seed))
-    assert path_digest(ensemble.paths) == pin["digests"][seed]
+    for cores in CORE_COUNTS:
+        set_cores(monkeypatch, cores)
+        ensemble = pv.simulate(dread.seq, dread.initial, pin["n_paths"], int(seed))
+        assert path_digest(ensemble.paths) == pin["digests"][seed], f"{cores} cores"
 
 
 @pytest.mark.parametrize("case", DIGESTS["chain3"], ids=lambda case: f"seed{case['seed']}")
@@ -107,11 +105,13 @@ def test_three_state_paths_are_pinned(chain3, case):
 
 
 @pytest.mark.parametrize("chunk_size", [1, 17, None], ids=["chunk1", "chunk17", "default"])
-def test_wide_paths_are_pinned(wide, chunk_size, cores):
+def test_wide_paths_are_pinned(wide, chunk_size, monkeypatch):
     pin = DIGESTS["wide"]
     chunking = {} if chunk_size is None else {"chunk_size": chunk_size}
-    ensemble = pv.simulate(wide, wide_initial(), pin["n_paths"], pin["seed"], **chunking)
-    assert path_digest(ensemble.paths) == pin["digest"]
+    for cores in CORE_COUNTS:
+        set_cores(monkeypatch, cores)
+        ensemble = pv.simulate(wide, wide_initial(), pin["n_paths"], pin["seed"], **chunking)
+        assert path_digest(ensemble.paths) == pin["digest"], f"{cores} cores"
 
 
 def fixture_estimates(dread) -> list[str]:
@@ -129,7 +129,7 @@ def fixture_estimates(dread) -> list[str]:
 
 def test_estimates_do_not_depend_on_the_core_count(dread, monkeypatch):
     by_cores = {}
-    for cores in (1, 2, 3):
+    for cores in CORE_COUNTS:
         set_cores(monkeypatch, cores)
         by_cores[cores] = fixture_estimates(dread)
     assert by_cores[2] == by_cores[1]
