@@ -304,8 +304,10 @@ def simulate(seq: TransitionSequence, initial: np.ndarray, n_paths: int, master_
     and each thread's buffers are allocated once per call by the calling
     thread, so no helper thread's malloc arena keeps them once freed.  On
     perfbench's mc-fixture workload (200 000 fixture paths, 2 cores, numpy
-    2.4.6) the peak resident size read 90.8 MB with the default of 32 768,
-    and 90.7 MB with the process held to one core.  ``n_paths``,
+    2.4.6) the peak resident size read 90.7-91.5 MB (median 90.9, ten
+    runs) with the default of 32 768, against 90.6-90.8 MB before the
+    paths were split over threads, and 90.7 MB with the process held to
+    one core.  ``n_paths``,
     ``master_seed`` and ``chunk_size`` must be integers (numpy integers
     included).  See the module docstring for the reproducibility contract.
     """

@@ -162,6 +162,27 @@ def test_blocks_split_the_chunk_between_the_cores(monkeypatch):
     assert oracle._path_blocks(5, 1) == ([(i, i + 1) for i in range(5)], 3)
 
 
+def run_blocks_bounded(function, blocks, threads):
+    """``oracle._run_blocks`` on a daemon thread joined with a timeout, so
+    that a deadlock fails the test instead of hanging the suite."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append((True, oracle._run_blocks(function, blocks, threads)))
+        except BaseException as exc:  # handed to the test thread below
+            outcome.append((False, exc))
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(timeout=120)
+    assert not runner.is_alive(), "_run_blocks did not finish"
+    finished, value = outcome[0]
+    if not finished:
+        raise value
+    return value
+
+
 def test_every_block_runs_once_under_contention():
     blocks = [(start, start + 1) for start in range(3_000)]
     seen = []
@@ -173,7 +194,7 @@ def test_every_block_runs_once_under_contention():
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        results = oracle._run_blocks(record, blocks, threads=4)
+        results = run_blocks_bounded(record, blocks, threads=4)
     finally:
         sys.setswitchinterval(switch)
     assert sorted(seen) == list(range(3_000))
@@ -190,7 +211,7 @@ def test_a_failing_block_is_raised_after_every_thread_ends():
         return start
 
     with pytest.raises(ArithmeticError, match="block 7"):
-        oracle._run_blocks(fail_at_seven, [(start, start + 1) for start in range(50)], threads=3)
+        run_blocks_bounded(fail_at_seven, [(start, start + 1) for start in range(50)], threads=3)
     assert threading.active_count() == before
 
 
