@@ -51,6 +51,8 @@ class CashflowMatrix:
         c = self.matrix
         if c.ndim != 2:
             raise ValidationError(f"cash-flow matrix must be 2-D, got shape {c.shape}")
+        if c.shape[0] == 0:
+            raise ValidationError("cash-flow matrix has no periods")
         if c.shape[1] == 0:
             raise ValidationError("cash-flow matrix has no states")
         if not np.isfinite(c).all():
@@ -80,9 +82,15 @@ class CashflowEntry:
     amount: float
 
 
+def _periods(n: int) -> int:
+    if n < 0:
+        raise ValidationError(f"horizon n={n} is negative")
+    return n + 1
+
+
 def build_cashflow(entries, n: int, n_states: int) -> CashflowMatrix:
     """Accumulate entries into a matrix; overlapping entries add up."""
-    c = np.zeros((n + 1, max(n_states, 0)))
+    c = np.zeros((_periods(n), max(n_states, 0)))
     for e in entries:
         if not 1 <= e.state <= n_states:
             raise ValidationError(f"state {e.state} out of range 1..{n_states}")
@@ -132,7 +140,7 @@ def accelerated_benefit(acceleration: float, n: int) -> CashflowMatrix:
     """
     if not 0.0 <= acceleration <= 1.0:
         raise ValidationError(f"acceleration share {acceleration!r} outside [0, 1]")
-    c = np.zeros((n + 1, DREAD_DISEASE_STATES))
+    c = np.zeros((_periods(n), DREAD_DISEASE_STATES))
     c[1:, 2] = acceleration        # state 3, reachable from k = 1
     c[1:, 6] = 1.0                 # state 7, reachable from k = 1
     c[2:, 8] = 1.0 - acceleration  # state 9, reachable from k = 2
@@ -161,7 +169,7 @@ def dread_disease_case(case: int, n: int, *, lump_sum: float = 1.0, annuity_rate
     """
     if case not in (1, 2, 3):
         raise ValidationError(f"unknown case id {case!r} (expected 1, 2 or 3)")
-    c = np.zeros((n + 1, DREAD_DISEASE_STATES))
+    c = np.zeros((_periods(n), DREAD_DISEASE_STATES))
     c[1:, 6] = death_benefit
     c[2:, 8] = death_benefit
     if case in (1, 3):

@@ -374,7 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", type=int, required=True)
     p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                    help="master seed (falls back to the global --seed)")
-    p.add_argument("--chunk-size", type=int, default=CHUNK_SIZE)
+    p.add_argument("--chunk-size", type=int, default=CHUNK_SIZE,
+                   help="paths whose draws are held at once, one thread per 8192 of them up to the cores")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("demo", help="premium tables for the bundled SYNTHETIC fixture")

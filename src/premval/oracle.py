@@ -8,15 +8,24 @@ are batched into chunks.  Results are therefore bit-reproducible for a given
 
 Every loop over the path axis (``simulate``'s chunks, the gather behind
 ``mc_pv`` and ``mc_premium``, and ``empirical_distribution``'s counts) runs
-on contiguous path blocks, spread over the cores this process may run on
-(``os.sched_getaffinity``, else ``os.cpu_count()``), one thread per core and
-never more threads than blocks.  There is no setting for it: a block writes
-only its own paths' slice, each path's total is summed over k in the same
-order in every block, and integer counts add exactly, so every path and
-every estimate is the same bit for bit on any number of cores.  One block
-or one core runs inline and starts no thread.  ``simulate``'s
-``chunk_size`` counts the paths whose draws are held at once across all
-threads.
+a chunk of ``chunk_size`` paths (``CHUNK_SIZE`` in the estimators) on
+T = max(1, min(cores, chunk_size // 8192)) threads, the calling thread
+among them, in contiguous blocks of ceil(chunk_size / T) paths and never
+on more threads than blocks; the cores are those ``os.sched_getaffinity``
+(else ``os.cpu_count()``) reports.  There is no setting for it, and the
+thread count changes no result: a block writes only its own paths, each
+path's total is summed over k in the same order in every block, and
+integer counts add exactly.  Threads hand the interpreter lock over at
+every numpy call, so a block below 8 192 paths runs faster on one thread.
+Median ``simulate`` times, one thread vs two, by block size (2 cores,
+numpy 2.4.6, seven alternating runs; more cores not measured):
+
+    block size   200 000 fixture paths   16 384 paths, N=200, n=120
+         1 024   306 vs 436 ms           187 vs 266 ms
+         2 048   258 vs 297 ms           151 vs 186 ms
+         4 096   216 vs 202 ms           125 vs 118 ms
+         8 192   189 vs 134 ms           114 vs  98 ms
+        16 384   185 vs 120 ms           -
 
 A uniform u moves a path from row c of cumulative probabilities (last entry
 forced to 1.0) to the 0-based state ``#{j : c_j < u}``.  The cumulative sum
@@ -51,6 +60,8 @@ _PHILOX_WORDS_PER_BLOCK = 4
 
 #: Default number of paths simulated per chunk.
 CHUNK_SIZE = 1 << 15
+#: Fewest paths in a block before threads gain on it; see the module docstring.
+_THREADED_PATHS = 1 << 13
 #: Paths whose raw draws ``simulate`` holds at once before copying them
 #: time-major: 0.9 MB of draws on the fixture.
 _STAGED_PATHS = 1 << 12
@@ -74,16 +85,17 @@ class PathEnsemble:
     master_seed: int
 
     def __post_init__(self):
-        if self.paths.ndim != 2:
-            raise ValidationError(f"paths must be 2-D, got shape {self.paths.shape}")
+        if self.paths.ndim != 2 or 0 in self.paths.shape:
+            raise ValidationError(
+                f"paths must be 2-D with at least one path and one time, got shape {self.paths.shape}")
         if not np.issubdtype(self.paths.dtype, np.integer):
             raise ValidationError(f"paths must hold integer states, got dtype {self.paths.dtype}")
-        if self.paths.size and self.paths.min() < 1:
+        if self.paths.min() < 1:
             i, k = np.argwhere(self.paths < 1)[0]
             raise ValidationError(f"state {int(self.paths[i, k])} below 1 in path {i} at time {k}")
 
     def _check_states_up_to(self, n_states: int):
-        if self.paths.size and self.paths.max() > n_states:
+        if self.paths.max() > n_states:
             i, k = np.argwhere(self.paths > n_states)[0]
             raise ValidationError(f"state {int(self.paths[i, k])} above {n_states} in path {i} at time {k}")
 
@@ -113,9 +125,9 @@ def enumerate_pv(seq: TransitionSequence, initial: np.ndarray, c: CashflowMatrix
                  discount: DiscountVector) -> float:
     """Exact expected present value by summing over every positive-probability path.
 
-    Refuses models beyond {MAX_ENUM_STATES} states or horizon {MAX_ENUM_HORIZON}:
-    the path count grows exponentially and larger inputs belong to the
-    simulator.
+    Refuses models beyond ``MAX_ENUM_STATES`` states or horizon
+    ``MAX_ENUM_HORIZON``: the path count grows exponentially and larger
+    inputs belong to the simulator.
     """
     n, n_states = seq.n, seq.n_states
     if n_states > MAX_ENUM_STATES or n > MAX_ENUM_HORIZON:
@@ -145,10 +157,6 @@ def enumerate_pv(seq: TransitionSequence, initial: np.ndarray, c: CashflowMatrix
     return total
 
 
-enumerate_pv.__doc__ = enumerate_pv.__doc__.format(
-    MAX_ENUM_STATES=MAX_ENUM_STATES, MAX_ENUM_HORIZON=MAX_ENUM_HORIZON)
-
-
 def _usable_cores() -> int:
     """Cores this process may run on."""
     try:
@@ -158,41 +166,30 @@ def _usable_cores() -> int:
 
 
 def _path_blocks(n_paths: int, chunk_size: int) -> tuple[list[tuple[int, int]], int]:
-    """Contiguous blocks [start, stop) of ``ceil(chunk_size / cores)`` paths
-    covering [0, n_paths), and the number of threads to run them on,
-    ``min(cores, blocks)``; so the blocks in flight on all threads together
-    hold at most about ``chunk_size`` paths."""
-    cores = _usable_cores()
-    size = -(-chunk_size // cores)
+    """Contiguous blocks [start, stop) covering [0, n_paths), and the number
+    of threads to run them on, as the module docstring sets out."""
+    threads = max(1, min(_usable_cores(), chunk_size // _THREADED_PATHS))
+    size = -(-chunk_size // threads)
     blocks = [(start, min(start + size, n_paths)) for start in range(0, n_paths, size)]
-    return blocks, min(cores, len(blocks))
+    return blocks, min(threads, len(blocks))
 
 
 def _run_blocks(function, blocks: list[tuple[int, int]], threads: int) -> list:
     """``function(worker, start, stop)`` for every block, results in block order.
 
-    ``threads`` threads, the calling thread among them, each take the next
-    block not yet started; ``worker`` in [0, threads) names the thread, so
-    that a function can reuse one set of buffers per thread.  One thread
-    runs the blocks inline and starts none.
+    Worker w in [0, threads), the calling thread being worker 0, runs blocks
+    w, w + threads, ... in turn, so a function can keep one set of buffers
+    per worker.  An exception is re-raised once every thread has ended.
     """
-    if threads <= 1:
-        return [function(0, start, stop) for start, stop in blocks]
     results = [None] * len(blocks)
     errors = []
-    pending = iter(range(len(blocks)))
-    lock = threading.Lock()
 
     def work(worker: int):
-        while not errors:
-            with lock:
-                index = next(pending, None)
-            if index is None:
-                return
-            try:
+        try:
+            for index in range(worker, len(blocks), threads):
                 results[index] = function(worker, *blocks[index])
-            except BaseException as exc:  # re-raised in the calling thread below
-                errors.append(exc)
+        except BaseException as exc:  # re-raised in the calling thread below
+            errors.append(exc)
 
     helpers = [threading.Thread(target=work, args=(worker,)) for worker in range(1, threads)]
     for helper in helpers:
@@ -296,20 +293,16 @@ def simulate(seq: TransitionSequence, initial: np.ndarray, n_paths: int, master_
     ``_step_tables``) instead of a dense row of N cumulative values, so
     memory and time scale with the nonzeros, not with N.  ``chunk_size``
     bounds the paths whose uniform draws are held at once, counted across
-    all threads: with one thread per usable core (see the module
-    docstring), each thread steps blocks of ``ceil(chunk_size / cores)``
-    paths and writes their states straight into their columns of the
-    time-major path array (see ``PathEnsemble``).  A block's draws are
-    staged ``_STAGED_PATHS`` paths at a time into its time-major uniforms,
-    and each thread's buffers are allocated once per call by the calling
-    thread, so no helper thread's malloc arena keeps them once freed.  On
-    perfbench's mc-fixture workload (200 000 fixture paths, 2 cores, numpy
-    2.4.6) the peak resident size read 90.7-91.5 MB (median 90.9, ten
-    runs) with the default of 32 768, against 90.6-90.8 MB before the
-    paths were split over threads, and 90.7 MB with the process held to
-    one core.  ``n_paths``,
-    ``master_seed`` and ``chunk_size`` must be integers (numpy integers
-    included).  See the module docstring for the reproducibility contract.
+    all threads: T = max(1, min(cores, chunk_size // 8192)) threads, as
+    measured in the module docstring, each step blocks of ceil(chunk_size /
+    T) paths and write their states straight into their columns of the
+    time-major path array (see ``PathEnsemble``).  A block's draws are staged
+    ``_STAGED_PATHS`` paths at a time into its time-major uniforms, and
+    each thread's buffers are allocated once per call by the calling
+    thread, so no helper thread's malloc arena keeps them once freed.
+    ``n_paths``, ``master_seed`` and ``chunk_size`` must be integers (numpy
+    integers included).  See the module docstring for the reproducibility
+    contract.
     """
     n, n_states = seq.n, seq.n_states
     initial = initial_distribution(initial, n_states)
@@ -330,10 +323,6 @@ def simulate(seq: TransitionSequence, initial: np.ndarray, n_paths: int, master_
     # Time-major, so that every step reads and writes contiguous vectors.
     time_major = np.empty((n + 1, n_paths), dtype=dtype)
     blocks, threads = _path_blocks(n_paths, chunk_size)
-    # Each thread's uniforms, time-major, and a small staging buffer for
-    # their raw path-major draws, made here and reused for all of its
-    # blocks: a helper thread that allocated them itself would leave them
-    # in its own malloc arena when freed.
     size = blocks[0][1]
     buffers = [(np.empty((min(size, _STAGED_PATHS), _words_per_path(n))), np.empty((n + 1, size)))
                for _ in range(threads)]

@@ -27,6 +27,10 @@ class TestCashflowMatrix:
         with pytest.raises(pv.ValidationError, match="2-D"):
             pv.CashflowMatrix(np.ones(4))
 
+    def test_no_periods_rejected(self):
+        with pytest.raises(pv.ValidationError, match="cash-flow matrix has no periods"):
+            pv.CashflowMatrix(np.ones((0, 3)))
+
 
 class TestBuildCashflow:
     def test_overlapping_entries_add(self):
@@ -46,6 +50,11 @@ class TestBuildCashflow:
     def test_no_states_rejected(self, n_states):
         with pytest.raises(pv.ValidationError, match="cash-flow matrix has no states"):
             pv.build_cashflow([], n=2, n_states=n_states)
+
+    @pytest.mark.parametrize("n", [-1, -3])
+    def test_negative_horizon_rejected(self, n):
+        with pytest.raises(pv.ValidationError, match=rf"^horizon n={n} is negative$"):
+            pv.build_cashflow([], n=n, n_states=2)
 
     def test_parse_round_trip(self):
         entries = pv.parse_cashflow_text("# contract\nflow 2 1 3 0.25\nflow 1 0 1 -1\n")
@@ -94,6 +103,11 @@ class TestAcceleratedBenefit:
         with pytest.raises(pv.ValidationError):
             pv.accelerated_benefit(share, n=3)
 
+    @pytest.mark.parametrize("n", [-1, -3])
+    def test_negative_horizon_rejected(self, n):
+        with pytest.raises(pv.ValidationError, match=rf"^horizon n={n} is negative$"):
+            pv.accelerated_benefit(0.5, n)
+
     def test_ceased_cover_states(self):
         assert pv.ceased_cover_states(0.99) == frozenset()
         assert pv.ceased_cover_states(1.0) == frozenset({3, 4, 5, 6})
@@ -103,6 +117,11 @@ class TestDreadDiseaseCases:
     def test_unknown_case_rejected(self):
         with pytest.raises(pv.ValidationError, match="unknown case id"):
             pv.dread_disease_case(4, n=3)
+
+    @pytest.mark.parametrize("n", [-1, -3])
+    def test_negative_horizon_rejected(self, n):
+        with pytest.raises(pv.ValidationError, match=rf"^horizon n={n} is negative$"):
+            pv.dread_disease_case(1, n)
 
     def test_annuity_case_replaces_lump_sum_with_terminal_income(self):
         plain = pv.accelerated_benefit(0.0, n=6).matrix

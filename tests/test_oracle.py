@@ -2,6 +2,10 @@
 chains and reproducible path simulation for big ones."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,6 +56,13 @@ class TestEnumeratePv:
         with pytest.raises(pv.ValidationError, match="enumeration is limited"):
             pv.enumerate_pv(seq, _unit(2, 1), cash, discount)
 
+    def test_package_imports_without_docstrings(self):
+        # enumerate_pv's docstring used to be formatted at import, and python -OO strips it to None.
+        env = dict(os.environ, PYTHONPATH=str(Path(pv.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-OO", "-c", "import premval"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+
 
 class TestSimulate:
     def test_paths_start_in_initial_state(self, chain3):
@@ -101,8 +112,10 @@ class TestSimulate:
             pv.simulate(chain3.seq, _unit(3, 1), 0, master_seed=1)
 
     def test_ensemble_shape_validated(self):
-        with pytest.raises(pv.ValidationError, match="2-D"):
-            pv.PathEnsemble(np.array([1, 2, 3]), master_seed=0)
+        # Empty shapes used to be accepted: zero paths gave NaN estimates, zero times n = -1.
+        for shape in [(3,), (0, 26), (3, 0)]:
+            with pytest.raises(pv.ValidationError, match=rf"2-D .*got shape \({shape[0]},"):
+                pv.PathEnsemble(np.ones(shape, dtype=np.int16), master_seed=0)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.bool_, object])
     def test_ensemble_states_must_be_integers(self, dtype):

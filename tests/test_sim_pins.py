@@ -15,6 +15,7 @@ import hashlib
 import json
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -159,7 +160,30 @@ def test_blocks_split_the_chunk_between_the_cores(monkeypatch):
     assert oracle._path_blocks(40_000, 32_768) == ([(0, 16_384), (16_384, 32_768), (32_768, 40_000)], 2)
     set_cores(monkeypatch, 3)
     assert oracle._path_blocks(4_096, 32_768) == ([(0, 4_096)], 1)
-    assert oracle._path_blocks(5, 1) == ([(i, i + 1) for i in range(5)], 3)
+    # Blocks of one path gain nothing on threads (see oracle._THREADED_PATHS).
+    assert oracle._path_blocks(5, 1) == ([(i, i + 1) for i in range(5)], 1)
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3, 8])
+def test_a_small_chunk_runs_on_one_thread(monkeypatch, cores):
+    set_cores(monkeypatch, cores)
+    blocks, threads = oracle._path_blocks(4_096, 17)
+    assert threads == 1 and blocks[:2] == [(0, 17), (17, 34)]
+
+
+def test_no_thread_gets_a_block_below_the_threaded_size(monkeypatch):
+    set_cores(monkeypatch, 8)
+    blocks, threads = oracle._path_blocks(200_000, oracle.CHUNK_SIZE)
+    sizes = [stop - start for start, stop in blocks]
+    assert threads > 1
+    assert min(sizes[:-1]) >= oracle._THREADED_PATHS
+
+
+def test_one_thread_runs_every_block_on_the_calling_thread():
+    caller = threading.get_ident()
+    idents = oracle._run_blocks(lambda worker, start, stop: threading.get_ident(),
+                                [(start, start + 1) for start in range(5)], threads=1)
+    assert idents == [caller] * 5
 
 
 def run_blocks_bounded(function, blocks, threads):
@@ -213,6 +237,20 @@ def test_a_failing_block_is_raised_after_every_thread_ends():
     with pytest.raises(ArithmeticError, match="block 7"):
         run_blocks_bounded(fail_at_seven, [(start, start + 1) for start in range(50)], threads=3)
     assert threading.active_count() == before
+
+
+def test_a_failing_block_is_raised_after_the_other_threads_blocks():
+    finished = []
+
+    def fail_on_the_calling_thread(worker, start, stop):
+        if worker == 0:
+            raise ArithmeticError("worker 0")
+        time.sleep(0.2)
+        finished.append(start)
+
+    with pytest.raises(ArithmeticError, match="worker 0"):
+        run_blocks_bounded(fail_on_the_calling_thread, [(0, 1), (1, 2)], threads=2)
+    assert finished == [1]
 
 
 def dense_step(row: np.ndarray, u: float) -> int:
