@@ -11,6 +11,10 @@ occupancy column for a reflex state is accepted and taken as authoritative.
 From a table and its model we build the period transition matrices and the
 row-stacked distribution of the process started from a given initial state;
 :func:`build_chain` runs the whole way from a table to a :class:`Chain`.
+The matrices live on the edges of the state graph, the entries the model
+lets be nonzero (:func:`allowed_pattern`): a :class:`TransitionSequence`
+holds one (n, E) array of probabilities on a fixed edge list, and builds
+the dense (n, N, N) array only when ``matrices`` is read.
 """
 
 from __future__ import annotations
@@ -41,7 +45,12 @@ class IncrementDecrementTable:
     Counts are nonnegative reals (graduated tables are common).  The entry
     age is metadata only; every computation is keyed by the period index.
 
-    Checked per column (length, non-finite, negative), then outflow summed in mapping order.
+    The columns are checked as one stack in ``_columns`` order (occupancy by
+    state, then decrements by transition): length, then non-finite counts,
+    then negative ones.  Then each state's outflow, its decrement columns
+    added in the decrements' mapping order from +0.0, must not exceed its
+    occupancy beyond a 1e-9 relative slack; the fault named is the first
+    state in the occupancy's mapping order, then the first k.
     """
 
     n: int
@@ -52,7 +61,8 @@ class IncrementDecrementTable:
     def __post_init__(self):
         columns = list(self._columns())
         shaped = next((c for c, (_, column) in enumerate(columns) if column.shape != (self.n + 1,)), len(columns))
-        stacked = np.array([column for _, column in columns[:shaped]]).reshape(shaped, self.n + 1)
+        # A last zero row pads the outflow sums below; it passes every check.
+        stacked = np.array([column for _, column in columns[:shaped]] + [np.zeros(self.n + 1)])
         faulty = np.flatnonzero(~np.isfinite(stacked).all(axis=1) | (stacked < 0).any(axis=1))
         if faulty.size:
             name, column = columns[faulty[0]]
@@ -62,15 +72,20 @@ class IncrementDecrementTable:
         if shaped < len(columns):
             name, column = columns[shaped]
             raise ValidationError(f"column {name!r} has {column.shape[0]} rows, expected {self.n + 1}")
-        outflow: dict[int, np.ndarray] = {}
-        for (i, _j), col in self.decrements.items():
-            outflow[i] = outflow.get(i, 0) + col
-        for i, l_col in self.occupancy.items():
-            if i in outflow:
-                bad = outflow[i] > l_col + _COUNT_SLACK * np.maximum(1.0, l_col)
-                if np.any(bad):
-                    k = int(np.argmax(bad))
-                    raise ValidationError(f"decrement exceeds occupancy at k={k} for state {i}")
+        position = {key: c for c, key in enumerate([*sorted(self.occupancy), *sorted(self.decrements)])}
+        leaving: dict[int, list[int]] = {i: [] for i in self.occupancy}
+        for (i, j) in self.decrements:
+            if i in leaving:
+                leaving[i].append(position[(i, j)])
+        width = max(map(len, leaving.values()), default=0)
+        feeds = np.array([c + [-1] * (width - len(c)) for c in leaving.values()], dtype=np.intp)
+        feeds = feeds.reshape(len(leaving), width)
+        outflow = sum((stacked[feeds[:, w]] for w in range(width)), np.zeros((len(leaving), self.n + 1)))
+        living = stacked[[position[i] for i in leaving]].reshape(outflow.shape)
+        bad = outflow > living + _COUNT_SLACK * np.maximum(1.0, living)
+        if bad.any():
+            s, k = np.argwhere(bad)[0]
+            raise ValidationError(f"decrement exceeds occupancy at k={k} for state {list(leaving)[s]}")
 
     def _columns(self):
         for i, col in sorted(self.occupancy.items()):
@@ -79,36 +94,72 @@ class IncrementDecrementTable:
             yield f"d_{i}_{j}", col
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TransitionSequence:
-    """Period transition matrices Q(0), ..., Q(n-1), each row-stochastic.
+    """Period transition matrices Q(0), ..., Q(n-1), each row-stochastic,
+    stored on the edges of the state graph.
 
-    Checked for shape, non-finite and range (min and max propagate NaN), then row sums.
+    ``rows`` and ``columns`` hold the 0-based (row, column) of the E entries
+    that may be nonzero in some period, sorted by (row, column) and the same
+    for every period; ``probabilities[k, e]`` is Q(k)'s entry at edge e, and
+    every entry off the edges is +0.0.  ``transition_sequence`` puts the
+    model's transitions and its transient and absorbing diagonals on the
+    edges and passes them by keyword, which are refused unless distinct,
+    sorted and within 0..N-1.  ``TransitionSequence(matrices)`` takes a dense (n, N, N) array
+    and makes an edge of every entry that is not +0.0 in some period
+    (-0.0 and entries in [-1e-12, 0) included), so ``matrices``, the dense
+    array built anew on each access, gives the input back bit for bit.
+
+    Checked for shape, then non-finite and range on the edges (min and max
+    propagate NaN), then row sums.  A row sum adds the row's edges in column
+    order, starting from +0.0, so a row with no edge sums to 0.0; the fault
+    named is the first (k, row) with the largest distance from 1.
     """
 
-    matrices: np.ndarray  # shape (n, N, N)
+    n_states: int
+    rows: np.ndarray  # shape (E,)
+    columns: np.ndarray  # shape (E,)
+    probabilities: np.ndarray  # shape (n, E)
 
-    def __post_init__(self):
-        q = self.matrices
-        if q.ndim != 3 or q.shape[1] != q.shape[2]:
-            raise ValidationError(f"transition sequence must be (n, N, N), got {q.shape}")
-        lo, hi = np.min(q, initial=0.0), np.max(q, initial=0.0)
+    def __init__(self, matrices: "np.ndarray | None" = None, *, n_states: int = 0,
+                 rows=(), columns=(), probabilities=None):
+        if matrices is not None:
+            q = np.asarray(matrices, dtype=float)
+            if q.ndim != 3 or q.shape[1] != q.shape[2]:
+                raise ValidationError(f"transition sequence must be (n, N, N), got {q.shape}")
+            n_states = q.shape[1]
+            rows, columns = np.nonzero(np.any(q.view(np.uint64), axis=0))
+            probabilities = q[:, rows, columns]
+        rows, columns = np.asarray(rows, dtype=np.intp), np.asarray(columns, dtype=np.intp)
+        p = np.asarray(probabilities, dtype=float)
+        if (p.ndim != 2 or not rows.shape == columns.shape == p.shape[1:]
+                or np.any((np.minimum(rows, columns) < 0) | (np.maximum(rows, columns) >= n_states))
+                or np.any(np.diff(rows * n_states + columns) <= 0)):
+            raise ValidationError("transition sequence edges must be distinct (row, column) pairs in 0..N-1, "
+                                  "sorted, with one probability per period and edge")
+        for name, value in (("n_states", n_states), ("rows", rows), ("columns", columns), ("probabilities", p)):
+            object.__setattr__(self, name, value)
+        lo, hi = np.min(p, initial=0.0), np.max(p, initial=0.0)
         if not np.isfinite([lo, hi]).all():
             raise ValidationError("non-finite transition probability")
         if lo < -_PROB_TOL or hi > 1 + _PROB_TOL:
             raise ValidationError("transition probability outside [0, 1]")
-        sums = q.sum(axis=2)
+        sums = np.array([np.bincount(rows, weights=period, minlength=n_states) for period in p])
+        sums = sums.reshape(self.n, n_states)
         if np.any(np.abs(sums - 1.0) > _ROW_SUM_TOL):
             k, i = np.unravel_index(int(np.argmax(np.abs(sums - 1.0))), sums.shape)
             raise ValidationError(f"row {i + 1} of Q({k}) sums to {float(sums[k, i])!r}, not 1")
 
     @property
     def n(self) -> int:
-        return self.matrices.shape[0]
+        return self.probabilities.shape[0]
 
     @property
-    def n_states(self) -> int:
-        return self.matrices.shape[1]
+    def matrices(self) -> np.ndarray:
+        """Dense (n, N, N) copy of the sequence, built on each access."""
+        q = np.zeros((self.n, self.n_states, self.n_states))
+        q[:, self.rows, self.columns] = self.probabilities
+        return q
 
 
 @dataclass(frozen=True)
@@ -202,18 +253,26 @@ def load_table(path_or_text, model: StateModel, entry_age: int = 0) -> Increment
     n = len(rows) - 2
     if n < 1:
         raise ParseError("table needs at least rows k=0 and k=1")
-    data = np.empty((n + 1, len(header) - 1))
-    for r, row in enumerate(rows[1:]):
-        if len(row) != len(header):
-            raise ParseError(f"row {r} has {len(row)} fields, expected {len(header)}")
-        try:
-            k = int(row[0])
-            values = [float(v) for v in row[1:]]
-        except ValueError as exc:
-            raise ParseError(f"row {r}: {exc}") from exc
-        if k != r:
-            raise ParseError(f"rows must run k=0..n in order; found k={k} at position {r}")
-        data[r] = values
+    # One conversion of the whole body, which accepts what float() does; on
+    # any fault the rows are walked one at a time to name the first.
+    try:
+        data = np.array([row[1:] for row in rows[1:]], dtype=float)
+        in_order = [int(row[0]) for row in rows[1:]] == list(range(n + 1))
+    except ValueError:
+        in_order = False
+    if not in_order or data.shape != (n + 1, len(header) - 1):
+        data = np.empty((n + 1, len(header) - 1))
+        for r, row in enumerate(rows[1:]):
+            if len(row) != len(header):
+                raise ParseError(f"row {r} has {len(row)} fields, expected {len(header)}")
+            try:
+                k = int(row[0])
+                values = [float(v) for v in row[1:]]
+            except ValueError as exc:
+                raise ParseError(f"row {r}: {exc}") from exc
+            if k != r:
+                raise ParseError(f"rows must run k=0..n in order; found k={k} at position {r}")
+            data[r] = values
 
     occupancy = {i: data[:, idx].copy() for i, idx in l_columns.items()}
     decrements = {pair: data[:, idx].copy() for pair, idx in d_columns.items()}
@@ -279,7 +338,8 @@ def infer_reflex_columns(table: IncrementDecrementTable, model: StateModel) -> I
 
 
 def transition_sequence(table: IncrementDecrementTable, model: StateModel) -> TransitionSequence:
-    """Build the period transition matrices from table counts.
+    """Build the period transition matrices from table counts, on the edges
+    of ``allowed_pattern``.
 
     All transient rows are built at once from one stack of their decrement
     columns, zero-padded to the widest out-degree: each off-diagonal entry
@@ -290,13 +350,8 @@ def transition_sequence(table: IncrementDecrementTable, model: StateModel) -> Tr
     by state (missing column first), k, successor, then the exit total.
     """
     classes = classify_states(model)
-    n, n_states = table.n, model.n_states
-    q = np.zeros((n, n_states, n_states))
-    for i in sorted(classes.absorbing):
-        q[:, i - 1, i - 1] = 1.0
+    n = table.n
     successors = _successors(model)
-    for i in sorted(classes.reflex):
-        q[:, i - 1, successors[i][0] - 1] = 1.0
     transient = sorted(classes.transient)
     gaps = [(t, -1, f"missing occupancy column 'l_{i}'") for t, i in enumerate(transient) if i not in table.occupancy]
     gaps += [(t, w, f"missing decrement column 'd_{i}_{j}'") for t, i in enumerate(transient)
@@ -321,10 +376,21 @@ def transition_sequence(table: IncrementDecrementTable, model: StateModel) -> Tr
         raise ValidationError(f"exit probabilities exceed 1 at k={k}, state {transient[t]}")
     if missing is not None:
         raise ValidationError(missing)
-    rows = np.array(transient, dtype=np.intp) - 1
-    q[:, rows[:, None], targets - 1] = p.transpose(2, 0, 1)
-    q[:, rows, rows] = np.maximum(diagonal, 0.0).T
-    return TransitionSequence(q)
+    # The entries allowed_pattern lets be nonzero, by (row, column).
+    edges = sorted(model.transitions | {(i, i) for i in classes.transient | classes.absorbing})
+    rows, columns = np.array(edges, dtype=np.intp).reshape(-1, 2).T - 1
+    keys = rows * model.n_states + columns
+
+    def at(i, j) -> np.ndarray:
+        """Edge index of each 1-based entry (i, j)."""
+        return np.searchsorted(keys, (np.asarray(i) - 1) * model.n_states + np.asarray(j) - 1)
+
+    q = np.zeros((n, keys.size))
+    fixed = sorted(classes.absorbing) + sorted(classes.reflex)
+    q[:, at(fixed, [successors[i][0] if i in classes.reflex else i for i in fixed])] = 1.0
+    q[:, at(np.array(transient, dtype=np.intp)[:, None], targets)] = p.transpose(2, 0, 1)
+    q[:, at(transient, transient)] = np.maximum(diagonal, 0.0).T
+    return TransitionSequence(n_states=model.n_states, rows=rows, columns=columns, probabilities=q)
 
 
 def unit_distribution(n_states: int, state: int) -> np.ndarray:
@@ -348,13 +414,21 @@ def initial_distribution(initial, n_states: int) -> np.ndarray:
 
 
 def distribution_matrix(seq: TransitionSequence, initial: np.ndarray) -> DistributionMatrix:
-    """Stack the state distribution at times 0..n, starting from ``initial``."""
+    """Stack the state distribution at times 0..n, starting from ``initial``.
+
+    Each period's edges are written into one reused dense (N, N) buffer,
+    whose entries off the edges stay +0.0, and ``p @ buffer`` takes the
+    step, so D is the product with the dense Q(k), bit for bit.
+    """
     initial = initial_distribution(initial, seq.n_states)
     rows = np.empty((seq.n + 1, seq.n_states))
     rows[0] = initial
     p = initial
+    buffer = np.zeros((seq.n_states, seq.n_states))
+    flat, at = buffer.reshape(-1), seq.rows * seq.n_states + seq.columns
     for k in range(seq.n):
-        p = p @ seq.matrices[k]
+        flat[at] = seq.probabilities[k]
+        p = p @ buffer
         rows[k + 1] = p
     return DistributionMatrix(rows)
 
@@ -400,10 +474,10 @@ def allowed_pattern(model: StateModel) -> np.ndarray:
 
 
 def pattern_violations(seq: TransitionSequence, model: StateModel) -> list[tuple[int, int, int]]:
-    """(k, i, j) entries that are nonzero where the model allows none."""
-    mask = allowed_pattern(model)
-    bad = (seq.matrices != 0.0) & ~mask[None, :, :]
-    return [(int(k), int(i) + 1, int(j) + 1) for k, i, j in zip(*np.nonzero(bad))]
+    """(k, i, j) entries that are nonzero where the model allows none, in (k, i, j) order."""
+    off_pattern = ~allowed_pattern(model)[seq.rows, seq.columns]
+    k, e = np.nonzero((seq.probabilities != 0.0) & off_pattern)
+    return [(int(k), int(i) + 1, int(j) + 1) for k, i, j in zip(k, seq.rows[e], seq.columns[e])]
 
 
 def diagonal_residuals(table: IncrementDecrementTable, model: StateModel, tol: float = 1e-9) -> dict[tuple[int, int], float]:

@@ -219,42 +219,45 @@ def _chunk_uniforms(master_seed: int, start_path: int, out: np.ndarray):
     np.random.Generator(np.random.Philox(key=master_seed).advance(blocks)).random(out=out)
 
 
-def _step_tables(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Run-length tables of the dense stepping rule for every row of (n, R, N).
+def _step_tables(rows: np.ndarray, columns: np.ndarray, probabilities: np.ndarray,
+                 shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Run-length tables of the dense stepping rule for every row of n
+    (R, C) matrices given on edges sorted by (row, column): ``probabilities``
+    has shape (n, E), and every entry off the edges is 0.
 
     A row's dense cumulative sum, last entry forced to 1.0, can change value
     only at column 0, at a nonzero column or at the last column.  Row (k, i)
     keeps, in slots w = 0..W-1, the cumulative value ``thresholds[k, w, i]``
-    at column 0 and at each nonzero column before the last, and in
-    ``lengths[k, w, i]`` the number of columns from there up to the next such
-    column or the last one.  Unused slots have length 0.  The last column is
-    left out: its forced 1.0 is never below a draw from [0, 1).
+    at column 0 and at each column before the last whose entry in period k
+    is nonzero, and in ``lengths[k, w, i]`` the number of columns from there
+    up to the next such column or the last one.  Unused slots have length 0.
+    The last column is left out: its forced 1.0 is never below a draw from
+    [0, 1).  Zero entries on the edges are skipped, so the tables are those
+    of the dense rows, whatever edges carry them.
     """
-    n, n_rows, n_columns = matrices.shape
-    # One period at a time: a whole-sequence mask would be an (n, N, N) temporary.
-    flat = np.concatenate([np.flatnonzero(matrix != 0) + k * matrix.size
-                           for k, matrix in enumerate(matrices)] or [np.empty(0, dtype=np.intp)])
-    column = flat % n_columns
-    row_starts = np.arange(n * n_rows) * n_columns
-    candidates = np.sort(np.concatenate([row_starts, flat[(column != 0) & (column != n_columns - 1)]]))
-    row, column = np.divmod(candidates, n_columns)
-    slot = np.arange(candidates.size) - np.searchsorted(candidates, row_starts)[row]
-    width = int(slot.max(initial=0)) + 1
+    n_rows, n_columns = shape
+    n = probabilities.shape[0]
+    # Nonzero entries before the last column, by (k, row, column): the edges are sorted.
+    k, e = np.nonzero(probabilities != 0)
+    kept = (columns[e] != 0) & (columns[e] != n_columns - 1)
+    k, e = k[kept], e[kept]
+    row = k * n_rows + rows[e]
+    counts = np.bincount(row, minlength=n * n_rows)
+    slot = np.arange(row.size) - (np.cumsum(counts) - counts)[row] + 1
+    width = int(counts.max(initial=0)) + 1
+    thresholds = np.zeros((n, width, n_rows))
+    first = columns == 0
+    thresholds[:, 0, rows[first]] = probabilities[:, first]
+    thresholds[k, slot, rows[e]] = probabilities[k, e]
     # The skipped columns hold exact zeros, so a sequential sum over the
-    # candidates' entries reproduces the dense cumulative sum bit for bit.
-    thresholds = np.zeros((n * n_rows, width))
-    thresholds[row, slot] = matrices.take(candidates)
-    np.cumsum(thresholds, axis=1, out=thresholds)
-    following = np.full(candidates.size, n_columns - 1)
-    same_row = row[1:] == row[:-1]
-    following[:-1][same_row] = column[1:][same_row]
-    lengths = np.zeros((n * n_rows, width), dtype=np.intp)
-    lengths[row, slot] = following - column
-
-    def by_slot(table):
-        return np.ascontiguousarray(table.reshape(n, n_rows, width).transpose(0, 2, 1))
-
-    return by_slot(thresholds), by_slot(lengths)
+    # slots' entries reproduces the dense cumulative sum bit for bit.
+    for w in range(1, width):
+        thresholds[:, w] += thresholds[:, w - 1]
+    # The column of every slot, then the last column: the lengths are their differences.
+    starts = np.full((n, width + 1, n_rows), n_columns - 1)
+    starts[:, 0] = 0
+    starts[k, slot, rows[e]] = columns[e]
+    return thresholds, np.diff(starts, axis=1)
 
 
 def _step(thresholds: np.ndarray, lengths: np.ndarray, states: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -291,12 +294,14 @@ def simulate(seq: TransitionSequence, initial: np.ndarray, n_paths: int, master_
 
     Each step gathers a path's row from compact run-length tables (see
     ``_step_tables``) instead of a dense row of N cumulative values, so
-    memory and time scale with the nonzeros, not with N.  ``chunk_size``
-    bounds the paths whose uniform draws are held at once, counted across
-    all threads: T = max(1, min(cores, chunk_size // 8192)) threads, as
-    measured in the module docstring, each step blocks of ceil(chunk_size /
-    T) paths and write their states straight into their columns of the
-    time-major path array (see ``PathEnsemble``).  A block's draws are staged
+    memory and time scale with the nonzeros, not with N.  The tables are
+    built from the sequence's edges, and those of ``initial`` from a one-row
+    sequence with an edge at every state, so no dense Q is ever formed.
+    ``chunk_size`` bounds the paths whose uniform draws are held at once,
+    counted across all threads: T = max(1, min(cores, chunk_size // 8192))
+    threads, as measured in the module docstring, each step blocks of
+    ceil(chunk_size / T) paths and write their states straight into their
+    columns of the time-major path array (see ``PathEnsemble``).  A block's draws are staged
     ``_STAGED_PATHS`` paths at a time into its time-major uniforms, and
     each thread's buffers are allocated once per call by the calling
     thread, so no helper thread's malloc arena keeps them once freed.
@@ -316,8 +321,9 @@ def simulate(seq: TransitionSequence, initial: np.ndarray, n_paths: int, master_
     if not 0 <= master_seed < 2 ** 64:
         raise ValidationError("master_seed must fit in an unsigned 64-bit integer")
 
-    initial_thresholds, initial_lengths = _step_tables(initial[None, None, :])
-    thresholds, lengths = _step_tables(seq.matrices)
+    initial_thresholds, initial_lengths = _step_tables(np.zeros(n_states, dtype=np.intp), np.arange(n_states),
+                                                       initial[None], (1, n_states))
+    thresholds, lengths = _step_tables(seq.rows, seq.columns, seq.probabilities, (n_states, n_states))
 
     dtype = np.int16 if n_states < 2 ** 15 else np.int32
     # Time-major, so that every step reads and writes contiguous vectors.

@@ -129,3 +129,50 @@ def random_table_case(rng):
     text = ",".join(header) + "\n" + "\n".join(
         ",".join(str(v) for v in row) for row in rows) + "\n"
     return model, text
+
+
+def large_chain_case(seed: int = 20261018, n_states: int = 1000, horizon: int = 120):
+    """A seeded model and integer-count table too large for a dense Q.
+
+    States 1..600 are transient with 1-4 random successors each, the next
+    250 are reflex, each fed by one more transition from a random transient
+    state, and the rest absorbing; state 1 is the initial state.  A cohort
+    of 10**7 lives evolves over the horizon, each transition taking the
+    floor of the occupancy times a hazard below 0.8 / out-degree, so the
+    exits of a state stay within its occupancy, and every reflex state
+    empties after one period.  Reflex occupancies are left for
+    ``infer_reflex_columns``.
+    """
+    rng = np.random.default_rng(seed)
+    n_transient, n_reflex = 3 * n_states // 5, n_states // 4
+    transient = np.arange(1, n_transient + 1)
+    reflex = np.arange(n_transient + 1, n_transient + n_reflex + 1)
+
+    def targets(i: int, degree: int) -> list[int]:
+        chosen = rng.choice(n_states - 1, size=degree, replace=False) + 1
+        return sorted(int(j + (j >= i)) for j in chosen)
+
+    pairs = {(int(i), j) for i in transient for j in targets(i, int(rng.integers(1, 5)))}
+    pairs = sorted(pairs | {(int(rng.integers(1, n_transient + 1)), int(r)) for r in reflex})
+    exits = [(int(r), targets(r, 1)[0]) for r in reflex]
+    model = pv.StateModel(n_states=n_states, transitions=frozenset(pairs + exits), reflex=frozenset(reflex.tolist()))
+
+    source, target = np.array(pairs).T
+    degree = np.bincount(source)[source]
+    reflex_target = np.array([j for _, j in exits])
+    counts = np.zeros(n_states + 1, dtype=np.int64)
+    counts[1] = 10 ** 7
+    rows = []
+    for k in range(horizon + 1):
+        flows = (counts[source] * rng.uniform(0.0, 0.8, len(pairs)) / degree).astype(np.int64)
+        if k == horizon:
+            flows[:] = 0
+        rows.append(",".join(map(str, [k, *counts[transient], *flows])))
+        nxt = counts.copy()
+        np.subtract.at(nxt, source, flows)
+        np.add.at(nxt, target, flows)
+        nxt[reflex] -= counts[reflex]
+        np.add.at(nxt, reflex_target, counts[reflex])
+        counts = nxt
+    header = ["k", *(f"l_{i}" for i in transient), *(f"d_{i}_{j}" for i, j in pairs)]
+    return model, ",".join(header) + "\n" + "\n".join(rows) + "\n"

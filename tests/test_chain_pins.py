@@ -14,6 +14,7 @@ per-state loops they replaced, and the check of Q against the size of Q.
 
 import hashlib
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -220,6 +221,97 @@ def test_first_table_fault_is_named(occupancy, decrements, message):
     with pytest.raises(pv.ValidationError, match=message):
         pv.IncrementDecrementTable(n=2, occupancy={i: np.array(c) for i, c in occupancy.items()},
                                    decrements={pair: np.array(c) for pair, c in decrements.items()})
+
+
+def reference_outflow_fault(occupancy: dict, decrements: dict) -> "str | None":
+    """The per-state outflow loop that the stacked table check replaced."""
+    outflow: dict = {}
+    for (i, _j), col in decrements.items():
+        outflow[i] = outflow.get(i, 0) + col
+    for i, l_col in occupancy.items():
+        if i in outflow:
+            bad = outflow[i] > l_col + 1e-9 * np.maximum(1.0, l_col)
+            if np.any(bad):
+                return f"decrement exceeds occupancy at k={int(np.argmax(bad))} for state {i}"
+    return None
+
+
+# Exit shares of one state are drawn near a total of 1 and stretched around
+# the table's 1e-9 slack, so their order of addition decides borderline sums.
+SHARES = st.one_of(st.sampled_from([0.0, -0.0, 0.1, 0.2, 0.3, 0.7, 1 / 3, 2 / 3, 1.0]), st.floats(0.0, 1.0))
+SLACK_STRETCHES = st.sampled_from([1.0, 1.0 + 1e-9, 1.0 + 2e-9, 1.0 + 5e-10, 1.0 - 1e-16])
+
+
+@st.composite
+def outflow_tables(draw):
+    """Occupancy and decrement mappings in shuffled insertion orders; some
+    decrements leave states with no occupancy column."""
+    n = draw(st.integers(1, 3))
+    states = draw(st.permutations(range(1, 6)))[:draw(st.integers(0, 5))]
+    occupancy = {i: np.array(draw(st.lists(COUNTS, min_size=n + 1, max_size=n + 1))) for i in states}
+    pairs = draw(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)), unique=True, max_size=10))
+    decrements = {}
+    for (i, j) in pairs:
+        shares = np.array(draw(st.lists(SHARES, min_size=n + 1, max_size=n + 1)))
+        decrements[(i, j)] = occupancy.get(i, np.ones(n + 1)) * shares * draw(SLACK_STRETCHES)
+    return n, occupancy, decrements
+
+
+@settings(max_examples=200, deadline=None)
+@given(outflow_tables())
+def test_outflow_check_matches_the_per_state_loop(case):
+    n, occupancy, decrements = case
+    want = reference_outflow_fault(occupancy, decrements)
+    try:
+        pv.IncrementDecrementTable(n=n, occupancy=occupancy, decrements=decrements)
+        got = None
+    except pv.ValidationError as exc:
+        got = str(exc)
+    assert got == want
+
+
+# 24.56 + 54.88 + 37.63 and 54.88 + 37.63 + 24.56 round to neighbouring
+# floats on either side of 117.06999988292999 plus its 1e-9 slack, so the
+# outcome depends on the order in which the exits are added.
+BORDERLINE_EXITS = {(1, 2): 24.56, (1, 3): 54.88, (1, 4): 37.63}
+
+
+@pytest.mark.parametrize("order, fault", [
+    ([(1, 2), (1, 3), (1, 4)], None),
+    ([(1, 3), (1, 4), (1, 2)], "decrement exceeds occupancy at k=0 for state 1"),
+], ids=["accepted", "refused"])
+def test_outflow_is_added_in_mapping_order(order, fault):
+    occupancy = {1: np.array([117.06999988292999, 0.0])}
+    decrements = {pair: np.array([BORDERLINE_EXITS[pair], 0.0]) for pair in order}
+    assert reference_outflow_fault(occupancy, decrements) == fault
+    try:
+        pv.IncrementDecrementTable(n=1, occupancy=occupancy, decrements=decrements)
+        got = None
+    except pv.ValidationError as exc:
+        got = str(exc)
+    assert got == fault
+
+
+@pytest.mark.parametrize("cell", ["1_000", "0x10", "1e5000", "1,5", " 3.5 ", "nan", "", "٣", "1e-400", "0b1"])
+def test_table_cells_parse_as_float_does(model3, cell):
+    """A cell is read as float() reads it, and refused in its row."""
+    text = f"k,l_1,d_1_2\n0,100,10\n1,{cell},0\n2,81,0\n"
+    if "," in cell:
+        with pytest.raises(pv.ParseError, match="^row 1 has 4 fields, expected 3$"):
+            pv.load_table(text, model3)
+        return
+    try:
+        want = float(cell)
+    except ValueError as exc:
+        with pytest.raises(pv.ParseError, match=f"^row 1: {re.escape(str(exc))}$"):
+            pv.load_table(text, model3)
+        return
+    if not np.isfinite(want):
+        with pytest.raises(pv.ValidationError, match="^non-finite count in column 'l_1'$"):
+            pv.load_table(text, model3)
+        return
+    got = pv.load_table(text, model3).occupancy[1][1]
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def two_period_identity() -> np.ndarray:

@@ -262,38 +262,43 @@ def dense_step(row: np.ndarray, u: float) -> int:
 
 @st.composite
 def rows_and_draws(draw):
-    """A few stochastic rows, some with entries in [-1e-12, 0), and draws
-    at and beside every cumulative value of every row."""
+    """A few periods of stochastic rows, some with entries in [-1e-12, 0)
+    or -0.0, on one edge list holding every entry that is not +0.0 in some
+    period and a few +0.0 ones besides; and draws at and beside every
+    cumulative value of every row."""
     n_states = draw(st.integers(1, 12))
-    rows = np.zeros((draw(st.integers(1, 4)), n_states))
-    for row in rows:
+    periods = np.zeros((draw(st.integers(1, 3)), draw(st.integers(1, 4)), n_states))
+    for row in periods.reshape(-1, n_states):
         columns = draw(st.lists(st.integers(0, n_states - 1), min_size=1, max_size=5, unique=True))
         weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(columns), max_size=len(columns)))
         row[columns] = np.array(weights) / sum(weights)
         for j in draw(st.lists(st.integers(0, n_states - 1), max_size=3, unique=True)):
             if j not in columns:
-                row[j] = -draw(st.floats(1e-16, 1e-12))
+                row[j] = -draw(st.one_of(st.just(0.0), st.floats(1e-16, 1e-12)))
+    extra = np.array(draw(st.lists(st.booleans(), min_size=periods[0].size, max_size=periods[0].size)))
+    on_edges = (periods.view(np.uint64) != 0).any(axis=0) | extra.reshape(periods[0].shape)
     draws = {0.0, *draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=3))}
-    for value in np.cumsum(rows, axis=1).ravel():
+    for value in np.cumsum(periods, axis=2).ravel():
         draws.update((value, np.nextafter(value, -np.inf), np.nextafter(value, np.inf)))
     # Generator.random draws from [0, 1), the only range simulate steps with.
-    return rows, sorted(u for u in draws if 0.0 <= u < 1.0)
+    return periods, np.nonzero(on_edges), sorted(u for u in draws if 0.0 <= u < 1.0)
 
 
 @settings(max_examples=400, deadline=None)
 @given(rows_and_draws())
 def test_step_follows_the_dense_rule(case):
-    rows, draws = case
-    thresholds, lengths = oracle._step_tables(rows[None])
-    states = np.repeat(np.arange(rows.shape[0], dtype=np.int16), len(draws))
-    u = np.tile(draws, rows.shape[0])
-    got = oracle._step(thresholds[0], lengths[0], states, u)
-    assert got.tolist() == [dense_step(rows[i], x) for i, x in zip(states, u)]
+    periods, (rows, columns), draws = case
+    thresholds, lengths = oracle._step_tables(rows, columns, periods[:, rows, columns], periods.shape[1:])
+    states = np.repeat(np.arange(periods.shape[1], dtype=np.int16), len(draws))
+    u = np.tile(draws, periods.shape[1])
+    for k, period in enumerate(periods):
+        got = oracle._step(thresholds[k], lengths[k], states, u)
+        assert got.tolist() == [dense_step(period[i], x) for i, x in zip(states, u)]
 
 
 def test_u_zero_picks_the_first_state_even_with_zero_probability():
     row = np.array([0.0, 0.0, 0.25, 0.75])
-    thresholds, lengths = oracle._step_tables(row[None, None, :])
+    thresholds, lengths = oracle._step_tables(np.zeros(4, dtype=np.intp), np.arange(4), row[None], (1, 4))
     got = oracle._step(thresholds[0], lengths[0], np.zeros(1, dtype=np.int16), np.array([0.0]))
     assert got.tolist() == [0] == [dense_step(row, 0.0)]
 
