@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, read_text
 from .statemodel import ArrivalOffsets
 
 #: Number of states in the dread-disease layout used by the builders.
@@ -120,11 +120,7 @@ def parse_cashflow_text(text: str) -> list[CashflowEntry]:
 
 
 def load_cashflow_file(path) -> list[CashflowEntry]:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            return parse_cashflow_text(handle.read())
-    except OSError as exc:
-        raise ParseError(f"cannot read cash-flow file {path}: {exc}") from exc
+    return parse_cashflow_text(read_text(path, "cash-flow"))
 
 
 def accelerated_benefit(acceleration: float, n: int) -> CashflowMatrix:

@@ -394,12 +394,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, OSError) as exc:
+    except (PremvalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PremvalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (ParseError, OSError)) else 1
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one reader of input files."""
 
 
 class PremvalError(Exception):
@@ -11,3 +11,13 @@ class ParseError(PremvalError):
 
 class ValidationError(PremvalError):
     """Input parsed fine but violates a semantic requirement."""
+
+
+def read_text(path, what: str) -> str:
+    """The text of a UTF-8 file; a ParseError naming ``what`` file it is and its
+    path if the path is invalid or the file cannot be opened, read or decoded."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, ValueError) as exc:
+        raise ParseError(f"cannot read {what} file {path}: {exc}") from exc

@@ -27,7 +27,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, read_text
 from .statemodel import ArrivalOffsets, StateModel, classify_states, shortest_arrival
 
 _ROW_SUM_TOL = 1e-12
@@ -197,12 +197,15 @@ def _parse_header(names: list[str]) -> tuple[dict[int, int], dict[tuple[int, int
     l_columns: dict[int, int] = {}
     d_columns: dict[tuple[int, int], int] = {}
     for idx, name in enumerate(names[1:]):
-        if m := _L_COLUMN.match(name):
-            l_columns[int(m.group(1))] = idx
-        elif m := _D_COLUMN.match(name):
-            d_columns[(int(m.group(1)), int(m.group(2)))] = idx
-        else:
-            raise ParseError(f"unrecognized column name {name!r} (expected l_<i> or d_<i>_<j>)")
+        try:
+            if m := _L_COLUMN.match(name):
+                l_columns[int(m.group(1))] = idx
+            elif m := _D_COLUMN.match(name):
+                d_columns[(int(m.group(1)), int(m.group(2)))] = idx
+            else:
+                raise ParseError(f"unrecognized column name {name!r} (expected l_<i> or d_<i>_<j>)")
+        except ValueError as exc:  # a state id past int()'s digit limit
+            raise ParseError(f"header column {idx + 2}: {exc}") from exc
     if len(l_columns) + len(d_columns) != len(names) - 1:
         raise ParseError("duplicate column in CSV header")
     return l_columns, d_columns
@@ -220,59 +223,44 @@ def load_table(path_or_text, model: StateModel, entry_age: int = 0) -> Increment
     """
     text = path_or_text
     if not isinstance(path_or_text, str) or "\n" not in path_or_text:
-        try:
-            with open(path_or_text, encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as exc:
-            raise ParseError(f"cannot read table file {path_or_text}: {exc}") from exc
+        text = read_text(path_or_text, "table")
 
-    rows = [r for r in csv.reader(io.StringIO(text)) if r and not r[0].lstrip().startswith("#")]
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = [r for r in reader if r and not r[0].lstrip().startswith("#")]
+    except csv.Error as exc:
+        raise ParseError(f"line {reader.line_num}: {exc}") from exc
     if not rows:
         raise ParseError("empty table file")
     header = [name.strip() for name in rows[0]]
     l_columns, d_columns = _parse_header(header)
 
     classes = classify_states(model)
-    problems: list[str] = []
-    required_d = sorted((i, j) for (i, j) in model.transitions if i in classes.transient)
-    for i in sorted(classes.transient):
-        if i not in l_columns:
-            problems.append(f"missing column 'l_{i}'")
-    for (i, j) in required_d:
-        if (i, j) not in d_columns:
-            problems.append(f"missing column 'd_{i}_{j}'")
-    for i in l_columns:
-        if i not in classes.transient and i not in classes.reflex:
-            problems.append(f"column 'l_{i}' does not match a transient or reflex state")
-    for (i, j) in d_columns:
-        if i not in classes.transient or (i, j) not in model.transitions:
-            problems.append(f"column 'd_{i}_{j}' does not match a transition out of a transient state")
+    problems = [f"missing column 'l_{i}'" for i in sorted(classes.transient) if i not in l_columns]
+    problems += [f"missing column 'd_{i}_{j}'" for (i, j) in sorted(model.transitions)
+                 if i in classes.transient and (i, j) not in d_columns]
+    problems += [f"column 'l_{i}' does not match a transient or reflex state"
+                 for i in l_columns if i not in classes.transient and i not in classes.reflex]
+    problems += [f"column 'd_{i}_{j}' does not match a transition out of a transient state"
+                 for (i, j) in d_columns if i not in classes.transient or (i, j) not in model.transitions]
     if problems:
         raise ValidationError("; ".join(problems))
 
     n = len(rows) - 2
     if n < 1:
         raise ParseError("table needs at least rows k=0 and k=1")
-    # One conversion of the whole body, which accepts what float() does; on
-    # any fault the rows are walked one at a time to name the first.
-    try:
-        data = np.array([row[1:] for row in rows[1:]], dtype=float)
-        in_order = [int(row[0]) for row in rows[1:]] == list(range(n + 1))
-    except ValueError:
-        in_order = False
-    if not in_order or data.shape != (n + 1, len(header) - 1):
-        data = np.empty((n + 1, len(header) - 1))
-        for r, row in enumerate(rows[1:]):
-            if len(row) != len(header):
-                raise ParseError(f"row {r} has {len(row)} fields, expected {len(header)}")
-            try:
-                k = int(row[0])
-                values = [float(v) for v in row[1:]]
-            except ValueError as exc:
-                raise ParseError(f"row {r}: {exc}") from exc
-            if k != r:
-                raise ParseError(f"rows must run k=0..n in order; found k={k} at position {r}")
-            data[r] = values
+    # numpy reads each cell as float() does, with float()'s message on a fault.
+    data = np.empty((n + 1, len(header) - 1))
+    for r, row in enumerate(rows[1:]):
+        if len(row) != len(header):
+            raise ParseError(f"row {r} has {len(row)} fields, expected {len(header)}")
+        try:
+            k = int(row[0])
+            data[r] = row[1:]
+        except ValueError as exc:
+            raise ParseError(f"row {r}: {exc}") from exc
+        if k != r:
+            raise ParseError(f"rows must run k=0..n in order; found k={k} at position {r}")
 
     occupancy = {i: data[:, idx].copy() for i, idx in l_columns.items()}
     decrements = {pair: data[:, idx].copy() for pair, idx in d_columns.items()}

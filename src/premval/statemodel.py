@@ -12,17 +12,24 @@ payments.
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, read_text
 
 Transition = tuple[int, int]
 
 #: Sentinel meaning a state cannot be reached from the initial state.
 UNREACHABLE = None
+
+
+def _plain(value):
+    """An integral id as ``int``; any other value as given, for :func:`validate_model` to report."""
+    return int(value) if isinstance(value, numbers.Integral) else value
 
 
 @dataclass(frozen=True)
@@ -32,7 +39,8 @@ class StateModel:
     States are numbered 1..n_states.  ``transitions`` holds the ordered
     pairs (i, j), i != j, with a direct transition from i to j.  ``reflex``
     flags states that are always left after one time unit.  Labels are
-    optional display names.
+    optional display names.  Integral ids, numpy integers included, are
+    stored as ``int``.
     """
 
     n_states: int
@@ -46,6 +54,12 @@ class StateModel:
             raise ValidationError("a model needs at least one state")
         object.__setattr__(self, "transitions", frozenset(self.transitions))
         object.__setattr__(self, "reflex", frozenset(self.reflex))
+        ids = itertools.chain((self.n_states, self.initial_state), self.reflex, self.labels, *self.transitions)
+        if set(map(type, ids)) != {int}:  # only then, as a rebuilt set may iterate in another order
+            vars(self).update(n_states=_plain(self.n_states), initial_state=_plain(self.initial_state),
+                              transitions=frozenset((_plain(i), _plain(j)) for i, j in self.transitions),
+                              reflex=frozenset(map(_plain, self.reflex)),
+                              labels={_plain(s): label for s, label in self.labels.items()})
 
     def successors(self, state: int) -> list[int]:
         return sorted(j for (i, j) in self.transitions if i == state)
@@ -386,12 +400,7 @@ def parse_model_text(text: str) -> ModelFile:
 
 
 def load_model_file(path) -> ModelFile:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read model file {path}: {exc}") from exc
-    return parse_model_text(text)
+    return parse_model_text(read_text(path, "model"))
 
 
 def format_model(model: StateModel, lump_sums: "Mapping[Transition, float] | None" = None,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cashflow import CashflowMatrix, premium_selector
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, read_text
 from .lifetable import DistributionMatrix
 from .statemodel import ArrivalOffsets
 
@@ -104,11 +104,7 @@ def parse_discount_text(text: str, n: int) -> DiscountVector:
 
 
 def load_discount_file(path, n: int) -> DiscountVector:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read discount file {path}: {exc}") from exc
+    text = read_text(path, "discount")
     try:
         return parse_discount_text(text, n)
     except ParseError as exc:

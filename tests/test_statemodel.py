@@ -1,12 +1,14 @@
 """State-model graph machinery: validation, classification, earliest
 arrivals, lump-sum rewriting and the model file format."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import premval as pv
 import premval.fixtures as fx
-from chains import dijkstra_offsets, make_three_state_model, random_digraph
+from chains import dijkstra_offsets, large_chain_case, make_three_state_model, random_digraph
 
 
 class TestValidateModel:
@@ -40,6 +42,29 @@ class TestValidateModel:
     def test_zero_states_rejected(self):
         with pytest.raises(pv.ValidationError):
             pv.StateModel(n_states=0, transitions=frozenset())
+
+    def test_non_integral_ids_are_kept_and_reported(self):
+        model = pv.StateModel(n_states=3, transitions=frozenset({(1, 2.5)}), reflex=frozenset({"2"}))
+        assert model.transitions == frozenset({(1, 2.5)}) and model.reflex == frozenset({"2"})
+        assert pv.validate_model(model) == ["state id out of range in transition (1, 2.5)",
+                                            "reflex flag out of range: 2"]
+
+
+def test_numpy_integer_ids_become_int_and_build_the_same_chain():
+    model, text = large_chain_case()
+    model = dataclasses.replace(model, labels={1: "start"})
+    wide = pv.StateModel(n_states=np.int64(model.n_states),
+                         transitions=frozenset((np.int64(i), np.int64(j)) for i, j in model.transitions),
+                         labels={np.int64(1): "start"}, initial_state=np.int64(1),
+                         reflex=frozenset(np.int64(r) for r in model.reflex))
+    ids = [wide.n_states, wide.initial_state, *wide.reflex, *wide.labels, *(s for t in wide.transitions for s in t)]
+    assert {type(s) for s in ids} == {int}
+    assert wide == model
+    want, got = pv.build_chain(model, text), pv.build_chain(wide, text)
+    assert got.seq.rows.tobytes() == want.seq.rows.tobytes()
+    assert got.seq.columns.tobytes() == want.seq.columns.tobytes()
+    assert got.seq.probabilities.tobytes() == want.seq.probabilities.tobytes()
+    assert got.dist.matrix.tobytes() == want.dist.matrix.tobytes()
 
 
 class TestClassifyStates:
