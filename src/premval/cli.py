@@ -36,6 +36,15 @@ def _parse_pay_states(text: "str | None") -> "frozenset[int] | None":
     return states
 
 
+def _inflows(args, n: int, n_states: "int | None") -> CashflowMatrix:
+    """Contract inflows from the one source given: ``accel``, ``case`` or a ``cashflow`` file."""
+    if getattr(args, "accel", None) is not None:
+        return accelerated_benefit(args.accel, n)
+    if getattr(args, "case", None) is not None:
+        return dread_disease_case(args.case, n)
+    return build_cashflow(load_cashflow_file(args.cashflow), n, n_states)
+
+
 def _load_run(args, contract: bool = True):
     """Chain, discount, contract inflows and pay states of a valuation command.
 
@@ -57,14 +66,7 @@ def _load_run(args, contract: bool = True):
         discount = constant_rate_discount(n, rate=args.rate)
     else:
         discount = load_discount_file(args.discount_file, n)
-    if not contract:
-        c_in = None
-    elif args.accel is not None:
-        c_in = accelerated_benefit(args.accel, n)
-    elif args.case is not None:
-        c_in = dread_disease_case(args.case, n)
-    else:
-        c_in = build_cashflow(load_cashflow_file(args.cashflow), n, chain.model.n_states)
+    c_in = _inflows(args, n, chain.model.n_states) if contract else None
     return chain, discount, c_in, pay_states
 
 
@@ -149,14 +151,7 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_cashflow(args) -> int:
-    if args.builder == "accel":
-        c = accelerated_benefit(args.lam, args.n)
-    elif args.builder == "case":
-        c = dread_disease_case(args.id, args.n)
-    else:
-        entries = load_cashflow_file(args.flows)
-        c = build_cashflow(entries, args.n, args.states)
-    _print_matrix_csv(c.matrix, args.precision)
+    _print_matrix_csv(_inflows(args, args.n, getattr(args, "states", None)).matrix, args.precision)
     return 0
 
 
@@ -332,18 +327,18 @@ def build_parser() -> argparse.ArgumentParser:
     cashflow_parser = sub.add_parser("cashflow", help="emit a cash-flow matrix as CSV")
     cashflow_sub = cashflow_parser.add_subparsers(dest="builder", required=True)
     p = cashflow_sub.add_parser("accel", help="accelerated death benefit")
-    p.add_argument("--lambda", dest="lam", type=float, required=True, help="accelerated share in [0, 1]")
+    p.add_argument("--lambda", dest="accel", metavar="LAM", type=float, required=True, help="accelerated share in [0, 1]")
     p.add_argument("--n", type=_nonnegative_int, required=True)
-    p.set_defaults(func=_cmd_cashflow, builder="accel")
+    p.set_defaults(func=_cmd_cashflow)
     p = cashflow_sub.add_parser("case", help="additional-benefit case")
-    p.add_argument("--id", type=int, choices=(1, 2, 3), required=True)
+    p.add_argument("--id", dest="case", type=int, choices=(1, 2, 3), required=True)
     p.add_argument("--n", type=_nonnegative_int, required=True)
-    p.set_defaults(func=_cmd_cashflow, builder="case")
+    p.set_defaults(func=_cmd_cashflow)
     p = cashflow_sub.add_parser("build", help="build from a cash-flow file")
-    p.add_argument("--flows", required=True)
+    p.add_argument("--flows", dest="cashflow", metavar="FLOWS", required=True)
     p.add_argument("--n", type=_nonnegative_int, required=True)
     p.add_argument("--states", type=_nonnegative_int, required=True)
-    p.set_defaults(func=_cmd_cashflow, builder="build")
+    p.set_defaults(func=_cmd_cashflow)
 
     p = sub.add_parser("premium", help="net single or period premium")
     _add_run_options(p)

@@ -28,7 +28,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ParseError, ValidationError, read_text
-from .statemodel import ArrivalOffsets, StateModel, classify_states, shortest_arrival
+from .statemodel import ArrivalOffsets, StateClassification, StateModel, classify_states, shortest_arrival
 
 _ROW_SUM_TOL = 1e-12
 _PROB_TOL = 1e-12
@@ -219,13 +219,14 @@ def load_table(path_or_text, model: StateModel, entry_age: int = 0) -> Increment
     for every transient non-reflex state and optional for reflex states;
     decrement columns are required exactly for the transitions leaving
     transient non-reflex states.  Reflex and absorbing states get no
-    decrement columns (their exits are implied).
+    decrement columns (their exits are implied).  A ``str`` holding a line break
+    is CSV text, split at ``\n``, ``\r\n`` or ``\r`` as a file is; else a path.
     """
     text = path_or_text
-    if not isinstance(path_or_text, str) or "\n" not in path_or_text:
+    if not isinstance(path_or_text, str) or "\n" not in path_or_text and "\r" not in path_or_text:
         text = read_text(path_or_text, "table")
 
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text, newline=None))
     try:
         rows = [r for r in reader if r and not r[0].lstrip().startswith("#")]
     except csv.Error as exc:
@@ -237,8 +238,8 @@ def load_table(path_or_text, model: StateModel, entry_age: int = 0) -> Increment
 
     classes = classify_states(model)
     problems = [f"missing column 'l_{i}'" for i in sorted(classes.transient) if i not in l_columns]
-    problems += [f"missing column 'd_{i}_{j}'" for (i, j) in sorted(model.transitions)
-                 if i in classes.transient and (i, j) not in d_columns]
+    problems += [f"missing column 'd_{i}_{j}'" for i in sorted(classes.transient)
+                 for j in model.successors(i) if (i, j) not in d_columns]
     problems += [f"column 'l_{i}' does not match a transient or reflex state"
                  for i in l_columns if i not in classes.transient and i not in classes.reflex]
     problems += [f"column 'd_{i}_{j}' does not match a transition out of a transient state"
@@ -267,14 +268,6 @@ def load_table(path_or_text, model: StateModel, entry_age: int = 0) -> Increment
     return IncrementDecrementTable(n=n, occupancy=occupancy, decrements=decrements, entry_age=entry_age)
 
 
-def _successors(model: StateModel) -> dict[int, list[int]]:
-    """Successors of every state in increasing order, from one pass over the transitions."""
-    successors: dict[int, list[int]] = {s: [] for s in range(1, model.n_states + 1)}
-    for (i, j) in sorted(model.transitions):
-        successors[i].append(j)
-    return successors
-
-
 def infer_reflex_columns(table: IncrementDecrementTable, model: StateModel) -> IncrementDecrementTable:
     """Fill in occupancy and exit counts for reflex states.
 
@@ -294,34 +287,31 @@ def infer_reflex_columns(table: IncrementDecrementTable, model: StateModel) -> I
     decrements = {pair: col.copy() for pair, col in table.decrements.items()}
     n = table.n
 
-    predecessors: dict[int, list[int]] = {r: [] for r in sorted(classes.reflex)}
-    for (i, r) in sorted(model.transitions):
-        if r in predecessors:
-            predecessors[r].append(i)
-    for r, feeders in predecessors.items():
-        if not feeders:
+    reflex = sorted(classes.reflex)
+    for r in reflex:
+        if not model.predecessors(r):
             raise ValidationError(f"reflex state {r} has no inbound transition; its occupancy cannot be inferred")
 
-    todo = [r for r in predecessors if r not in occupancy]
+    todo = [r for r in reflex if r not in occupancy]
     for r in todo:
         occupancy[r] = np.zeros(n + 1)
-        for i in predecessors[r]:
+        for i in model.predecessors(r):
             if (i, r) not in decrements and i not in classes.reflex:
                 raise ValidationError(f"no decrement column for transition ({i}, {r})")
     # All columns stacked, inferred ones first; a last zero column (index -1) pads the feeders.
     columns = {**dict.fromkeys(todo), **occupancy, **decrements}
     index = {key: c for c, key in enumerate(columns)}
     stack = np.array([*columns.values(), np.zeros(n + 1)]).T
-    feeders = np.full((max((len(predecessors[r]) for r in todo), default=0), len(todo)), -1)
-    for c, r in enumerate(todo):
-        feeders[:len(predecessors[r]), c] = [index[(i, r) if (i, r) in decrements else i] for i in predecessors[r]]
+    feeding = [model.predecessors(r) for r in todo]
+    feeders = np.full((max(map(len, feeding), default=0), len(todo)), -1)
+    for c, (r, sources) in enumerate(zip(todo, feeding)):
+        feeders[:len(sources), c] = [index[(i, r) if (i, r) in decrements else i] for i in sources]
     for k in range(1, n + 1):
         stack[k, :len(todo)] = sum(stack[k - 1].take(feeders), np.zeros(len(todo)))
     occupancy.update({r: stack[:, c].copy() for c, r in enumerate(todo)})
 
-    successors = _successors(model)
-    for r in predecessors:
-        decrements.setdefault((r, successors[r][0]), occupancy[r].copy())
+    for r in reflex:
+        decrements.setdefault((r, model.successors(r)[0]), occupancy[r].copy())
     return IncrementDecrementTable(n=n, occupancy=occupancy, decrements=decrements, entry_age=table.entry_age)
 
 
@@ -339,18 +329,17 @@ def transition_sequence(table: IncrementDecrementTable, model: StateModel) -> Tr
     """
     classes = classify_states(model)
     n = table.n
-    successors = _successors(model)
     transient = sorted(classes.transient)
     gaps = [(t, -1, f"missing occupancy column 'l_{i}'") for t, i in enumerate(transient) if i not in table.occupancy]
     gaps += [(t, w, f"missing decrement column 'd_{i}_{j}'") for t, i in enumerate(transient)
-             for w, j in enumerate(successors[i]) if (i, j) not in table.decrements]
+             for w, j in enumerate(model.successors(i)) if (i, j) not in table.decrements]
     stop, _, missing = min(gaps, default=(len(transient), 0, None))
     transient = transient[:stop]
-    width = max((len(successors[i]) for i in transient), default=0)
+    width = max(map(model.out_degree, transient), default=0)
     # Padded slots point at the diagonal, which is written last; 0 / living cannot fault.
-    targets = np.array([successors[i] + [i] * (width - len(successors[i])) for i in transient], dtype=np.intp)
-    exits = np.array([[table.decrements[(i, j)][:n] for j in successors[i]] + [np.zeros(n)] * (width - len(successors[i]))
-                      for i in transient]).reshape(len(transient), width, n)
+    targets = np.array([model.successors(i) + [i] * (width - model.out_degree(i)) for i in transient], dtype=np.intp)
+    exits = np.array([[table.decrements[(i, j)][:n] for j in model.successors(i)]
+                      + [np.zeros(n)] * (width - model.out_degree(i)) for i in transient]).reshape(len(transient), width, n)
     living = np.array([table.occupancy[i][:n] for i in transient]).reshape(len(transient), 1, n)
     raw = np.divide(exits, living, out=np.zeros_like(exits), where=living > 0.0)
     p = np.clip(raw, 0.0, 1.0)
@@ -364,9 +353,7 @@ def transition_sequence(table: IncrementDecrementTable, model: StateModel) -> Tr
         raise ValidationError(f"exit probabilities exceed 1 at k={k}, state {transient[t]}")
     if missing is not None:
         raise ValidationError(missing)
-    # The entries allowed_pattern lets be nonzero, by (row, column).
-    edges = sorted(model.transitions | {(i, i) for i in classes.transient | classes.absorbing})
-    rows, columns = np.array(edges, dtype=np.intp).reshape(-1, 2).T - 1
+    rows, columns = _allowed_entries(model, classes)
     keys = rows * model.n_states + columns
 
     def at(i, j) -> np.ndarray:
@@ -375,7 +362,7 @@ def transition_sequence(table: IncrementDecrementTable, model: StateModel) -> Tr
 
     q = np.zeros((n, keys.size))
     fixed = sorted(classes.absorbing) + sorted(classes.reflex)
-    q[:, at(fixed, [successors[i][0] if i in classes.reflex else i for i in fixed])] = 1.0
+    q[:, at(fixed, [model.successors(i)[0] if i in classes.reflex else i for i in fixed])] = 1.0
     q[:, at(np.array(transient, dtype=np.intp)[:, None], targets)] = p.transpose(2, 0, 1)
     q[:, at(transient, transient)] = np.maximum(diagonal, 0.0).T
     return TransitionSequence(n_states=model.n_states, rows=rows, columns=columns, probabilities=q)
@@ -445,19 +432,17 @@ def build_chain(model: StateModel, table_source, initial_state: "int | None" = N
     return Chain(model, table, seq, initial, distribution_matrix(seq, initial), shortest_arrival(model))
 
 
-def allowed_pattern(model: StateModel) -> np.ndarray:
-    """Boolean mask of entries that may be nonzero in any period matrix.
+def _allowed_entries(model: StateModel, classes: StateClassification) -> np.ndarray:
+    """0-based (row, column) pairs, sorted, of the entries a period matrix may hold nonzero, as a
+    (2, E) array: the transitions and the transient and absorbing diagonals (never a reflex one)."""
+    entries = sorted(model.transitions | {(i, i) for i in classes.transient | classes.absorbing})
+    return np.array(entries, dtype=np.intp).reshape(-1, 2).T - 1
 
-    Transitions of the model are allowed, transient non-reflex and
-    absorbing states may hold their diagonal, and reflex diagonals are
-    forced to zero.
-    """
-    classes = classify_states(model)
+
+def allowed_pattern(model: StateModel) -> np.ndarray:
+    """Boolean mask of the entries that may be nonzero in any period matrix."""
     mask = np.zeros((model.n_states, model.n_states), dtype=bool)
-    for (i, j) in model.transitions:
-        mask[i - 1, j - 1] = True
-    for i in classes.transient | classes.absorbing:
-        mask[i - 1, i - 1] = True
+    mask[tuple(_allowed_entries(model, classify_states(model)))] = True
     return mask
 
 
@@ -479,13 +464,12 @@ def diagonal_residuals(table: IncrementDecrementTable, model: StateModel, tol: f
     convention would misread (or an inconsistent table).
     """
     classes = classify_states(model)
-    successors = _successors(model)
     n = table.n
     residuals: dict[tuple[int, int], float] = {}
     for i in sorted(classes.transient & table.occupancy.keys()):
         l_col = table.occupancy[i]
         living = l_col[:n]
-        exits = sum((table.decrements[(i, j)][:n] for j in successors[i] if (i, j) in table.decrements), np.zeros(n))
+        exits = sum((table.decrements[(i, j)][:n] for j in model.successors(i) if (i, j) in table.decrements), np.zeros(n))
         alternative = np.divide(l_col[1:] - exits, living, out=np.zeros(n), where=living > 0.0)
         row_complement = 1.0 - np.divide(exits, living, out=np.zeros(n), where=living > 0.0)
         gap = alternative - row_complement

@@ -15,8 +15,10 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import itemgetter
 from typing import Mapping
 
 from .errors import ParseError, ValidationError, read_text
@@ -41,6 +43,9 @@ class StateModel:
     flags states that are always left after one time unit.  Labels are
     optional display names.  Integral ids, numpy integers included, are
     stored as ``int``.
+
+    ``successors``, ``predecessors`` and ``out_degree`` read one sorted index
+    of the graph, built on first use; the lists they return are the caller's.
     """
 
     n_states: int
@@ -61,14 +66,36 @@ class StateModel:
                               reflex=frozenset(map(_plain, self.reflex)),
                               labels={_plain(s): label for s, label in self.labels.items()})
 
+    @cached_property
+    def _edges(self) -> list[Transition]:
+        """The transitions sorted by (i, j)."""
+        return sorted(self.transitions)
+
+    @cached_property
+    def _index(self) -> list[tuple[list[int], dict[int, int], dict[int, int]]]:
+        """For successors, then predecessors, the edges sorted by that side (the second
+        stably on j): the other ends in that order, and where each state's run of them
+        starts and stops.  A few flat objects for the garbage collector, not a list per state."""
+        index = []
+        for side, edges in enumerate([self._edges, sorted(self._edges, key=itemgetter(1))]):
+            stops = dict(zip([edge[side] for edge in edges], range(1, len(edges) + 1)))  # a key's last value wins
+            starts = dict(zip(stops, [0, *stops.values()]))  # runs are contiguous, keys in sorted order
+            index.append(([edge[1 - side] for edge in edges], starts, stops))
+        return index
+
+    def _neighbours(self, side: int, state: int) -> list[int]:
+        ends, starts, stops = self._index[side]
+        return ends[starts.get(state, 0):stops.get(state, 0)]
+
     def successors(self, state: int) -> list[int]:
-        return sorted(j for (i, j) in self.transitions if i == state)
+        return self._neighbours(0, state)
 
     def predecessors(self, state: int) -> list[int]:
-        return sorted(i for (i, j) in self.transitions if j == state)
+        return self._neighbours(1, state)
 
     def out_degree(self, state: int) -> int:
-        return sum(1 for (i, _) in self.transitions if i == state)
+        _, starts, stops = self._index[0]
+        return stops.get(state, 0) - starts.get(state, 0)
 
 
 @dataclass(frozen=True)
@@ -131,7 +158,7 @@ def validate_model(model: StateModel) -> list[str]:
     """
     problems = []
     valid = range(1, model.n_states + 1)
-    for (i, j) in sorted(model.transitions):
+    for (i, j) in model._edges:
         if i == j:
             problems.append(f"self-transition at state {i}")
         if i not in valid or j not in valid:
@@ -155,12 +182,9 @@ def classify_states(model: StateModel) -> StateClassification:
     problems = validate_model(model)
     if problems:
         raise ValidationError("; ".join(problems))
-    degrees = Counter(i for (i, _) in model.transitions)
-    absorbing = set()
-    reflex = set()
-    transient = set()
+    absorbing, reflex, transient = set(), set(), set()
     for s in range(1, model.n_states + 1):
-        degree = degrees[s]
+        degree = model.out_degree(s)
         if degree == 0:
             if s in model.reflex:
                 raise ValidationError(f"reflex flag on state {s}, which has no outgoing transition")
@@ -186,15 +210,12 @@ def shortest_arrival(model: StateModel) -> ArrivalOffsets:
     problems = validate_model(model)
     if problems:
         raise ValidationError("; ".join(problems))
-    adjacency: dict[int, list[int]] = {s: [] for s in range(1, model.n_states + 1)}
-    for (i, j) in model.transitions:
-        adjacency[i].append(j)
     offsets: dict[int, int | None] = {s: UNREACHABLE for s in range(1, model.n_states + 1)}
     offsets[model.initial_state] = 0
     queue = deque([model.initial_state])
     while queue:
         s = queue.popleft()
-        for j in adjacency[s]:
+        for j in model.successors(s):
             if offsets[j] is UNREACHABLE:
                 offsets[j] = offsets[s] + 1
                 queue.append(j)
@@ -256,7 +277,7 @@ def extend_model(model: StateModel, lump_sums: Mapping[Transition, object]) -> t
         classes.setdefault(j, {}).setdefault(_amount_key(amount), amount)
     in_place: dict[int, object] = {}
     for target in sorted(model.reflex & classes.keys()):
-        unpaid = [(i, j) for (i, j) in sorted(model.transitions) if j == target and (i, j) not in lump_sums]
+        unpaid = [(i, target) for i in model.predecessors(target) if (i, target) not in lump_sums]
         if unpaid:
             raise ValidationError(
                 f"reflex state {target} receives both paying and non-paying transitions "
@@ -283,7 +304,6 @@ def extend_model(model: StateModel, lump_sums: Mapping[Transition, object]) -> t
             return plus_id[(j, _amount_key(lump_sums[(i, j)]))]
         return renumber[j]
 
-    degrees = Counter(i for (i, _) in model.transitions)
     origin = {p: (renumber[t], classes[t][key]) for (t, key), p in plus_id.items()}
     attachments = {p: a for p, (_, a) in origin.items()} | {renumber[t]: a for t, a in sorted(in_place.items())}
     renumbering = renumber
@@ -298,7 +318,7 @@ def extend_model(model: StateModel, lump_sums: Mapping[Transition, object]) -> t
         labels={renumber[s]: text for s, text in model.labels.items()}
         | {p: model.labels[t] + "+" for (t, _), p in plus_id.items() if model.labels.get(t)},
         initial_state=renumber[model.initial_state],
-        reflex=frozenset({renumber[r] for r in model.reflex if degrees[r] == 1 or not lump_sums}
+        reflex=frozenset({renumber[r] for r in model.reflex if model.out_degree(r) == 1 or not lump_sums}
                          | set(plus_id.values())),
         plus_state_origin=origin,
         state_renumbering=renumbering,

@@ -176,3 +176,34 @@ def large_chain_case(seed: int = 20261018, n_states: int = 1000, horizon: int = 
         counts = nxt
     header = ["k", *(f"l_{i}" for i in transient), *(f"d_{i}_{j}" for i, j in pairs)]
     return model, ",".join(header) + "\n" + "\n".join(rows) + "\n"
+
+
+def graduated_cycle_case(seed: int = 20261018, n_transient: int = 20, horizon: int = 1000):
+    """A seeded model and graduated (non-integer) table whose mass keeps
+    moving between transient states over a long horizon.
+
+    Transient states 1..K form a ring: each moves to both neighbours with
+    per-period hazards in [0.05, 0.3) and to the one absorbing state K + 1
+    with a hazard below 1e-4, so most of the cohort is still transient,
+    and still moving, after a thousand periods.  Each count is the float
+    product of an occupancy and a hazard, written in full.
+    """
+    rng = np.random.default_rng(seed)
+    dead = n_transient + 1
+    ring = range(1, dead)
+    pairs = sorted({(i, i % n_transient + 1) for i in ring} | {(i, (i - 2) % n_transient + 1) for i in ring}
+                   | {(i, dead) for i in ring})
+    model = pv.StateModel(n_states=dead, transitions=frozenset(pairs))
+    source, target = np.array(pairs).T
+    counts = np.zeros(dead + 1)
+    counts[1] = 1e6 / 3
+    rows = []
+    for k in range(horizon + 1):
+        hazards = np.where(target == dead, rng.uniform(0.0, 1e-4, len(pairs)), rng.uniform(0.05, 0.3, len(pairs)))
+        flows = counts[source] * hazards if k < horizon else np.zeros(len(pairs))
+        rows.append(",".join(map(str, [k, *counts[1:dead].tolist(), *flows.tolist()])))
+        counts = counts.copy()
+        np.subtract.at(counts, source, flows)
+        np.add.at(counts, target, flows)
+    header = ["k", *(f"l_{i}" for i in ring), *(f"d_{i}_{j}" for i, j in pairs)]
+    return model, ",".join(header) + "\n" + "\n".join(rows) + "\n"

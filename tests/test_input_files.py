@@ -89,8 +89,36 @@ def test_cli_reports_a_table_field_over_the_csv_limit(tmp_path):
 
 def test_a_bare_carriage_return_in_table_text_names_its_line(model3):
     text = THREE_STATE_TABLE.replace("1,90,9", "1,9\r0,9")
-    with pytest.raises(pv.ParseError, match="^line 3: new-line character seen in unquoted field"):
+    with pytest.raises(pv.ParseError, match="^row 1 has 2 fields, expected 3$"):
         pv.load_table(text, model3)
+
+
+#: The three-state table with each kind of line end, and with a bare ``\r``
+#: splitting a field, which ends a line in text as in a file.
+LINE_ENDS = {
+    "LF": THREE_STATE_TABLE,
+    "CRLF": THREE_STATE_TABLE.replace("\n", "\r\n"),
+    "CR": THREE_STATE_TABLE.replace("\n", "\r"),
+    "bare CR in a field": THREE_STATE_TABLE.replace("1,90,9", "1,9\r0,9"),
+}
+
+
+def loaded(source, model) -> "list | str":
+    """The table's columns as bytes, or the message of the ParseError it raises."""
+    try:
+        table = pv.load_table(source, model)
+    except pv.ParseError as exc:
+        return str(exc)
+    return [(key, column.tobytes()) for key, column in [*sorted(table.occupancy.items()), *sorted(table.decrements.items())]]
+
+
+@pytest.mark.parametrize("ends", LINE_ENDS)
+def test_table_text_reads_as_the_same_bytes_from_a_file(ends, model3, tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_bytes(LINE_ENDS[ends].encode("utf-8"))
+    assert loaded(LINE_ENDS[ends], model3) == loaded(path, model3) == loaded(str(path), model3)
+    assert loaded(LINE_ENDS[ends], model3) == (loaded(THREE_STATE_TABLE, model3) if ends != "bare CR in a field"
+                                               else "row 1 has 2 fields, expected 3")
 
 
 def test_a_header_state_id_past_the_int_digit_limit_names_its_column(model3):

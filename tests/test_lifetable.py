@@ -6,7 +6,8 @@ import pytest
 
 import premval as pv
 import premval.fixtures as fx
-from chains import THREE_STATE_TABLE, make_three_state_model, random_table_case
+from chains import (THREE_STATE_TABLE, graduated_cycle_case, large_chain_case, make_three_state_model,
+                    random_table_case)
 
 
 class TestLoadTable:
@@ -203,6 +204,28 @@ class TestBuildChain:
     def test_chain_is_frozen(self, chain3):
         with pytest.raises(AttributeError):
             chain3.dist = None
+
+
+#: Long horizons: a (model, table) factory, and a lower bound on the share
+#: of the cohort still in a transient state at the horizon.
+LONG_HORIZONS = {
+    "N=60, n=600": (lambda: large_chain_case(n_states=60, horizon=600), 0.0),
+    "N=60, n=1500": (lambda: large_chain_case(n_states=60, horizon=1500), 0.0),
+    "N=200, n=1000": (lambda: large_chain_case(n_states=200, horizon=1000), 0.0),
+    "graduated ring, n=1500": (lambda: graduated_cycle_case(horizon=1500), 0.9),
+}
+
+
+@pytest.mark.parametrize("case", LONG_HORIZONS)
+def test_long_horizon_chains_pass_the_row_sum_check(case):
+    """D's rows stay within 1e-12 of 1 after hundreds of steps, also when the
+    mass keeps moving between transient states on non-integer counts."""
+    make, still_moving = LONG_HORIZONS[case]
+    model, text = make()
+    chain = pv.build_chain(model, text)  # DistributionMatrix refuses a row sum off by more than 1e-12
+    assert chain.dist.n == text.count("\n") - 2 >= 600
+    transient = np.array(sorted(pv.classify_states(model).transient)) - 1
+    assert chain.dist.matrix[-1, transient].sum() >= still_moving
 
 
 class TestAllowedPattern:
