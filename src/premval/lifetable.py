@@ -36,6 +36,8 @@ _COUNT_SLACK = 1e-9
 
 _L_COLUMN = re.compile(r"^l_(\d+)$")
 _D_COLUMN = re.compile(r"^d_(\d+)_(\d+)$")
+# Every byte a plain table body may hold; see _plain_table.
+_PLAIN = b"0123456789.,eE+-\n"
 
 
 @dataclass(frozen=True)
@@ -211,6 +213,65 @@ def _parse_header(names: list[str]) -> tuple[dict[int, int], dict[tuple[int, int
     return l_columns, d_columns
 
 
+def _records(stream):
+    """The csv records of a table stream, blank and comment lines skipped."""
+    reader = csv.reader(stream)
+    try:
+        yield from (r for r in reader if r and not r[0].lstrip().startswith("#"))
+    except csv.Error as exc:
+        raise ParseError(f"line {reader.line_num}: {exc}") from exc
+
+
+def _row_by_row(rows: list[list[str]], width: int) -> np.ndarray:
+    """The body records as one array with column k dropped, checked row by row.
+
+    numpy reads each cell as float() does, with float()'s message on a fault.
+    """
+    data = np.empty((len(rows), width - 1))
+    for r, row in enumerate(rows):
+        if len(row) != width:
+            raise ParseError(f"row {r} has {len(row)} fields, expected {width}")
+        try:
+            k = int(row[0])
+            data[r] = row[1:]
+        except ValueError as exc:
+            raise ParseError(f"row {r}: {exc}") from exc
+        if k != r:
+            raise ParseError(f"rows must run k=0..n in order; found k={k} at position {r}")
+    return data
+
+
+def _plain_table(text: str) -> "tuple[list[str], np.ndarray] | None":
+    """The header record and the body with column k dropped, when the body is plain;
+    else None.  Never raises.
+
+    Plain means only ASCII digits, ``.,eE+-`` and line ends, no line longer than
+    the csv field limit, one ``np.loadtxt`` call reading every line into a full
+    (rows, header width) array, and a first field that ``int()`` reads as 0..n
+    in order.  numpy's C reader then gives the values ``float()`` gives, and the
+    loop of :func:`_row_by_row` would have raised nothing.
+    """
+    stream = io.StringIO(text, newline=None)
+    try:
+        header = next(_records(stream), None)
+    except ParseError:
+        return None
+    body = stream.read()  # after the header's record, line ends already \n
+    if header is None or not body.isascii() or body.encode().translate(None, _PLAIN):
+        return None
+    lines = body.split()
+    if not lines or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    try:
+        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        in_order = [int(line.partition(",")[0]) for line in lines] == list(range(len(lines)))
+    except ValueError:
+        return None
+    if not in_order or data.shape != (len(lines), len(header)):
+        return None
+    return header, data[:, 1:]
+
+
 def load_table(path_or_text, model: StateModel, entry_age: int = 0) -> IncrementDecrementTable:
     """Load a life table CSV and check it against the model.
 
@@ -221,19 +282,26 @@ def load_table(path_or_text, model: StateModel, entry_age: int = 0) -> Increment
     transient non-reflex states.  Reflex and absorbing states get no
     decrement columns (their exits are implied).  A ``str`` holding a line break
     is CSV text, split at ``\n``, ``\r\n`` or ``\r`` as a file is; else a path.
+
+    A plain body (see :func:`_plain_table`) is read in one call of numpy's C
+    text reader.  Any other body, and every body with a fault, is read row by
+    row from csv records, which alone names a body fault; both ways give the
+    same values and the same messages.
     """
     text = path_or_text
     if not isinstance(path_or_text, str) or "\n" not in path_or_text and "\r" not in path_or_text:
         text = read_text(path_or_text, "table")
 
-    reader = csv.reader(io.StringIO(text, newline=None))
-    try:
-        rows = [r for r in reader if r and not r[0].lstrip().startswith("#")]
-    except csv.Error as exc:
-        raise ParseError(f"line {reader.line_num}: {exc}") from exc
-    if not rows:
-        raise ParseError("empty table file")
-    header = [name.strip() for name in rows[0]]
+    plain = _plain_table(text)
+    if plain:
+        header, data = plain
+        n = data.shape[0] - 1
+    else:
+        rows = list(_records(io.StringIO(text, newline=None)))
+        if not rows:
+            raise ParseError("empty table file")
+        header, n = rows[0], len(rows) - 2
+    header = [name.strip() for name in header]
     l_columns, d_columns = _parse_header(header)
 
     classes = classify_states(model)
@@ -247,21 +315,10 @@ def load_table(path_or_text, model: StateModel, entry_age: int = 0) -> Increment
     if problems:
         raise ValidationError("; ".join(problems))
 
-    n = len(rows) - 2
     if n < 1:
         raise ParseError("table needs at least rows k=0 and k=1")
-    # numpy reads each cell as float() does, with float()'s message on a fault.
-    data = np.empty((n + 1, len(header) - 1))
-    for r, row in enumerate(rows[1:]):
-        if len(row) != len(header):
-            raise ParseError(f"row {r} has {len(row)} fields, expected {len(header)}")
-        try:
-            k = int(row[0])
-            data[r] = row[1:]
-        except ValueError as exc:
-            raise ParseError(f"row {r}: {exc}") from exc
-        if k != r:
-            raise ParseError(f"rows must run k=0..n in order; found k={k} at position {r}")
+    if not plain:
+        data = _row_by_row(rows[1:], len(header))
 
     occupancy = {i: data[:, idx].copy() for i, idx in l_columns.items()}
     decrements = {pair: data[:, idx].copy() for pair, idx in d_columns.items()}

@@ -46,6 +46,7 @@ class StateModel:
 
     ``successors``, ``predecessors`` and ``out_degree`` read one sorted index
     of the graph, built on first use; the lists they return are the caller's.
+    :func:`classify_states` is likewise worked out once.
     """
 
     n_states: int
@@ -96,6 +97,29 @@ class StateModel:
     def out_degree(self, state: int) -> int:
         _, starts, stops = self._index[0]
         return stops.get(state, 0) - starts.get(state, 0)
+
+    @cached_property
+    def _classes(self) -> "StateClassification":
+        """What :func:`classify_states` returns; a raise is not cached, so a bad model raises on every call."""
+        problems = validate_model(self)
+        if problems:
+            raise ValidationError("; ".join(problems))
+        absorbing, reflex, transient = set(), set(), set()
+        for s in range(1, self.n_states + 1):
+            degree = self.out_degree(s)
+            if degree == 0:
+                if s in self.reflex:
+                    raise ValidationError(f"reflex flag on state {s}, which has no outgoing transition")
+                absorbing.add(s)
+            elif s in self.reflex:
+                if degree != 1:
+                    raise ValidationError(
+                        f"reflex flag on state {s}, which has {degree} outgoing transitions (exactly one required)"
+                    )
+                reflex.add(s)
+            else:
+                transient.add(s)
+        return StateClassification(frozenset(transient), frozenset(absorbing), frozenset(reflex))
 
 
 @dataclass(frozen=True)
@@ -178,26 +202,9 @@ def classify_states(model: StateModel) -> StateClassification:
     Absorbing means no outgoing transition.  Reflex means the state is
     flagged as always-left-after-one-period and has exactly one outgoing
     transition; a flagged state with any other out-degree is an error.
+    The classification is worked out once per model and shared.
     """
-    problems = validate_model(model)
-    if problems:
-        raise ValidationError("; ".join(problems))
-    absorbing, reflex, transient = set(), set(), set()
-    for s in range(1, model.n_states + 1):
-        degree = model.out_degree(s)
-        if degree == 0:
-            if s in model.reflex:
-                raise ValidationError(f"reflex flag on state {s}, which has no outgoing transition")
-            absorbing.add(s)
-        elif s in model.reflex:
-            if degree != 1:
-                raise ValidationError(
-                    f"reflex flag on state {s}, which has {degree} outgoing transitions (exactly one required)"
-                )
-            reflex.add(s)
-        else:
-            transient.add(s)
-    return StateClassification(frozenset(transient), frozenset(absorbing), frozenset(reflex))
+    return model._classes
 
 
 def shortest_arrival(model: StateModel) -> ArrivalOffsets:

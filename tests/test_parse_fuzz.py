@@ -4,21 +4,31 @@ in a value, a ParseError or a ValidationError, never in another exception.
 A mutation drops, swaps or duplicates a token or a separator, or puts in a
 NUL, a carriage return, non-ASCII digits, a 5 000-digit number or a stray
 sign or comment mark, between tokens or inside one.
+
+``load_table`` reads a plain table body with numpy's C text reader and any
+other body with its csv loop; on the same mutated tables, and on a plain body
+around each cell of ``test_table_cells_parse_as_float_does``, it must give
+what the csv loop gives alone: the same columns bit for bit, or the same
+error and message.
 """
 
 import re
+from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import premval as pv
 import premval.fixtures as fx
-from chains import THREE_STATE_TABLE, make_three_state_model
+from chains import THREE_STATE_TABLE, large_chain_case, make_three_state_model
+from premval import lifetable
 
 MODEL_TEXT = fx.bundled_path(fx.BASE_MODEL_FILE).read_text(encoding="utf-8") + "attach 2 0.5\ninitial 1  # start\n"
 FIXTURE_TABLE_TEXT = fx.bundled_path(fx.TABLE_FILE).read_text(encoding="utf-8")
 CASHFLOW_TEXT = "# contract\nflow 2 1 3 0.25\nflow 1 0 1 -1\nflow 3 0 25 1e-3  # tail\n"
 DISCOUNT_TEXT = "# factors\n1.0, 0.99 0.9801\n0.970299  # last\n"
+LARGE_MODEL, LARGE_TABLE_TEXT = large_chain_case(n_states=40, horizon=30)
 
 SPECIALS = ["\x00", "\r", "\r\n", "٣", "१२", "１", "9" * 5000, "0." + "1" * 5000, "-", "#"]
 
@@ -82,3 +92,74 @@ def test_cashflow_text(text):
 @given(mutated(DISCOUNT_TEXT))
 def test_discount_text(text):
     ends_in_a_value_or_an_error(lambda t: pv.parse_discount_text(t, 3), text)
+
+
+def loaded(text, model):
+    """``load_table``'s horizon and columns as bytes in mapping order, or its error and message."""
+    try:
+        table = pv.load_table(text, model)
+    except (pv.ParseError, pv.ValidationError) as exc:
+        return type(exc), str(exc)
+    return table.n, [(key, column.tobytes()) for key, column in [*table.occupancy.items(),
+                                                                 *table.decrements.items()]]
+
+
+def loads_as_the_csv_loop_does(text, model):
+    with mock.patch.object(lifetable, "_plain_table", return_value=None):
+        want = loaded(text, model)
+    assert loaded(text, model) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated(THREE_STATE_TABLE))
+@example(THREE_STATE_TABLE)
+@example(THREE_STATE_TABLE.replace("\n", "\r\n"))
+@example(THREE_STATE_TABLE.replace("1,90,9", "1," + "9" * 131_073 + ",9"))
+@example(THREE_STATE_TABLE.replace("1,90,9", "1," + "9" * (131_072 - 4) + ",9"))
+@example(THREE_STATE_TABLE.replace("1,90,9", "1,90,9,"))
+@example(THREE_STATE_TABLE.replace("\n", ",0\n").replace("d_1_2,0", "d_1_2"))
+@example("k,l_1,d_1_2\n0,100\n1,90\n2,81\n")
+@example(THREE_STATE_TABLE.replace("1,90,9", "01,+90,9.0e0"))
+@example(THREE_STATE_TABLE.replace("1,90,9", "1.0,90,9"))
+@example(THREE_STATE_TABLE.replace("1,90,9", "1,90,9\n\n"))
+@example("# note\n" + THREE_STATE_TABLE.replace("k,", '"k",'))
+def test_three_state_table_loads_as_the_csv_loop_does(text):
+    loads_as_the_csv_loop_does(text, make_three_state_model())
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated(FIXTURE_TABLE_TEXT))
+@example(FIXTURE_TABLE_TEXT)
+def test_fixture_table_loads_as_the_csv_loop_does(text):
+    loads_as_the_csv_loop_does(text, fx.dread_disease_model())
+
+
+@settings(max_examples=40, deadline=None)
+@given(mutated(LARGE_TABLE_TEXT))
+@example(LARGE_TABLE_TEXT)
+def test_large_table_loads_as_the_csv_loop_does(text):
+    loads_as_the_csv_loop_does(text, LARGE_MODEL)
+
+
+# The cells of test_table_cells_parse_as_float_does, then cells of the plain
+# alphabet that float() or int() reads, refuses or takes out of range.
+CELLS = ["1_000", "0x10", "1e5000", "1,5", " 3.5 ", "nan", "", "٣", "1e-400", "0b1",
+         "+5", "-0", "00", "1.", ".5", "1e+1", "5E-1", "1e400", "-1e400", "5-3", "e", "+", ".", "1..2", "--1",
+         "9" * 5000, "0." + "1" * 5000]
+
+
+@pytest.mark.parametrize("cell", CELLS)
+@pytest.mark.parametrize("where", ["l", "d", "k"])
+def test_a_cell_in_a_plain_body_loads_as_the_csv_loop_does(cell, where):
+    row = {"l": f"1,{cell},0", "d": f"1,90,{cell}", "k": f"{cell},90,0"}[where]
+    loads_as_the_csv_loop_does(f"k,l_1,d_1_2\n0,100,10\n{row}\n2,81,0\n", make_three_state_model())
+
+
+def test_plain_tables_skip_the_csv_loop(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the csv loop read a plain table body")
+
+    monkeypatch.setattr(lifetable, "_row_by_row", refuse)
+    assert pv.load_table(fx.bundled_path(fx.TABLE_FILE), fx.dread_disease_model()).n == 25
+    model, text = large_chain_case()
+    assert pv.load_table(text, model).n == 120

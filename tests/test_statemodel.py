@@ -2,6 +2,7 @@
 arrivals, lump-sum rewriting and the model file format."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -93,6 +94,26 @@ class TestClassifyStates:
         assert split.transient == frozenset({1, 2, 3, 4, 5})
         assert split.reflex == frozenset({6, 7, 9})
         assert split.absorbing == frozenset({8, 10})
+
+    def test_a_model_is_classified_once(self):
+        model = fx.dread_disease_model()
+        split = pv.classify_states(model)
+        assert pv.classify_states(model) is split
+        pv.build_chain(model, fx.bundled_path(fx.TABLE_FILE))
+        assert pv.classify_states(model) is split
+
+    @pytest.mark.parametrize("model, message", [
+        (pv.StateModel(n_states=3, transitions=frozenset({(1, 2), (2, 5)})),
+         "state id out of range in transition (2, 5)"),
+        (pv.StateModel(n_states=2, transitions=frozenset({(1, 2)}), reflex=frozenset({2})),
+         "reflex flag on state 2, which has no outgoing transition"),
+        (pv.StateModel(n_states=3, transitions=frozenset({(1, 2), (1, 3)}), reflex=frozenset({1})),
+         "reflex flag on state 1, which has 2 outgoing transitions (exactly one required)"),
+    ], ids=["out-of-range", "absorbing-reflex", "two-exit-reflex"])
+    def test_a_bad_model_raises_on_every_call(self, model, message):
+        for _ in range(3):
+            with pytest.raises(pv.ValidationError, match=f"^{re.escape(message)}$"):
+                pv.classify_states(model)
 
 
 class TestShortestArrival:
