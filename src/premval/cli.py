@@ -16,7 +16,7 @@ from . import fixtures
 from .cashflow import (CashflowMatrix, accelerated_benefit, build_cashflow, ceased_cover_states,
                        dread_disease_case, load_cashflow_file, premium_outflow)
 from .errors import ParseError, PremvalError, ValidationError
-from .lifetable import build_chain, diagonal_residuals, pattern_violations
+from .lifetable import build_chain, diagonal_residuals
 from .oracle import CHUNK_SIZE, mc_pv, simulate
 from .statemodel import (UNREACHABLE, extend_model, format_model, load_model_file, shortest_arrival,
                          validate_model)
@@ -129,10 +129,6 @@ def _cmd_delta(args) -> int:
 def _cmd_table_check(args) -> int:
     chain = build_chain(load_model_file(args.model).model, args.table)
     model, table = chain.model, chain.table
-    violations = pattern_violations(chain.seq, model)
-    if violations:
-        k, i, j = violations[0]
-        raise ValidationError(f"nonzero probability outside the allowed pattern at k={k}, ({i}, {j})")
     residuals = diagonal_residuals(table, model)
     print(f"ok: horizon {table.n}, {model.n_states} states, "
           f"{len(table.occupancy)} occupancy and {len(table.decrements)} decrement columns")
@@ -178,13 +174,9 @@ def _cmd_annuity(args) -> int:
 
 def _cmd_check(args) -> int:
     chain, discount, c_in, pay_states = _load_run(args)
-    if not args.period:
-        outflow = np.zeros_like(c_in.matrix)
-        outflow[0] = -args.premium * chain.initial  # paid at time 0 in the starting state
-        c_out = CashflowMatrix(outflow)
-    else:
-        c_out = premium_outflow(args.premium, pay_states, chain.offsets, args.m,
-                                chain.table.n, chain.model.n_states)
+    # a single premium is paid once: at time 0, in the state the chain starts in
+    pay, m = (pay_states, args.m) if args.period else ({chain.offsets.initial_state}, 1)
+    c_out = premium_outflow(args.premium, pay, chain.offsets, m, chain.table.n, chain.model.n_states)
     residual = equivalence_residual(c_in, c_out, chain.dist, discount)
     benefit = expected_pv(c_in, chain.dist, discount)
     print(f"equivalence residual: {residual:.3e} (benefit value {benefit:.{args.precision}f})")
@@ -272,7 +264,8 @@ def _add_run_options(parser, contract: bool = True):
     parser.add_argument("--table", required=True)
     parser.add_argument("--rate", type=float, help="constant yearly interest rate")
     parser.add_argument("--discount-file", help="file with n+1 discount factors, first must be 1")
-    parser.add_argument("--initial", type=int, help="initial state (default: the model's)")
+    parser.add_argument("--initial", type=int,
+                        help="initial state (default: the model's); arrival offsets count from it")
     if contract:
         parser.add_argument("--accel", type=float, metavar="LAMBDA",
                             help="accelerated benefit with the given accelerated share")

@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import io
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
@@ -469,7 +469,8 @@ def distribution_matrix(seq: TransitionSequence, initial: np.ndarray) -> Distrib
 class Chain:
     """A model with its table, transition matrices and occupancy distribution.
 
-    ``offsets`` count from the model's initial state, whatever ``initial`` is.
+    ``offsets`` count from the state the chain starts in, which ``initial``
+    puts all mass on; ``model`` keeps its own initial state.
     """
 
     model: StateModel
@@ -485,8 +486,10 @@ def build_chain(model: StateModel, table_source, initial_state: "int | None" = N
     """Chain from a table (path or CSV text), started in ``initial_state`` or the model's."""
     table = infer_reflex_columns(load_table(table_source, model, entry_age), model)
     seq = transition_sequence(table, model)
-    initial = unit_distribution(model.n_states, model.initial_state if initial_state is None else initial_state)
-    return Chain(model, table, seq, initial, distribution_matrix(seq, initial), shortest_arrival(model))
+    start = model.initial_state if initial_state is None else initial_state
+    initial = unit_distribution(model.n_states, start)
+    offsets = shortest_arrival(model if start == model.initial_state else replace(model, initial_state=start))
+    return Chain(model, table, seq, initial, distribution_matrix(seq, initial), offsets)
 
 
 def _allowed_entries(model: StateModel, classes: StateClassification) -> np.ndarray:

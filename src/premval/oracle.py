@@ -50,7 +50,7 @@ from .cashflow import CashflowMatrix, premium_selector
 from .errors import ValidationError
 from .lifetable import DistributionMatrix, TransitionSequence, initial_distribution
 from .statemodel import ArrivalOffsets
-from .valuation import DiscountVector
+from .valuation import DiscountVector, _check_inflows
 
 #: Hard ceilings for exhaustive enumeration.
 MAX_ENUM_STATES = 8
@@ -392,8 +392,7 @@ def mc_premium(ensemble: PathEnsemble, c_in: CashflowMatrix, discount: DiscountV
     time.  The premium estimate is the ratio of means and its standard
     error comes from the delta method.
     """
-    if np.any(c_in.matrix < 0):
-        raise ValidationError("negative entry in inflow matrix")
+    _check_inflows(c_in)
     selector = premium_selector(pay_states, offsets, m, ensemble.n, c_in.n_states)
     benefit, paying = _path_totals(ensemble, [c_in, selector], discount)
     mean_benefit = float(np.mean(benefit))

@@ -6,10 +6,10 @@ discount vector M is
 
     sum over k of  m_k * sum over j of  C[k, j] * D[k, j].
 
-Net single premiums apply the kernel to the inflow matrix.  Period premiums
-divide it by the same contraction taken against the 0/1 premium selector:
-the sum of state-conditional annuity values, one per premium state, each
-starting at the state's earliest possible arrival time.  All interval
+Net single premiums apply the kernel to the inflow matrix.  Annuities and
+period-premium denominators take one contraction of a 0/1 selector: one state
+over an interval, or :func:`~premval.cashflow.premium_selector`, whose states
+collect from their earliest arrival after the chain's start.  All interval
 arguments are half-open: [k1, k2) covers payments at times k1, ..., k2 - 1.
 """
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cashflow import CashflowMatrix, premium_selector
+from .cashflow import CashflowEntry, CashflowMatrix, build_cashflow, premium_selector
 from .errors import ParseError, ValidationError, read_text
 from .lifetable import DistributionMatrix
 from .statemodel import ArrivalOffsets
@@ -126,13 +126,24 @@ def expected_pv(c: CashflowMatrix, dist: DistributionMatrix, discount: DiscountV
     return float(discount.values @ np.sum(c.matrix * dist.matrix, axis=1))
 
 
-def net_single_premium(c_in: CashflowMatrix, dist: DistributionMatrix, discount: DiscountVector) -> PremiumResult:
-    """Net single premium of the benefit inflows (all entries nonnegative)."""
+def _check_inflows(c_in: CashflowMatrix):
     if np.any(c_in.matrix < 0):
         k, j = np.unravel_index(int(np.argmin(c_in.matrix)), c_in.matrix.shape)
         raise ValidationError(f"negative entry {float(c_in.matrix[k, j])!r} at (k={k}, state={j + 1}) in inflow matrix")
-    value = expected_pv(c_in, dist, discount)
-    return PremiumResult(value=value, kind="single")
+
+
+def net_single_premium(c_in: CashflowMatrix, dist: DistributionMatrix, discount: DiscountVector) -> PremiumResult:
+    """Net single premium of the benefit inflows (all entries nonnegative)."""
+    _check_inflows(c_in)
+    return PremiumResult(value=expected_pv(c_in, dist, discount), kind="single")
+
+
+def _contract(selector: CashflowMatrix, dist: DistributionMatrix, discount: DiscountVector) -> float:
+    """Discounted expected count of the (k, state) cells a 0/1 selector marks, summed over k
+    and then over states, so a selector gives the sum of its one-state parts bit for bit."""
+    _check_shapes(selector, dist, discount)
+    weighted = discount.values[:, None] * dist.matrix * selector.matrix
+    return float(np.add.accumulate(np.add.accumulate(weighted)[-1])[-1])
 
 
 def annuity_due(dist: DistributionMatrix, discount: DiscountVector, state: int, k_start: int, k_end: int) -> float:
@@ -142,17 +153,18 @@ def annuity_due(dist: DistributionMatrix, discount: DiscountVector, state: int, 
     ..., k_end - 1 in which the state is occupied.  An empty interval is
     worth zero.
     """
-    if discount.values.shape[0] != dist.matrix.shape[0]:
-        raise ValidationError("discount vector length does not match distribution horizon")
-    if not 1 <= state <= dist.n_states:
-        raise ValidationError(f"state {state} out of range 1..{dist.n_states}")
-    if not 0 <= k_start <= k_end <= dist.n + 1:
-        raise ValidationError(f"interval [{k_start}, {k_end}) out of range 0..{dist.n + 1}")
-    column = dist.matrix[:, state - 1]
-    total = 0.0
-    for t in range(k_start, k_end):
-        total += discount.values[t] * column[t]
-    return total
+    selector = build_cashflow([CashflowEntry(state, k_start, k_end, 1.0)], dist.n, dist.n_states)
+    return _contract(selector, dist, discount)
+
+
+def _period_result(c_in: CashflowMatrix, dist: DistributionMatrix, discount: DiscountVector,
+                   selector: CashflowMatrix, pay: frozenset, m: int) -> PremiumResult:
+    numerator = net_single_premium(c_in, dist, discount).value
+    denominator = _contract(selector, dist, discount)
+    if denominator == 0.0:
+        raise ValidationError("premium annuity value is zero; the premium is undefined")
+    return PremiumResult(value=numerator / denominator, kind="period", pay_states=pay, m=m,
+                         numerator=numerator, denominator=denominator)
 
 
 def period_premium_initial(c_in: CashflowMatrix, dist: DistributionMatrix, discount: DiscountVector,
@@ -160,33 +172,20 @@ def period_premium_initial(c_in: CashflowMatrix, dist: DistributionMatrix, disco
     """Net period premium payable in the initial state at times 0..m-1."""
     if not 1 <= m <= dist.n:
         raise ValidationError(f"premium horizon m={m} out of range 1..{dist.n}")
-    numerator = net_single_premium(c_in, dist, discount).value
-    denominator = annuity_due(dist, discount, initial_state, 0, m)
-    if denominator == 0.0:
-        raise ValidationError("premium annuity value is zero; the premium is undefined")
-    return PremiumResult(value=numerator / denominator, kind="period",
-                         pay_states=frozenset({initial_state}), m=m,
-                         numerator=numerator, denominator=denominator)
+    selector = build_cashflow([CashflowEntry(initial_state, 0, m, 1.0)], dist.n, dist.n_states)
+    return _period_result(c_in, dist, discount, selector, frozenset({initial_state}), m)
 
 
 def period_premium(c_in: CashflowMatrix, dist: DistributionMatrix, discount: DiscountVector,
                    pay_states, offsets: ArrivalOffsets, m: int) -> PremiumResult:
     """Net period premium payable in every state of ``pay_states``.
 
-    The denominator contracts the distribution with the premium selector,
-    summing sequentially over k and then over states, so it equals the sum
-    of the paying states' :func:`annuity_due` values bit for bit.
+    The denominator is the premium selector's contraction, so it equals the
+    sum of the paying states' :func:`annuity_due` values bit for bit.
     """
     pay = frozenset(pay_states)
     selector = premium_selector(pay, offsets, m, dist.n, dist.n_states)
-    numerator = net_single_premium(c_in, dist, discount).value
-    weighted = discount.values[:, None] * dist.matrix * selector.matrix
-    denominator = float(np.add.accumulate(np.add.accumulate(weighted)[-1])[-1])
-    if denominator == 0.0:
-        raise ValidationError("premium annuity value is zero; the premium is undefined")
-    return PremiumResult(value=numerator / denominator, kind="period",
-                         pay_states=pay, m=m,
-                         numerator=numerator, denominator=denominator)
+    return _period_result(c_in, dist, discount, selector, pay, m)
 
 
 def equivalence_residual(c_in: CashflowMatrix, c_out: CashflowMatrix,

@@ -345,6 +345,32 @@ class TestReports:
         assert code == 0
         assert "equivalence residual:" in out
 
+    @pytest.mark.parametrize("mode, annuity", [(("--single",), None),
+                                               (("--period", "--m", "1", "--pay-states", "2"), "1.00000"),
+                                               (("--period", "--m", "5", "--pay-states", "2"), "3.24380")],
+                             ids=["single", "m1", "m5"])
+    def test_premiums_count_from_the_initial_state(self, capsys, mode, annuity):
+        # started in state 2, the insured is there at time 0, so a premium there collects from time 0
+        chain = ("--model", MODEL, "--table", TABLE, "--rate", "0.01", "--accel", "0.5", "--initial", "2")
+        code, out, err = run(capsys, "--precision", "17", "premium", *chain, *mode)
+        assert (code, err) == (0, "")
+        if annuity:
+            assert f"annuity value {annuity}" in run(capsys, "premium", *chain, *mode)[1]
+        premium = out.splitlines()[0].split(": ")[1]
+        check_mode = () if mode == ("--single",) else mode
+        code, out, err = run(capsys, "check", *chain, *check_mode, "--premium", premium)
+        assert (code, err) == (0, "")
+        assert abs(float(out.split()[2])) < 1e-10
+
+    @pytest.mark.parametrize("mode", [(), ("--period", "--m", "25", "--pay-states", "1,2")], ids=["single", "period"])
+    def test_check_outflow_comes_from_the_premium_selector(self, capsys, monkeypatch, mode):
+        def refuse(*args):
+            raise RuntimeError("selector called")
+        monkeypatch.setattr(pv.cashflow, "premium_selector", refuse)
+        with pytest.raises(RuntimeError, match="selector called"):
+            main(["check", "--model", MODEL, "--table", TABLE, "--rate", "0.01", "--accel", "0.5",
+                  "--premium", "0.01", *mode])
+
 
 class TestSimulateCommand:
     def test_deterministic_output(self, capsys):

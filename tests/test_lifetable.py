@@ -194,7 +194,9 @@ class TestBuildChain:
     def test_explicit_initial_state(self, dread):
         chain = pv.build_chain(dread.model, fx.bundled_path(fx.TABLE_FILE), initial_state=2)
         np.testing.assert_array_equal(chain.dist.matrix[0], pv.unit_distribution(10, 2))
-        assert chain.offsets.offset(1) == 0  # still measured from the model's initial state
+        assert chain.offsets.offset(2) == 0  # measured from the state the chain starts in
+        assert chain.offsets.offset(1) is pv.UNREACHABLE
+        assert chain.model is dread.model
 
     @pytest.mark.parametrize("state", [0, 4])
     def test_initial_state_out_of_range(self, model3, state):

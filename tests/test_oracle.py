@@ -211,6 +211,15 @@ class TestMcEstimates:
         with pytest.raises(pv.ValidationError, match="negative"):
             pv.mc_premium(ensemble, bad, geometric_discount3, {1}, offsets, m=2)
 
+    def test_negative_inflow_named_like_the_matrix_method(self, chain3, geometric_discount3):
+        offsets = pv.shortest_arrival(chain3.model)
+        ensemble = pv.simulate(chain3.seq, _unit(3, 1), 100, master_seed=5)
+        cash = np.zeros((3, 3))
+        cash[2, 0] = -0.5
+        message = r"^negative entry -0\.5 at \(k=2, state=1\) in inflow matrix$"
+        with pytest.raises(pv.ValidationError, match=message):
+            pv.mc_premium(ensemble, pv.CashflowMatrix(cash), geometric_discount3, {1}, offsets, m=2)
+
     def test_premium_state_never_reached_empirically(self):
         # state 2 is reachable by the graph, but the first-period hazard into
         # it is zero, so with m=2 no simulated path ever pays there

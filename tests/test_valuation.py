@@ -117,6 +117,16 @@ class TestAnnuityDue:
         with pytest.raises(pv.ValidationError, match="state 9"):
             pv.annuity_due(chain3.dist, geometric_discount3, 9, 0, 2)
 
+    @pytest.mark.parametrize("k_start, k_end", [(0, 4), (-1, 2), (2, 1)])
+    def test_interval_refused_as_a_cashflow_period_range(self, chain3, geometric_discount3, k_start, k_end):
+        message = rf"^period range \[{k_start}, {k_end}\) out of range 0\.\.3$"
+        with pytest.raises(pv.ValidationError, match=message):
+            pv.annuity_due(chain3.dist, geometric_discount3, 1, k_start, k_end)
+
+    def test_wrong_discount_length_names_both(self, chain3):
+        with pytest.raises(pv.ValidationError, match=r"^discount vector length 4 does not match horizon 2$"):
+            pv.annuity_due(chain3.dist, pv.constant_rate_discount(3, rate=0.01), 1, 0, 2)
+
 
 class TestPeriodPremium:
     def test_three_state_value(self, chain3, claim_cash3, geometric_discount3):
@@ -215,3 +225,16 @@ class TestEquivalence:
         c_out = pv.premium_outflow(result.value, pay, offsets, m, table.n, model.n_states)
         residual = pv.equivalence_residual(c_in, c_out, dist, discount)
         assert abs(residual) <= 1e-10 * max(1.0, result.numerator)
+
+
+def test_every_annuity_and_premium_goes_through_one_contraction(monkeypatch, chain3, claim_cash3,
+                                                                 geometric_discount3):
+    def refuse(*args):
+        raise RuntimeError("kernel called")
+    monkeypatch.setattr(pv.valuation, "_contract", refuse)
+    offsets = pv.shortest_arrival(chain3.model)
+    for call in (lambda: pv.annuity_due(chain3.dist, geometric_discount3, 1, 0, 2),
+                 lambda: pv.period_premium_initial(claim_cash3, chain3.dist, geometric_discount3, m=2),
+                 lambda: pv.period_premium(claim_cash3, chain3.dist, geometric_discount3, {1}, offsets, m=2)):
+        with pytest.raises(RuntimeError, match="kernel called"):
+            call()
