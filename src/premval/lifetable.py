@@ -2,7 +2,8 @@
 
 A table holds, for each period k = 0..n, the number of lives occupying each
 tracked state (``l`` columns) and the number decrementing along each tracked
-transition during [k, k+1) (``d`` columns).  Occupancy is tracked for
+transition during [k, k+1) (``d`` columns), as the columns of one read-only
+array that every reader here indexes.  Occupancy is tracked for
 transient non-reflex states; reflex states need no columns of their own
 because their occupants all leave after one period, so their occupancy
 equals the previous period's inflow and can be inferred.  A tabulated
@@ -23,6 +24,7 @@ import csv
 import io
 import re
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -34,8 +36,7 @@ _ROW_SUM_TOL = 1e-12
 _PROB_TOL = 1e-12
 _COUNT_SLACK = 1e-9
 
-_L_COLUMN = re.compile(r"^l_(\d+)$")
-_D_COLUMN = re.compile(r"^d_(\d+)_(\d+)$")
+_COLUMN = re.compile(r"l_(\d+)|d_(\d+)_(\d+)")
 # Every byte a plain table body may hold; see _plain_table.
 _PLAIN = b"0123456789.,eE+-\n"
 
@@ -47,10 +48,21 @@ class IncrementDecrementTable:
     Counts are nonnegative reals (graduated tables are common).  The entry
     age is metadata only; every computation is keyed by the period index.
 
-    The columns are checked as one stack in ``_columns`` order (occupancy by
-    state, then decrements by transition): length, then non-finite counts,
-    then negative ones.  Then each state's outflow, its decrement columns
-    added in the decrements' mapping order from +0.0, must not exceed its
+    A table owns one read-only float array of counts, row k for period k.
+    Its column 0 holds zeros, which pad gathers of a state's exits, and
+    ``_column`` gives the column of each state's ``l`` count and each
+    transition's ``d`` count.  ``occupancy`` and ``decrements`` are
+    read-only mappings, in the order they were given, onto read-only column
+    views of that array, so no count can change once checked.  The
+    constructor copies the mappings it is given into a new array in
+    ``_columns`` order; ``load_table`` keeps the file's columns with k's
+    zeroed, and ``infer_reflex_columns`` adds a column per inferred
+    occupancy and lets a reflex state's exit share its occupancy's column.
+
+    The columns are checked in ``_columns`` order (occupancy by state, then
+    decrements by transition): length, then non-finite counts, then
+    negative ones.  Then each state's outflow, its decrement columns added
+    in the decrements' mapping order from +0.0, must not exceed its
     occupancy beyond a 1e-9 relative slack; the fault named is the first
     state in the occupancy's mapping order, then the first k.
     """
@@ -61,33 +73,61 @@ class IncrementDecrementTable:
     entry_age: int = 0
 
     def __post_init__(self):
-        columns = list(self._columns())
-        shaped = next((c for c, (_, column) in enumerate(columns) if column.shape != (self.n + 1,)), len(columns))
-        # A last zero row pads the outflow sums below; it passes every check.
-        stacked = np.array([column for _, column in columns[:shaped]] + [np.zeros(self.n + 1)])
-        faulty = np.flatnonzero(~np.isfinite(stacked).all(axis=1) | (stacked < 0).any(axis=1))
-        if faulty.size:
-            name, column = columns[faulty[0]]
-            if not np.isfinite(column).all():
-                raise ValidationError(f"non-finite count in column {name!r}")
-            raise ValidationError(f"negative count at k={int(np.argmax(column < 0))}, column {name!r}")
-        if shaped < len(columns):
-            name, column = columns[shaped]
-            raise ValidationError(f"column {name!r} has {column.shape[0]} rows, expected {self.n + 1}")
-        position = {key: c for c, key in enumerate([*sorted(self.occupancy), *sorted(self.decrements)])}
-        leaving: dict[int, list[int]] = {i: [] for i in self.occupancy}
-        for (i, j) in self.decrements:
+        keys = [*sorted(self.occupancy), *sorted(self.decrements)]
+        given = {**self.occupancy, **self.decrements}
+        if any(given[key].shape != (self.n + 1,) for key in keys):
+            self._check_columns()
+        counts = np.array([np.zeros(self.n + 1), *map(given.get, keys)], dtype=float).T
+        column = {key: c for c, key in enumerate(keys, 1)}
+        self._own(counts, {i: column[i] for i in self.occupancy}, {pair: column[pair] for pair in self.decrements})
+
+    @classmethod
+    def _of(cls, n: int, counts: np.ndarray, occupancy: dict, decrements: dict, entry_age: int):
+        """The table over ``counts``, checked, given the column of each state
+        and each transition in the mapping orders the table keeps."""
+        table = object.__new__(cls)
+        vars(table).update(n=n, entry_age=entry_age)
+        table._own(counts, occupancy, decrements)
+        return table
+
+    def _own(self, counts: np.ndarray, occupancy: dict, decrements: dict):
+        """Take ``counts`` read-only, point the mappings at its columns, and check it."""
+        counts.flags.writeable = False
+        views = list(counts.T)
+        vars(self).update(_counts=counts, _column={**occupancy, **decrements},
+                          occupancy=MappingProxyType({i: views[c] for i, c in occupancy.items()}),
+                          decrements=MappingProxyType({pair: views[c] for pair, c in decrements.items()}))
+        if not (np.min(counts, initial=np.inf) >= 0.0 and np.max(counts, initial=0.0) < np.inf):
+            self._check_columns()
+        leaving: dict[int, list[int]] = {i: [] for i in occupancy}
+        for (i, _), c in decrements.items():
             if i in leaving:
-                leaving[i].append(position[(i, j)])
+                leaving[i].append(c)
         width = max(map(len, leaving.values()), default=0)
-        feeds = np.array([c + [-1] * (width - len(c)) for c in leaving.values()], dtype=np.intp)
+        # Column 0, all zeros, pads the feeds.
+        feeds = np.array([c + [0] * (width - len(c)) for c in leaving.values()], dtype=np.intp)
         feeds = feeds.reshape(len(leaving), width)
-        outflow = sum((stacked[feeds[:, w]] for w in range(width)), np.zeros((len(leaving), self.n + 1)))
-        living = stacked[[position[i] for i in leaving]].reshape(outflow.shape)
+        outflow = sum((counts.T[f] for f in feeds.T), np.zeros((len(leaving), self.n + 1)))
+        living = counts.T[list(occupancy.values())]
         bad = outflow > living + _COUNT_SLACK * np.maximum(1.0, living)
         if bad.any():
             s, k = np.argwhere(bad)[0]
             raise ValidationError(f"decrement exceeds occupancy at k={k} for state {list(leaving)[s]}")
+
+    def __reduce__(self):
+        # The read-only mappings do not pickle; a copy is rebuilt from them.
+        return IncrementDecrementTable, (self.n, dict(self.occupancy), dict(self.decrements), self.entry_age)
+
+    def _check_columns(self):
+        """Refuse the first column, in ``_columns`` order, of the wrong length or
+        with a non-finite count, then a negative one."""
+        for name, column in self._columns():
+            if column.shape != (self.n + 1,):
+                raise ValidationError(f"column {name!r} has {column.shape[0]} rows, expected {self.n + 1}")
+            if not np.isfinite(column).all():
+                raise ValidationError(f"non-finite count in column {name!r}")
+            if (column < 0).any():
+                raise ValidationError(f"negative count at k={int(np.argmax(column < 0))}, column {name!r}")
 
     def _columns(self):
         for i, col in sorted(self.occupancy.items()):
@@ -114,8 +154,10 @@ class TransitionSequence:
 
     Checked for shape, then non-finite and range on the edges (min and max
     propagate NaN), then row sums.  A row sum adds the row's edges in column
-    order, starting from +0.0, so a row with no edge sums to 0.0; the fault
-    named is the first (k, row) with the largest distance from 1.
+    order, starting from +0.0, so a row with no edge sums to 0.0; all of
+    them come from one ``bincount`` over the period-major edges.  The fault
+    named is the first (k, row) with the largest distance from 1.  The three
+    arrays are read-only views, so a checked sequence stays as checked.
     """
 
     n_states: int
@@ -131,7 +173,7 @@ class TransitionSequence:
                 raise ValidationError(f"transition sequence must be (n, N, N), got {q.shape}")
             n_states = q.shape[1]
             rows, columns = np.nonzero(np.any(q.view(np.uint64), axis=0))
-            probabilities = q[:, rows, columns]
+            probabilities = np.ascontiguousarray(q[:, rows, columns])
         rows, columns = np.asarray(rows, dtype=np.intp), np.asarray(columns, dtype=np.intp)
         p = np.asarray(probabilities, dtype=float)
         if (p.ndim != 2 or not rows.shape == columns.shape == p.shape[1:]
@@ -139,15 +181,19 @@ class TransitionSequence:
                 or np.any(np.diff(rows * n_states + columns) <= 0)):
             raise ValidationError("transition sequence edges must be distinct (row, column) pairs in 0..N-1, "
                                   "sorted, with one probability per period and edge")
-        for name, value in (("n_states", n_states), ("rows", rows), ("columns", columns), ("probabilities", p)):
+        for name, value in (("rows", rows), ("columns", columns), ("probabilities", p)):
+            value = value.view()
+            value.flags.writeable = False
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "n_states", n_states)
         lo, hi = np.min(p, initial=0.0), np.max(p, initial=0.0)
         if not np.isfinite([lo, hi]).all():
             raise ValidationError("non-finite transition probability")
         if lo < -_PROB_TOL or hi > 1 + _PROB_TOL:
             raise ValidationError("transition probability outside [0, 1]")
-        sums = np.array([np.bincount(rows, weights=period, minlength=n_states) for period in p])
-        sums = sums.reshape(self.n, n_states)
+        # One bin per (k, row), filled in period-major edge order.
+        sums = np.bincount((np.arange(self.n)[:, None] * n_states + rows).ravel(), weights=p.ravel(),
+                           minlength=self.n * n_states).reshape(self.n, n_states)
         if np.any(np.abs(sums - 1.0) > _ROW_SUM_TOL):
             k, i = np.unravel_index(int(np.argmax(np.abs(sums - 1.0))), sums.shape)
             raise ValidationError(f"row {i + 1} of Q({k}) sums to {float(sums[k, i])!r}, not 1")
@@ -193,21 +239,22 @@ class DistributionMatrix:
 
 
 def _parse_header(names: list[str]) -> tuple[dict[int, int], dict[tuple[int, int], int]]:
-    """Data column index of each ``l_<i>`` by state and each ``d_<i>_<j>`` by transition."""
+    """Column of each ``l_<i>`` by state and each ``d_<i>_<j>`` by transition, k being column 0."""
     if not names or names[0] != "k":
         raise ParseError("first CSV column must be 'k'")
     l_columns: dict[int, int] = {}
     d_columns: dict[tuple[int, int], int] = {}
-    for idx, name in enumerate(names[1:]):
+    for idx, name in enumerate(names[1:], 1):
         try:
-            if m := _L_COLUMN.match(name):
-                l_columns[int(m.group(1))] = idx
-            elif m := _D_COLUMN.match(name):
-                d_columns[(int(m.group(1)), int(m.group(2)))] = idx
-            else:
+            if not (m := _COLUMN.fullmatch(name)):
                 raise ParseError(f"unrecognized column name {name!r} (expected l_<i> or d_<i>_<j>)")
+            i, source, target = m.groups()
+            if i is not None:
+                l_columns[int(i)] = idx
+            else:
+                d_columns[(int(source), int(target))] = idx
         except ValueError as exc:  # a state id past int()'s digit limit
-            raise ParseError(f"header column {idx + 2}: {exc}") from exc
+            raise ParseError(f"header column {idx + 1}: {exc}") from exc
     if len(l_columns) + len(d_columns) != len(names) - 1:
         raise ParseError("duplicate column in CSV header")
     return l_columns, d_columns
@@ -223,17 +270,17 @@ def _records(stream):
 
 
 def _row_by_row(rows: list[list[str]], width: int) -> np.ndarray:
-    """The body records as one array with column k dropped, checked row by row.
+    """The body records as one array with column k zeroed, checked row by row.
 
     numpy reads each cell as float() does, with float()'s message on a fault.
     """
-    data = np.empty((len(rows), width - 1))
+    data = np.zeros((len(rows), width))
     for r, row in enumerate(rows):
         if len(row) != width:
             raise ParseError(f"row {r} has {len(row)} fields, expected {width}")
         try:
             k = int(row[0])
-            data[r] = row[1:]
+            data[r, 1:] = row[1:]
         except ValueError as exc:
             raise ParseError(f"row {r}: {exc}") from exc
         if k != r:
@@ -242,7 +289,7 @@ def _row_by_row(rows: list[list[str]], width: int) -> np.ndarray:
 
 
 def _plain_table(text: str) -> "tuple[list[str], np.ndarray] | None":
-    """The header record and the body with column k dropped, when the body is plain;
+    """The header record and the body with column k zeroed, when the body is plain;
     else None.  Never raises.
 
     Plain means only ASCII digits, ``.,eE+-`` and line ends, no line longer than
@@ -269,7 +316,8 @@ def _plain_table(text: str) -> "tuple[list[str], np.ndarray] | None":
         return None
     if not in_order or data.shape != (len(lines), len(header)):
         return None
-    return header, data[:, 1:]
+    data[:, 0] = 0.0
+    return header, data
 
 
 def load_table(path_or_text, model: StateModel, entry_age: int = 0) -> IncrementDecrementTable:
@@ -320,9 +368,7 @@ def load_table(path_or_text, model: StateModel, entry_age: int = 0) -> Increment
     if not plain:
         data = _row_by_row(rows[1:], len(header))
 
-    occupancy = {i: data[:, idx].copy() for i, idx in l_columns.items()}
-    decrements = {pair: data[:, idx].copy() for pair, idx in d_columns.items()}
-    return IncrementDecrementTable(n=n, occupancy=occupancy, decrements=decrements, entry_age=entry_age)
+    return IncrementDecrementTable._of(n, data, l_columns, d_columns, entry_age)
 
 
 def infer_reflex_columns(table: IncrementDecrementTable, model: StateModel) -> IncrementDecrementTable:
@@ -332,73 +378,83 @@ def infer_reflex_columns(table: IncrementDecrementTable, model: StateModel) -> I
     equals the total inflow during [k-1, k): the tabulated decrements into
     it, or the full occupancy of a reflex feeder (whose occupants all move
     on), added in predecessor order from +0.0 as Python's ``sum`` does.
-    One sweep over k, gathering row k-1 of all columns stacked, fills every
-    reflex state even when reflex states feed each other, since occupancy
-    at k depends only on period k-1.  Inferred occupancies start at zero
-    for k = 0.  The single exit count of a reflex state equals its
-    occupancy.  Tabulated reflex occupancy columns are kept as-is;
+    Inferred occupancies start at zero for k = 0.  The new table's array is
+    the old one with a column per inferred occupancy added; all of them are
+    filled at every k at once, again until nothing changes, which, as
+    occupancy at k depends only on period k-1, gives each the same sums as
+    a sweep over k, even where reflex states feed each other in a cycle.
+    The single exit count of a reflex state equals its occupancy and reads
+    the same column.  Tabulated reflex occupancy columns are kept as-is;
     already-present values are never overwritten, so it is idempotent.
     """
     classes = classify_states(model)
-    occupancy = {i: col.copy() for i, col in table.occupancy.items()}
-    decrements = {pair: col.copy() for pair, col in table.decrements.items()}
     n = table.n
-
     reflex = sorted(classes.reflex)
     for r in reflex:
         if not model.predecessors(r):
             raise ValidationError(f"reflex state {r} has no inbound transition; its occupancy cannot be inferred")
 
-    todo = [r for r in reflex if r not in occupancy]
+    todo = [r for r in reflex if r not in table.occupancy]
     for r in todo:
-        occupancy[r] = np.zeros(n + 1)
         for i in model.predecessors(r):
-            if (i, r) not in decrements and i not in classes.reflex:
+            if (i, r) not in table.decrements and i not in classes.reflex:
                 raise ValidationError(f"no decrement column for transition ({i}, {r})")
-    # All columns stacked, inferred ones first; a last zero column (index -1) pads the feeders.
-    columns = {**dict.fromkeys(todo), **occupancy, **decrements}
-    index = {key: c for c, key in enumerate(columns)}
-    stack = np.array([*columns.values(), np.zeros(n + 1)]).T
+    width = table._counts.shape[1]
+    occupancy = {**{i: table._column[i] for i in table.occupancy}, **{r: width + t for t, r in enumerate(todo)}}
+    decrements = {pair: table._column[pair] for pair in table.decrements}
+    # The table's columns, then the inferred ones; the zero column 0 pads the feeders.
+    columns = np.zeros((width + len(todo), n + 1))
+    columns[:width] = table._counts.T
     feeding = [model.predecessors(r) for r in todo]
-    feeders = np.full((max(map(len, feeding), default=0), len(todo)), -1)
-    for c, (r, sources) in enumerate(zip(todo, feeding)):
-        feeders[:len(sources), c] = [index[(i, r) if (i, r) in decrements else i] for i in sources]
-    for k in range(1, n + 1):
-        stack[k, :len(todo)] = sum(stack[k - 1].take(feeders), np.zeros(len(todo)))
-    occupancy.update({r: stack[:, c].copy() for c, r in enumerate(todo)})
+    feeders = np.zeros((max(map(len, feeding), default=0), len(todo)), dtype=np.intp)
+    for t, (r, sources) in enumerate(zip(todo, feeding)):
+        feeders[:len(sources), t] = [decrements.get((i, r), occupancy.get(i)) for i in sources]
+    inferred = columns[width:, 1:]
+    for _ in range(n):  # row k is final after k rounds
+        inflow = sum((columns[sources, :-1] for sources in feeders), np.zeros(inferred.shape))
+        if np.array_equal(inflow, inferred):
+            break
+        inferred[:] = inflow
 
     for r in reflex:
-        decrements.setdefault((r, model.successors(r)[0]), occupancy[r].copy())
-    return IncrementDecrementTable(n=n, occupancy=occupancy, decrements=decrements, entry_age=table.entry_age)
+        decrements.setdefault((r, model.successors(r)[0]), occupancy[r])
+    return IncrementDecrementTable._of(n, columns.T, occupancy, decrements, table.entry_age)
 
 
 def transition_sequence(table: IncrementDecrementTable, model: StateModel) -> TransitionSequence:
     """Build the period transition matrices from table counts, on the edges
     of ``allowed_pattern``.
 
-    All transient rows are built at once from one stack of their decrement
-    columns, zero-padded to the widest out-degree: each off-diagonal entry
-    is a decrement over the occupancy, clamped to [0, 1], and the diagonal
-    is one minus those exits added in successor order.  Reflex rows route
-    all mass to the unique successor, absorbing rows keep it in place, and
-    unoccupied periods get the identity row.  The fault named is the first
-    by state (missing column first), k, successor, then the exit total.
+    All transient rows are built at once from their decrement columns,
+    gathered from the table's array and zero-padded to the widest
+    out-degree: each off-diagonal entry is a decrement over the occupancy,
+    clamped to [0, 1], and the diagonal is one minus those exits added in
+    successor order.  Reflex rows route all mass to the unique successor,
+    absorbing rows keep it in place, and unoccupied periods get the identity
+    row.  The fault named is the first by state (missing column first), k,
+    successor, then the exit total.
     """
     classes = classify_states(model)
     n = table.n
     transient = sorted(classes.transient)
+    successors = [model.successors(i) for i in transient]
     gaps = [(t, -1, f"missing occupancy column 'l_{i}'") for t, i in enumerate(transient) if i not in table.occupancy]
-    gaps += [(t, w, f"missing decrement column 'd_{i}_{j}'") for t, i in enumerate(transient)
-             for w, j in enumerate(model.successors(i)) if (i, j) not in table.decrements]
+    gaps += [(t, w, f"missing decrement column 'd_{i}_{j}'") for t, (i, js) in enumerate(zip(transient, successors))
+             for w, j in enumerate(js) if (i, j) not in table.decrements]
     stop, _, missing = min(gaps, default=(len(transient), 0, None))
-    transient = transient[:stop]
-    width = max(map(model.out_degree, transient), default=0)
+    transient, successors = transient[:stop], successors[:stop]
+    width = max(map(len, successors), default=0)
     # Padded slots point at the diagonal, which is written last; 0 / living cannot fault.
-    targets = np.array([model.successors(i) + [i] * (width - model.out_degree(i)) for i in transient], dtype=np.intp)
-    exits = np.array([[table.decrements[(i, j)][:n] for j in model.successors(i)]
-                      + [np.zeros(n)] * (width - model.out_degree(i)) for i in transient]).reshape(len(transient), width, n)
-    living = np.array([table.occupancy[i][:n] for i in transient]).reshape(len(transient), 1, n)
-    raw = np.divide(exits, living, out=np.zeros_like(exits), where=living > 0.0)
+    targets = np.array([js + [i] * (width - len(js)) for i, js in zip(transient, successors)], dtype=np.intp)
+    # Exit columns by (transient state, slot); padded slots read the zero column 0.
+    feeds = np.array([[table._column[(i, j)] for j in js] + [0] * (width - len(js))
+                      for i, js in zip(transient, successors)], dtype=np.intp).reshape(len(transient), width)
+    counts = table._counts.T[:, :n]
+    exits = counts[feeds]
+    living = counts[[table._column[i] for i in transient]].reshape(len(transient), 1, n)
+    unoccupied = living <= 0.0
+    raw = np.divide(exits, np.where(unoccupied, 1.0, living), out=exits)
+    np.copyto(raw, 0.0, where=unoccupied)
     p = np.clip(raw, 0.0, 1.0)
     diagonal = 1.0 - sum((p[:, w] for w in range(width)), np.zeros((len(transient), n)))
     faults = np.concatenate([(raw < -_PROB_TOL) | (raw > 1 + _PROB_TOL), diagonal[:, None] < -_PROB_TOL], axis=1)

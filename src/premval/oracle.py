@@ -260,6 +260,14 @@ def _step_tables(rows: np.ndarray, columns: np.ndarray, probabilities: np.ndarra
     return thresholds, np.diff(starts, axis=1)
 
 
+def _sequence_steps(seq: TransitionSequence) -> tuple[np.ndarray, np.ndarray]:
+    """``_step_tables`` of the sequence's edges, built on its first simulation
+    and kept on it; its arrays are read-only, so the tables stay its own."""
+    if "_steps" not in vars(seq):
+        vars(seq)["_steps"] = _step_tables(seq.rows, seq.columns, seq.probabilities, (seq.n_states, seq.n_states))
+    return vars(seq)["_steps"]
+
+
 def _step(thresholds: np.ndarray, lengths: np.ndarray, states: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Next 0-based states, ``#{j : cumulative[state, j] < u}``, from one
     period's (W, N) tables: the sum over slots of length x [threshold < u]."""
@@ -295,8 +303,9 @@ def simulate(seq: TransitionSequence, initial: np.ndarray, n_paths: int, master_
     Each step gathers a path's row from compact run-length tables (see
     ``_step_tables``) instead of a dense row of N cumulative values, so
     memory and time scale with the nonzeros, not with N.  The tables are
-    built from the sequence's edges, and those of ``initial`` from a one-row
-    sequence with an edge at every state, so no dense Q is ever formed.
+    built from the sequence's edges, once per sequence, and those of
+    ``initial`` from a one-row sequence with an edge at every state on every
+    call, so no dense Q is ever formed.
     ``chunk_size`` bounds the paths whose uniform draws are held at once,
     counted across all threads: T = max(1, min(cores, chunk_size // 8192))
     threads, as measured in the module docstring, each step blocks of
@@ -323,7 +332,7 @@ def simulate(seq: TransitionSequence, initial: np.ndarray, n_paths: int, master_
 
     initial_thresholds, initial_lengths = _step_tables(np.zeros(n_states, dtype=np.intp), np.arange(n_states),
                                                        initial[None], (1, n_states))
-    thresholds, lengths = _step_tables(seq.rows, seq.columns, seq.probabilities, (n_states, n_states))
+    thresholds, lengths = _sequence_steps(seq)
 
     dtype = np.int16 if n_states < 2 ** 15 else np.int32
     # Time-major, so that every step reads and writes contiguous vectors.

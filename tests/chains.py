@@ -1,7 +1,8 @@
 """Plain test helpers: the frozen three-state contract, randomized chain,
-graph and table factories for property tests, and an independent
-earliest-arrival oracle.  Test modules import them with ``from chains
-import ...``; fixtures stay in ``conftest.py``."""
+graph and table factories for property tests, an independent
+earliest-arrival oracle and the column-by-column table check kept as a
+reference.  Test modules import them with ``from chains import ...``;
+fixtures stay in ``conftest.py``."""
 
 import heapq
 from collections import defaultdict
@@ -207,3 +208,40 @@ def graduated_cycle_case(seed: int = 20261018, n_transient: int = 20, horizon: i
         np.add.at(counts, target, flows)
     header = ["k", *(f"l_{i}" for i in ring), *(f"d_{i}_{j}" for i, j in pairs)]
     return model, ",".join(header) + "\n" + "\n".join(rows) + "\n"
+
+
+def reference_table_fault(n: int, occupancy: dict, decrements: dict) -> "tuple[type, str] | None":
+    """The column-by-column check that ``IncrementDecrementTable`` ran on its
+    mappings before it owned one array of counts: the type and message of
+    what it raised, or None.  Columns in name order (occupancy by state,
+    then decrements by transition): length, then non-finite counts, then
+    negative ones; then each state's outflow, added in mapping order from
+    +0.0, against its occupancy with a 1e-9 relative slack."""
+    columns = [(f"l_{i}", col) for i, col in sorted(occupancy.items())]
+    columns += [(f"d_{i}_{j}", col) for (i, j), col in sorted(decrements.items())]
+    shaped = next((c for c, (_, column) in enumerate(columns) if column.shape != (n + 1,)), len(columns))
+    stacked = np.array([column for _, column in columns[:shaped]] + [np.zeros(n + 1)])
+    faulty = np.flatnonzero(~np.isfinite(stacked).all(axis=1) | (stacked < 0).any(axis=1))
+    if faulty.size:
+        name, column = columns[faulty[0]]
+        if not np.isfinite(column).all():
+            return pv.ValidationError, f"non-finite count in column {name!r}"
+        return pv.ValidationError, f"negative count at k={int(np.argmax(column < 0))}, column {name!r}"
+    if shaped < len(columns):
+        name, column = columns[shaped]
+        return pv.ValidationError, f"column {name!r} has {column.shape[0]} rows, expected {n + 1}"
+    position = {key: c for c, key in enumerate([*sorted(occupancy), *sorted(decrements)])}
+    leaving: dict = {i: [] for i in occupancy}
+    for (i, j) in decrements:
+        if i in leaving:
+            leaving[i].append(position[(i, j)])
+    width = max(map(len, leaving.values()), default=0)
+    feeds = np.array([c + [-1] * (width - len(c)) for c in leaving.values()], dtype=np.intp)
+    feeds = feeds.reshape(len(leaving), width)
+    outflow = sum((stacked[feeds[:, w]] for w in range(width)), np.zeros((len(leaving), n + 1)))
+    living = stacked[[position[i] for i in leaving]].reshape(outflow.shape)
+    bad = outflow > living + 1e-9 * np.maximum(1.0, living)
+    if bad.any():
+        s, k = np.argwhere(bad)[0]
+        return pv.ValidationError, f"decrement exceeds occupancy at k={k} for state {list(leaving)[s]}"
+    return None
