@@ -27,11 +27,12 @@ against the distribution or the simulated paths.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, ValidationError, read_text
+from .errors import ParseError, ValidationError, _integer, read_text
 from .statemodel import ArrivalOffsets
 
 #: Number of states in the dread-disease layout used by the builders.
@@ -43,7 +44,12 @@ TERMINAL_STATES = frozenset({3, 4, 5, 6})
 
 @dataclass(frozen=True)
 class CashflowMatrix:
-    """Signed per-period, per-state amounts; shape (n+1, N)."""
+    """Signed per-period, per-state amounts; shape (n+1, N).
+
+    The constructor checks the matrix once, where it enters; only a builder
+    whose output no argument can make fail the check skips it, through
+    :meth:`_of` (the builders are listed in ``tests/test_cashflow.py``).
+    """
 
     matrix: np.ndarray
 
@@ -57,6 +63,13 @@ class CashflowMatrix:
             raise ValidationError("cash-flow matrix has no states")
         if not np.isfinite(c).all():
             raise ValidationError("non-finite cash-flow amount")
+
+    @classmethod
+    def _of(cls, matrix: np.ndarray) -> "CashflowMatrix":
+        """``matrix`` unchecked: only for a matrix that the check cannot refuse."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "matrix", matrix)
+        return c
 
     @property
     def n(self) -> int:
@@ -83,22 +96,29 @@ class CashflowEntry:
 
 
 def _periods(n: int) -> int:
+    n = _integer("horizon n", n)
     if n < 0:
         raise ValidationError(f"horizon n={n} is negative")
     return n + 1
 
 
 def build_cashflow(entries, n: int, n_states: int) -> CashflowMatrix:
-    """Accumulate entries into a matrix; overlapping entries add up."""
-    c = np.zeros((_periods(n), max(n_states, 0)))
+    """Accumulate entries into a matrix; overlapping entries add up, and the matrix checks the sums."""
+    periods = _periods(n)
+    c = np.zeros((periods, max(n_states, 0)))
     for e in entries:
-        if not 1 <= e.state <= n_states:
+        state = _integer("state", e.state)
+        if not 1 <= state <= n_states:
             raise ValidationError(f"state {e.state} out of range 1..{n_states}")
-        if not 0 <= e.k_start <= e.k_end <= n + 1:
-            raise ValidationError(f"period range [{e.k_start}, {e.k_end}) out of range 0..{n + 1}")
-        if not np.isfinite(e.amount):
-            raise ValidationError(f"non-finite amount for state {e.state}")
-        c[e.k_start:e.k_end, e.state - 1] += e.amount
+        k_start, k_end = _integer("period", e.k_start), _integer("period", e.k_end)
+        if not 0 <= k_start <= k_end <= periods:
+            raise ValidationError(f"period range [{e.k_start}, {e.k_end}) out of range 0..{periods}")
+        try:
+            if not math.isfinite(e.amount):
+                raise ValidationError(f"non-finite amount for state {e.state}")
+            c[k_start:k_end, state - 1] += e.amount
+        except (TypeError, OverflowError):
+            raise ValidationError(f"amount {e.amount!r} for state {e.state} is not a real number") from None
     return CashflowMatrix(c)
 
 
@@ -140,7 +160,7 @@ def accelerated_benefit(acceleration: float, n: int) -> CashflowMatrix:
     c[1:, 2] = acceleration        # state 3, reachable from k = 1
     c[1:, 6] = 1.0                 # state 7, reachable from k = 1
     c[2:, 8] = 1.0 - acceleration  # state 9, reachable from k = 2
-    return CashflowMatrix(c)
+    return CashflowMatrix._of(c)   # amounts in [0, 1], n + 1 >= 1 periods
 
 
 def ceased_cover_states(acceleration: float) -> frozenset[int]:
@@ -187,21 +207,28 @@ def premium_selector(pay_states, offsets: ArrivalOffsets, m: int, n: int,
     through m-1, so a state not reachable before m never collects.  With
     nowhere to collect, the premium is undefined.
     """
+    n, m = _integer("horizon n", n), _integer("premium horizon m", m)
     if not 1 <= m <= n:
         raise ValidationError(f"premium horizon m={m} out of range 1..{n}")
-    pay = sorted(set(pay_states))
+    pay = sorted(set(pay_states), key=lambda s: _integer("pay state", s))
     selector = np.zeros((n + 1, n_states))
+    payable = False
     for s in pay:
         if not 1 <= s <= n_states:
             raise ValidationError(f"pay state {s} out of range 1..{n_states}")
         if offsets.payable(s, m):
             selector[offsets.offset(s):m, s - 1] = 1.0
-    if not selector.any():
+            payable = True
+    if not payable:
         raise ValidationError(f"no payable state: none of {pay} is reachable before m={m}")
-    return CashflowMatrix(selector)
+    return CashflowMatrix._of(selector)  # zeros and ones, n >= 1 and a payable state
 
 
 def premium_outflow(premium: float, pay_states, offsets: ArrivalOffsets, m: int,
                     n: int, n_states: int) -> CashflowMatrix:
     """Outflow matrix of a period premium: ``-premium`` wherever the selector is one."""
-    return CashflowMatrix(-premium * premium_selector(pay_states, offsets, m, n, n_states).matrix)
+    selector = premium_selector(pay_states, offsets, m, n, n_states).matrix
+    # The selector holds a one, so the outflow is finite just when the premium is.
+    if not np.isfinite(premium):
+        raise ValidationError("non-finite cash-flow amount")
+    return CashflowMatrix._of(-premium * selector)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package, and the one reader of input files."""
+"""Exception types shared across the package, the one reader of input files, and
+the check that a state, period or count is an integer."""
+
+import operator
 
 
 class PremvalError(Exception):
@@ -21,3 +24,11 @@ def read_text(path, what: str) -> str:
             return handle.read()
     except (OSError, ValueError) as exc:
         raise ParseError(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int (numpy integers included); a ValidationError naming it if it is not one."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {type(value).__name__} {value}") from None

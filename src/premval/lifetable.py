@@ -261,7 +261,7 @@ def _parse_header(names: list[str]) -> tuple[dict[int, int], dict[tuple[int, int
 
 
 def _records(stream):
-    """The csv records of a table stream, blank and comment lines skipped."""
+    """The csv records of a table stream or list of lines, blank and comment lines skipped."""
     reader = csv.reader(stream)
     try:
         yield from (r for r in reader if r and not r[0].lstrip().startswith("#"))
@@ -288,6 +288,27 @@ def _row_by_row(rows: list[list[str]], width: int) -> np.ndarray:
     return data
 
 
+def _header_and_body(text: str) -> "tuple[list[str] | None, str]":
+    """The first csv record of a table text and the text after it, line ends
+    translated to ``\n`` as a universal-newline stream does; a ParseError if csv
+    refuses a line it reads.  Lines are read one at a time up to the header,
+    unless one holds a quote, which may open a field running past the line end:
+    csv then reads the rest as a stream."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        if '"' in text[start:end]:
+            stream = io.StringIO(text[start:])
+            return next(_records(stream), None), stream.read()
+        header = next(_records([text[start:end]]), None)
+        if header is not None:
+            return header, text[end:]
+        start = end
+    return None, ""
+
+
 def _plain_table(text: str) -> "tuple[list[str], np.ndarray] | None":
     """The header record and the body with column k zeroed, when the body is plain;
     else None.  Never raises.
@@ -298,12 +319,10 @@ def _plain_table(text: str) -> "tuple[list[str], np.ndarray] | None":
     in order.  numpy's C reader then gives the values ``float()`` gives, and the
     loop of :func:`_row_by_row` would have raised nothing.
     """
-    stream = io.StringIO(text, newline=None)
     try:
-        header = next(_records(stream), None)
+        header, body = _header_and_body(text)
     except ParseError:
         return None
-    body = stream.read()  # after the header's record, line ends already \n
     if header is None or not body.isascii() or body.encode().translate(None, _PLAIN):
         return None
     lines = body.split()

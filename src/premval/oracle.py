@@ -39,7 +39,6 @@ few thresholds per row instead of N.
 
 from __future__ import annotations
 
-import operator
 import os
 import threading
 from dataclasses import dataclass
@@ -47,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cashflow import CashflowMatrix, premium_selector
-from .errors import ValidationError
+from .errors import ValidationError, _integer
 from .lifetable import DistributionMatrix, TransitionSequence, initial_distribution
 from .statemodel import ArrivalOffsets
 from .valuation import DiscountVector, _check_inflows
@@ -73,7 +72,7 @@ class PathEnsemble:
 
     States are numbered 1..N, as in the model; an ensemble holding a state
     below 1 is refused, and the estimators refuse one above their N,
-    because they index cash flows by ``state - 1``.
+    because they index tables by the state, with an unused row 0.
 
     ``simulate`` stores the states time-major: ``paths`` is the transpose of
     a C-contiguous (n+1, n_paths) array, so ``paths.T[k]``, the state of
@@ -279,13 +278,6 @@ def _step(thresholds: np.ndarray, lengths: np.ndarray, states: np.ndarray, u: np
     return following
 
 
-def _integer(name: str, value) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValidationError(f"{name} must be an integer, got {type(value).__name__} {value}") from None
-
-
 def simulate(seq: TransitionSequence, initial: np.ndarray, n_paths: int, master_seed: int,
              chunk_size: int = CHUNK_SIZE) -> PathEnsemble:
     """Draw state paths X(0..n) under the period transition matrices.
@@ -368,13 +360,16 @@ def _path_totals(ensemble: PathEnsemble, cashflows: list[CashflowMatrix],
     if any(c.matrix.shape[0] != n + 1 for c in cashflows) or discount.values.shape[0] != n + 1:
         raise ValidationError("cash-flow or discount shape does not match the ensemble horizon")
     ensemble._check_states_up_to(cashflows[0].n_states)
-    weighted = discount.values[:, None, None] * np.stack([c.matrix for c in cashflows], axis=2)
+    # Row s of weighted[k] is state s's cash, so the 1-based states index it; row 0 is never read.
+    stacked = np.stack([c.matrix for c in cashflows], axis=2)
+    weighted = np.zeros((n + 1, stacked.shape[1] + 1, len(cashflows)))
+    np.multiply(discount.values[:, None, None], stacked, out=weighted[:, 1:])
     totals = np.zeros((ensemble.n_paths, len(cashflows)))
 
     def add_block(worker: int, start: int, stop: int):
         block = totals[start:stop]
         for k, states in enumerate(ensemble.paths.T):
-            block += weighted[k].take(states[start:stop] - 1, axis=0)
+            block += weighted[k].take(states[start:stop], axis=0)
 
     _run_blocks(add_block, *_path_blocks(ensemble.n_paths, CHUNK_SIZE))
     return np.ascontiguousarray(totals.T)
@@ -422,11 +417,12 @@ def empirical_distribution(ensemble: PathEnsemble, n_states: int) -> np.ndarray:
     ensemble._check_states_up_to(n_states)
 
     def count_block(worker: int, start: int, stop: int) -> np.ndarray:
-        return np.stack([np.bincount(states[start:stop] - 1, minlength=n_states)
+        # Counted by the 1-based state, so column 0 stays zero.
+        return np.stack([np.bincount(states[start:stop], minlength=n_states + 1)
                          for states in ensemble.paths.T])
 
     counts = _run_blocks(count_block, *_path_blocks(ensemble.n_paths, CHUNK_SIZE))
-    return sum(counts, np.zeros((ensemble.n + 1, n_states), dtype=np.intp)) / ensemble.n_paths
+    return sum(counts, np.zeros((ensemble.n + 1, n_states + 1), dtype=np.intp))[:, 1:] / ensemble.n_paths
 
 
 def frequency_vs_distribution(ensemble: PathEnsemble, dist: DistributionMatrix) -> tuple[float, float]:

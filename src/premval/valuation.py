@@ -11,6 +11,10 @@ period-premium denominators take one contraction of a 0/1 selector: one state
 over an interval, or :func:`~premval.cashflow.premium_selector`, whose states
 collect from their earliest arrival after the chain's start.  All interval
 arguments are half-open: [k1, k2) covers payments at times k1, ..., k2 - 1.
+
+Matrices and vectors are checked where they are made; the functions here
+check only what they add: matching shapes, nonnegative inflows and a
+nonzero annuity.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cashflow import CashflowEntry, CashflowMatrix, build_cashflow, premium_selector
-from .errors import ParseError, ValidationError, read_text
+from .errors import ParseError, ValidationError, _integer, read_text
 from .lifetable import DistributionMatrix
 from .statemodel import ArrivalOffsets
 
@@ -38,7 +42,7 @@ class DiscountVector:
         v = self.values
         if v.ndim != 1 or v.shape[0] < 1:
             raise ValidationError("discount vector must be a nonempty 1-D array")
-        if not np.all(np.isfinite(v)) or np.any(v <= 0):
+        if not (v.min() > 0 and v.max() < np.inf):  # NaN fails both
             raise ValidationError("discount factors must be positive and finite")
         if abs(v[0] - 1.0) > _M0_TOL:
             raise ValidationError(f"m_0 must equal 1, got {float(v[0])!r}")
@@ -86,7 +90,7 @@ def constant_rate_discount(n: int, v: "float | None" = None, rate: "float | None
         v = 1.0 / (1.0 + rate)
     if not 0.0 < v <= 1.0:
         raise ValidationError(f"discount factor {v!r} outside (0, 1]")
-    return DiscountVector(np.asarray(v, dtype=float) ** np.arange(n + 1))
+    return DiscountVector(np.asarray(v, dtype=float) ** np.arange(_integer("horizon n", n) + 1))
 
 
 def parse_discount_text(text: str, n: int) -> DiscountVector:
@@ -123,13 +127,15 @@ def _check_shapes(c: CashflowMatrix, dist: DistributionMatrix, discount: Discoun
 def expected_pv(c: CashflowMatrix, dist: DistributionMatrix, discount: DiscountVector) -> float:
     """Expected present value of the cash flows under the distribution."""
     _check_shapes(c, dist, discount)
-    return float(discount.values @ np.sum(c.matrix * dist.matrix, axis=1))
+    return float(discount.values @ (c.matrix * dist.matrix).sum(axis=1))
 
 
 def _check_inflows(c_in: CashflowMatrix):
-    if np.any(c_in.matrix < 0):
-        k, j = np.unravel_index(int(np.argmin(c_in.matrix)), c_in.matrix.shape)
-        raise ValidationError(f"negative entry {float(c_in.matrix[k, j])!r} at (k={k}, state={j + 1}) in inflow matrix")
+    c = c_in.matrix
+    # One pass when no entry is negative; a NaN, only in a matrix changed after its check, takes both.
+    if not c.min() >= 0 and (c < 0).any():
+        k, j = np.unravel_index(int(np.argmin(c)), c.shape)
+        raise ValidationError(f"negative entry {float(c[k, j])!r} at (k={k}, state={j + 1}) in inflow matrix")
 
 
 def net_single_premium(c_in: CashflowMatrix, dist: DistributionMatrix, discount: DiscountVector) -> PremiumResult:
@@ -159,7 +165,8 @@ def annuity_due(dist: DistributionMatrix, discount: DiscountVector, state: int, 
 
 def _period_result(c_in: CashflowMatrix, dist: DistributionMatrix, discount: DiscountVector,
                    selector: CashflowMatrix, pay: frozenset, m: int) -> PremiumResult:
-    numerator = net_single_premium(c_in, dist, discount).value
+    _check_inflows(c_in)
+    numerator = expected_pv(c_in, dist, discount)
     denominator = _contract(selector, dist, discount)
     if denominator == 0.0:
         raise ValidationError("premium annuity value is zero; the premium is undefined")
@@ -170,7 +177,7 @@ def _period_result(c_in: CashflowMatrix, dist: DistributionMatrix, discount: Dis
 def period_premium_initial(c_in: CashflowMatrix, dist: DistributionMatrix, discount: DiscountVector,
                            m: int, initial_state: int = 1) -> PremiumResult:
     """Net period premium payable in the initial state at times 0..m-1."""
-    if not 1 <= m <= dist.n:
+    if not 1 <= _integer("premium horizon m", m) <= dist.n:
         raise ValidationError(f"premium horizon m={m} out of range 1..{dist.n}")
     selector = build_cashflow([CashflowEntry(initial_state, 0, m, 1.0)], dist.n, dist.n_states)
     return _period_result(c_in, dist, discount, selector, frozenset({initial_state}), m)

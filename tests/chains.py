@@ -1,8 +1,10 @@
 """Plain test helpers: the frozen three-state contract, randomized chain,
 graph and table factories for property tests, an independent
-earliest-arrival oracle and the column-by-column table check kept as a
-reference.  Test modules import them with ``from chains import ...``;
-fixtures stay in ``conftest.py``."""
+earliest-arrival oracle, and two references kept from earlier versions of
+the library: the column-by-column table check, and the quote path that
+checked every cash-flow matrix and discount vector in full.  Test modules
+import them with ``from chains import ...``; fixtures stay in
+``conftest.py``."""
 
 import heapq
 from collections import defaultdict
@@ -245,3 +247,84 @@ def reference_table_fault(n: int, occupancy: dict, decrements: dict) -> "tuple[t
         s, k = np.argwhere(bad)[0]
         return pv.ValidationError, f"decrement exceeds occupancy at k={k} for state {list(leaving)[s]}"
     return None
+
+
+# The quote path as it was while every builder's matrix went through the full
+# ``CashflowMatrix`` check and the checks used numpy's wrapper functions.
+# States, periods and horizons are taken as they come, so the references are
+# only meant for integer ones.
+
+
+def reference_build_cashflow(entries, n: int, n_states: int) -> pv.CashflowMatrix:
+    if n < 0:
+        raise pv.ValidationError(f"horizon n={n} is negative")
+    c = np.zeros((n + 1, max(n_states, 0)))
+    for e in entries:
+        if not 1 <= e.state <= n_states:
+            raise pv.ValidationError(f"state {e.state} out of range 1..{n_states}")
+        if not 0 <= e.k_start <= e.k_end <= n + 1:
+            raise pv.ValidationError(f"period range [{e.k_start}, {e.k_end}) out of range 0..{n + 1}")
+        if not np.isfinite(e.amount):
+            raise pv.ValidationError(f"non-finite amount for state {e.state}")
+        c[e.k_start:e.k_end, e.state - 1] += e.amount
+    return pv.CashflowMatrix(c)
+
+
+def reference_accelerated_benefit(acceleration: float, n: int) -> pv.CashflowMatrix:
+    if not 0.0 <= acceleration <= 1.0:
+        raise pv.ValidationError(f"acceleration share {acceleration!r} outside [0, 1]")
+    if n < 0:
+        raise pv.ValidationError(f"horizon n={n} is negative")
+    c = np.zeros((n + 1, 10))
+    c[1:, 2] = acceleration
+    c[1:, 6] = 1.0
+    c[2:, 8] = 1.0 - acceleration
+    return pv.CashflowMatrix(c)
+
+
+def reference_premium_selector(pay_states, offsets, m: int, n: int, n_states: int) -> pv.CashflowMatrix:
+    if not 1 <= m <= n:
+        raise pv.ValidationError(f"premium horizon m={m} out of range 1..{n}")
+    pay = sorted(set(pay_states))
+    selector = np.zeros((n + 1, n_states))
+    for s in pay:
+        if not 1 <= s <= n_states:
+            raise pv.ValidationError(f"pay state {s} out of range 1..{n_states}")
+        if offsets.payable(s, m):
+            selector[offsets.offset(s):m, s - 1] = 1.0
+    if not selector.any():
+        raise pv.ValidationError(f"no payable state: none of {pay} is reachable before m={m}")
+    return pv.CashflowMatrix(selector)
+
+
+def reference_premium_outflow(premium: float, pay_states, offsets, m: int, n: int,
+                              n_states: int) -> pv.CashflowMatrix:
+    return pv.CashflowMatrix(-premium * reference_premium_selector(pay_states, offsets, m, n, n_states).matrix)
+
+
+def reference_discount_fault(values: np.ndarray) -> "tuple[type, str] | None":
+    """The type and message of what ``DiscountVector`` raised on ``values``, or None."""
+    if values.ndim != 1 or values.shape[0] < 1:
+        return pv.ValidationError, "discount vector must be a nonempty 1-D array"
+    if not np.all(np.isfinite(values)) or np.any(values <= 0):
+        return pv.ValidationError, "discount factors must be positive and finite"
+    if abs(values[0] - 1.0) > 1e-12:
+        return pv.ValidationError, f"m_0 must equal 1, got {float(values[0])!r}"
+    return None
+
+
+def reference_check_inflows(c_in: pv.CashflowMatrix):
+    if np.any(c_in.matrix < 0):
+        k, j = np.unravel_index(int(np.argmin(c_in.matrix)), c_in.matrix.shape)
+        raise pv.ValidationError(
+            f"negative entry {float(c_in.matrix[k, j])!r} at (k={k}, state={j + 1}) in inflow matrix")
+
+
+def reference_expected_pv(c: pv.CashflowMatrix, dist, discount) -> float:
+    if c.matrix.shape != dist.matrix.shape:
+        raise pv.ValidationError(
+            f"cash-flow shape {c.matrix.shape} does not match distribution shape {dist.matrix.shape}")
+    if discount.values.shape[0] != dist.matrix.shape[0]:
+        raise pv.ValidationError(
+            f"discount vector length {discount.values.shape[0]} does not match horizon {dist.matrix.shape[0] - 1}")
+    return float(discount.values @ np.sum(c.matrix * dist.matrix, axis=1))

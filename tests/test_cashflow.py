@@ -1,10 +1,29 @@
 """Cash-flow matrices: builders for the dread-disease contracts, the file
-format, the premium selector and premium outflows."""
+format, the premium selector and premium outflows, the integer check of
+their states, periods and horizons, and the builders allowed to skip the
+matrix check."""
+
+import ast
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import premval as pv
+
+SRC = Path(pv.__file__).parent
+
+#: The builders that make a CashflowMatrix without its check, each with the
+#: reason no argument can give it a matrix the check would refuse.
+UNCHECKED_BUILDERS = {
+    ("cashflow", "accelerated_benefit"):
+        "its amounts are the share, 1 and 1 - share, with the share checked in [0, 1], on n + 1 >= 1 periods",
+    ("cashflow", "premium_selector"):
+        "its amounts are 0 and 1, on n + 1 >= 2 periods, with a state payable before m or a refusal",
+    ("cashflow", "premium_outflow"):
+        "its amounts are -premium times a selector holding a one, after the premium is checked finite",
+}
 
 
 class TestCashflowMatrix:
@@ -200,3 +219,90 @@ class TestPremiumOutflow:
         offsets = pv.shortest_arrival(model)
         c = pv.premium_outflow(1.0, {1, 3}, offsets, m=2, n=2, n_states=3)
         np.testing.assert_array_equal(c.matrix[:, 2], np.zeros(3))
+
+    @pytest.mark.parametrize("premium", [np.nan, np.inf, -np.inf])
+    def test_non_finite_premium_refused_without_a_warning(self, dread, premium):
+        # The suite turns numpy's RuntimeWarning into an error, so this also shows none is raised.
+        with pytest.raises(pv.ValidationError, match="^non-finite cash-flow amount$"):
+            pv.premium_outflow(premium, {1}, dread.offsets, 10, 25, 10)
+
+
+class TestIntegerArguments:
+    """States, periods, m and n must be integers (numpy integers included) and
+    amounts real numbers; anything else is a ValidationError naming it."""
+
+    def test_fractional_pay_state(self, dread):
+        with pytest.raises(pv.ValidationError, match=r"^pay state must be an integer, got float 1\.5$"):
+            pv.premium_selector({1.5}, dread.offsets, 10, 25, 10)
+
+    def test_pay_states_of_mixed_types(self, dread):
+        with pytest.raises(pv.ValidationError, match=r"^pay state must be an integer, got str 2$"):
+            pv.premium_selector({1, "2"}, dread.offsets, 10, 25, 10)
+
+    def test_integral_float_pay_state(self, dread):
+        with pytest.raises(pv.ValidationError, match=r"^pay state must be an integer, got float 2\.0$"):
+            pv.premium_selector({2.0}, dread.offsets, 10, 25, 10)
+
+    def test_float_premium_horizon(self, dread):
+        with pytest.raises(pv.ValidationError, match=r"^premium horizon m must be an integer, got float 10\.0$"):
+            pv.premium_selector({1}, dread.offsets, 10.0, 25, 10)
+
+    def test_float_premium_horizon_in_period_premium(self, dread):
+        c_in = pv.accelerated_benefit(0.5, 25)
+        with pytest.raises(pv.ValidationError, match=r"^premium horizon m must be an integer, got float 20\.0$"):
+            pv.period_premium(c_in, dread.dist, dread.discount, {1}, dread.offsets, 20.0)
+
+    def test_float_state_in_an_entry(self):
+        with pytest.raises(pv.ValidationError, match=r"^state must be an integer, got float 2\.0$"):
+            pv.build_cashflow([pv.CashflowEntry(2.0, 0, 5, 1.0)], 25, 10)
+
+    def test_float_state_in_annuity_due(self, dread):
+        with pytest.raises(pv.ValidationError, match=r"^state must be an integer, got float 2\.0$"):
+            pv.annuity_due(dread.dist, dread.discount, 2.0, 0, 5)
+
+    def test_fractional_period_in_an_entry(self):
+        with pytest.raises(pv.ValidationError, match=r"^period must be an integer, got float 1\.5$"):
+            pv.build_cashflow([pv.CashflowEntry(2, 1.5, 5, 1.0)], 25, 10)
+
+    @pytest.mark.parametrize("amount", ["1", None, 1j])
+    def test_amount_that_is_not_a_real_number(self, amount):
+        with pytest.raises(pv.ValidationError, match=rf"^amount {re.escape(repr(amount))} for state 2 is not a real number$"):
+            pv.build_cashflow([pv.CashflowEntry(2, 1, 5, amount)], 25, 10)
+
+    def test_float_horizon_in_accelerated_benefit(self):
+        with pytest.raises(pv.ValidationError, match=r"^horizon n must be an integer, got float 25\.0$"):
+            pv.accelerated_benefit(0.5, 25.0)
+
+    def test_numpy_integers_give_the_same_matrices(self, dread):
+        i = np.int64
+        assert (pv.premium_selector({i(2), i(3)}, dread.offsets, i(10), i(25), i(10)).matrix.tobytes()
+                == pv.premium_selector({2, 3}, dread.offsets, 10, 25, 10).matrix.tobytes())
+        entries = [pv.CashflowEntry(i(2), i(1), i(5), np.float64(0.5)), pv.CashflowEntry(np.int16(3), 0, i(26), 1)]
+        assert (pv.build_cashflow(entries, i(25), i(10)).matrix.tobytes()
+                == pv.build_cashflow([pv.CashflowEntry(2, 1, 5, 0.5), pv.CashflowEntry(3, 0, 26, 1)], 25, 10)
+                .matrix.tobytes())
+        assert pv.accelerated_benefit(0.5, i(25)).matrix.tobytes() == pv.accelerated_benefit(0.5, 25).matrix.tobytes()
+
+
+def unchecked_constructions():
+    """(module, function) of every ``CashflowMatrix._of`` in the package, and of
+    every ``_of`` or ``__new__`` reached from inside the class itself."""
+    for source in sorted(SRC.glob("*.py")):
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        function: dict = {}
+        in_class: dict = {}
+        for node in ast.walk(tree):  # breadth first, so a parent comes before its children
+            for child in ast.iter_child_nodes(node):
+                function[child] = node.name if isinstance(node, ast.FunctionDef) else function.get(node)
+                in_class[child] = node.name if isinstance(node, ast.ClassDef) else in_class.get(node)
+            if isinstance(node, ast.Attribute) and node.attr in {"_of", "__new__"}:
+                named = getattr(node.value, "id", None) == "CashflowMatrix" or in_class.get(node) == "CashflowMatrix"
+                if named and function.get(node) != "_of":
+                    yield source.stem, function.get(node)
+            if isinstance(node, ast.Call) and any(getattr(arg, "id", None) == "CashflowMatrix" for arg in node.args):
+                if getattr(node.func, "attr", None) == "__new__":
+                    yield source.stem, function.get(node)
+
+
+def test_only_the_listed_builders_skip_the_cash_flow_check():
+    assert sorted(set(unchecked_constructions())) == sorted(UNCHECKED_BUILDERS)

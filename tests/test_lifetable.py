@@ -1,13 +1,24 @@
 """Table loading, one-period-state inference, transition sequences and
 occupancy distributions."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import premval as pv
 import premval.fixtures as fx
+from premval import lifetable
 from chains import (THREE_STATE_TABLE, graduated_cycle_case, large_chain_case, make_three_state_model,
                     random_table_case)
+
+
+def columns(table) -> list:
+    return [*table.occupancy.values(), *table.decrements.values()]
+
+
+def refuse_the_csv_loop(*args):
+    raise AssertionError("the csv loop read a plain table body")
 
 
 class TestLoadTable:
@@ -74,6 +85,21 @@ class TestLoadTable:
     def test_decrement_exceeding_occupancy_rejected(self, model3):
         with pytest.raises(pv.ValidationError, match="exceeds occupancy at k=0"):
             pv.load_table("k,l_1,d_1_2\n0,100,101\n1,0,0\n", model3)
+
+    @pytest.mark.parametrize("text", [THREE_STATE_TABLE.replace("\n", "\r"), THREE_STATE_TABLE.replace("\n", "\r\n"),
+                                      "# cohort, 2026\n\n  # graduated\n" + THREE_STATE_TABLE],
+                             ids=["CR", "CRLF", "comments"])
+    def test_plain_table_header_is_split_off_without_a_stream(self, model3, monkeypatch, text):
+        want = [column.tobytes() for column in columns(pv.load_table(THREE_STATE_TABLE, model3))]
+        monkeypatch.setattr(lifetable, "_row_by_row", refuse_the_csv_loop)
+        monkeypatch.setattr(lifetable, "io", SimpleNamespace())  # no io.StringIO to copy the text into
+        assert [column.tobytes() for column in columns(pv.load_table(text, model3))] == want
+
+    def test_a_quoted_comment_runs_across_lines_before_the_header(self, model3, monkeypatch):
+        want = [column.tobytes() for column in columns(pv.load_table(THREE_STATE_TABLE, model3))]
+        monkeypatch.setattr(lifetable, "_row_by_row", refuse_the_csv_loop)
+        text = '"# cohort\nk,l_9,d_9_1 is still the comment"\n' + THREE_STATE_TABLE
+        assert [column.tobytes() for column in columns(pv.load_table(text, model3))] == want
 
 
 class TestInferReflexColumns:

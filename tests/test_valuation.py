@@ -31,6 +31,11 @@ class TestDiscountVector:
         with pytest.raises(pv.ValidationError, match=f"interest rate {rate!r} must exceed -1"):
             pv.constant_rate_discount(3, rate=rate)
 
+    @pytest.mark.parametrize("n", [2.5, 25.0, "25"])
+    def test_horizon_must_be_an_integer(self, n):
+        with pytest.raises(pv.ValidationError, match=f"^horizon n must be an integer, got {type(n).__name__} {n}$"):
+            pv.constant_rate_discount(n, rate=0.01)
+
     def test_first_factor_must_be_one(self):
         with pytest.raises(pv.ValidationError, match=r"^m_0 must equal 1, got 0\.99$"):
             pv.DiscountVector(np.array([0.99, 0.98]))
@@ -160,6 +165,10 @@ class TestPeriodPremium:
         offsets = pv.shortest_arrival(chain3.model)
         with pytest.raises(pv.ValidationError, match="premium horizon"):
             pv.period_premium(claim_cash3, chain3.dist, geometric_discount3, {1}, offsets, m=0)
+
+    def test_initial_state_premium_horizon_must_be_an_integer(self, chain3, claim_cash3, geometric_discount3):
+        with pytest.raises(pv.ValidationError, match=r"^premium horizon m must be an integer, got float 2\.0$"):
+            pv.period_premium_initial(claim_cash3, chain3.dist, geometric_discount3, m=2.0)
 
     def test_no_payable_state(self, chain3, claim_cash3, geometric_discount3):
         offsets = pv.shortest_arrival(chain3.model)
