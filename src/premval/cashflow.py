@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, ValidationError, _integer, read_text
+from .errors import ParseError, ValidationError, _integer, _read_only, read_text
 from .statemodel import ArrivalOffsets
 
 #: Number of states in the dread-disease layout used by the builders.
@@ -49,12 +49,15 @@ class CashflowMatrix:
     The constructor checks the matrix once, where it enters; only a builder
     whose output no argument can make fail the check skips it, through
     :meth:`_of` (the builders are listed in ``tests/test_cashflow.py``).
+    ``matrix`` is read-only, so a checked matrix stays as checked: a view of
+    the array given to the constructor, or the builder's own array.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        c = self.matrix
+        c = _read_only(self.matrix)
+        object.__setattr__(self, "matrix", c)
         if c.ndim != 2:
             raise ValidationError(f"cash-flow matrix must be 2-D, got shape {c.shape}")
         if c.shape[0] == 0:
@@ -66,7 +69,9 @@ class CashflowMatrix:
 
     @classmethod
     def _of(cls, matrix: np.ndarray) -> "CashflowMatrix":
-        """``matrix`` unchecked: only for a matrix that the check cannot refuse."""
+        """``matrix``, made read-only, unchecked: only for a builder's own matrix that
+        the check cannot refuse."""
+        matrix.setflags(write=False)
         c = object.__new__(cls)
         object.__setattr__(c, "matrix", matrix)
         return c
@@ -104,7 +109,7 @@ def _periods(n: int) -> int:
 
 def build_cashflow(entries, n: int, n_states: int) -> CashflowMatrix:
     """Accumulate entries into a matrix; overlapping entries add up, and the matrix checks the sums."""
-    periods = _periods(n)
+    periods, n_states = _periods(n), _integer("state count", n_states)
     c = np.zeros((periods, max(n_states, 0)))
     for e in entries:
         state = _integer("state", e.state)
@@ -207,7 +212,7 @@ def premium_selector(pay_states, offsets: ArrivalOffsets, m: int, n: int,
     through m-1, so a state not reachable before m never collects.  With
     nowhere to collect, the premium is undefined.
     """
-    n, m = _integer("horizon n", n), _integer("premium horizon m", m)
+    n, m, n_states = _integer("horizon n", n), _integer("premium horizon m", m), _integer("state count", n_states)
     if not 1 <= m <= n:
         raise ValidationError(f"premium horizon m={m} out of range 1..{n}")
     pay = sorted(set(pay_states), key=lambda s: _integer("pay state", s))

@@ -16,10 +16,9 @@ from . import fixtures
 from .cashflow import (CashflowMatrix, accelerated_benefit, build_cashflow, ceased_cover_states,
                        dread_disease_case, load_cashflow_file, premium_outflow)
 from .errors import ParseError, PremvalError, ValidationError
-from .lifetable import build_chain, diagonal_residuals
+from .lifetable import _ROW_SUM_TOL, build_chain, diagonal_residuals
 from .oracle import CHUNK_SIZE, mc_pv, simulate
-from .statemodel import (UNREACHABLE, extend_model, format_model, load_model_file, shortest_arrival,
-                         validate_model)
+from .statemodel import UNREACHABLE, _extend_file, format_model, load_model_file, shortest_arrival, validate_model
 from .valuation import (annuity_due, constant_rate_discount, equivalence_residual, expected_pv,
                         load_discount_file, net_single_premium, period_premium)
 
@@ -83,12 +82,11 @@ def _print_matrix_csv(matrix: np.ndarray, precision: int):
 def _cmd_validate(args) -> int:
     parsed = load_model_file(args.model)
     problems = validate_model(parsed.model)
-    for (i, j) in sorted(parsed.lump_sums):
-        if (i, j) not in parsed.model.transitions:
-            problems.append(f"lump sum on missing transition ({i}, {j})")
-    for s in sorted(parsed.attachments):
-        if not 1 <= s <= parsed.model.n_states:
-            problems.append(f"attachment on unknown state {s}")
+    if not problems:
+        try:
+            _extend_file(parsed)
+        except ValidationError as exc:  # the first lump-sum or attachment fault, as extend reports it
+            problems = [str(exc)]
     if problems:
         for problem in problems:
             print(problem)
@@ -99,13 +97,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_extend(args) -> int:
     parsed = load_model_file(args.model)
-    extended, attachments = extend_model(parsed.model, parsed.lump_sums)
-    for s, amount in sorted(parsed.attachments.items()):
-        if s not in extended.state_renumbering:
-            raise ValidationError(f"attachment on unknown state {s}")
-        if extended.state_renumbering[s] in attachments:
-            raise ValidationError(f"attachment on state {s} collides with a lump sum rewritten onto it")
-        attachments[extended.state_renumbering[s]] = amount
+    extended, attachments = _extend_file(parsed)
     text = format_model(extended, attachments=attachments)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -132,7 +124,7 @@ def _cmd_table_check(args) -> int:
     residuals = diagonal_residuals(table, model)
     print(f"ok: horizon {table.n}, {model.n_states} states, "
           f"{len(table.occupancy)} occupancy and {len(table.decrements)} decrement columns")
-    print(f"row sums of Q and D within 1e-12; {len(residuals)} period/state cells "
+    print(f"row sums of Q and D within {_ROW_SUM_TOL:g}; {len(residuals)} period/state cells "
           f"show entrant or exit flow under the alternative diagonal convention")
     return 0
 

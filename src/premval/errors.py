@@ -1,5 +1,6 @@
-"""Exception types shared across the package, the one reader of input files, and
-the check that a state, period or count is an integer."""
+"""Exception types shared across the package, the one reader of input files, the
+check that a state, period or count is an integer, and the read-only view that
+keeps a checked array as it was checked."""
 
 import operator
 
@@ -32,3 +33,10 @@ def _integer(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise ValidationError(f"{name} must be an integer, got {type(value).__name__} {value}") from None
+
+
+def _read_only(array):
+    """A read-only view of ``array``; the array itself stays as writeable as it was."""
+    view = array.view()
+    view.setflags(write=False)
+    return view

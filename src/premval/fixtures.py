@@ -19,7 +19,7 @@ from __future__ import annotations
 import importlib.resources
 from pathlib import Path
 
-from .statemodel import ModelFile, StateModel
+from .statemodel import ModelFile, StateModel, _extend_file, format_model
 
 ENTRY_AGE = 40
 HORIZON = 25
@@ -38,22 +38,11 @@ TABLE_FILE = "synthetic_table.csv"
 
 
 def dread_disease_model() -> StateModel:
-    """The ten-state model, already in state-attached (extended) form."""
-    return StateModel(
-        n_states=10,
-        transitions=frozenset({
-            (1, 2), (1, 3), (1, 7), (2, 3), (2, 7),
-            (3, 4), (3, 9), (4, 5), (4, 9), (5, 6), (5, 9), (6, 9),
-            (7, 8), (9, 10),
-        }),
-        labels={
-            1: "healthy", 2: "diagnosed local",
-            3: "terminal e<4y", 4: "terminal e<3y", 5: "terminal e<2y", 6: "terminal e<1y",
-            7: "dead other+", 8: "dead other", 9: "dead terminal+", 10: "dead terminal",
-        },
-        initial_state=1,
-        reflex=frozenset({6, 7, 9}),
-    )
+    """The ten-state model: the extension of :func:`base_dread_disease`, as the plain
+    model that the shipped extended file parses to."""
+    extended, _ = _extend_file(base_dread_disease())
+    return StateModel(extended.n_states, extended.transitions, extended.labels, extended.initial_state,
+                      extended.reflex)
 
 
 def base_dread_disease() -> ModelFile:
@@ -61,7 +50,7 @@ def base_dread_disease() -> ModelFile:
 
     A unit death benefit is payable on every transition into either death
     state, and a unit diagnosis benefit on entry into the terminal stage.
-    Extending this model reproduces :func:`dread_disease_model`.
+    Its extension is :func:`dread_disease_model`.
     """
     model = StateModel(
         n_states=8,
@@ -147,12 +136,10 @@ def bundled_path(name: str) -> Path:
 
 def write_fixture_files(directory) -> list[Path]:
     """Copy the bundled model and table files into ``directory``."""
-    from .statemodel import extend_model, format_model
-
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     base = base_dread_disease()
-    extended, attachments = extend_model(base.model, base.lump_sums)
+    extended, attachments = _extend_file(base)
     contents = {
         MODEL_FILE: format_model(extended, attachments=attachments),
         BASE_MODEL_FILE: format_model(base.model, base.lump_sums),

@@ -21,7 +21,6 @@ the dense (n, N, N) array only when ``matrices`` is read.
 from __future__ import annotations
 
 import csv
-import io
 import re
 from dataclasses import dataclass, replace
 from types import MappingProxyType
@@ -29,14 +28,17 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ParseError, ValidationError, read_text
+from .errors import ParseError, ValidationError, _integer, _read_only, read_text
 from .statemodel import ArrivalOffsets, StateClassification, StateModel, classify_states, shortest_arrival
 
 _ROW_SUM_TOL = 1e-12
 _PROB_TOL = 1e-12
 _COUNT_SLACK = 1e-9
+_RESIDUAL_TOL = 1e-9
 
 _COLUMN = re.compile(r"l_(\d+)|d_(\d+)_(\d+)")
+# One line of a table text, its "\n" kept, as a text stream yields it.
+_LINE = re.compile(r"[^\n]*\n|[^\n]+")
 # Every byte a plain table body may hold; see _plain_table.
 _PLAIN = b"0123456789.,eE+-\n"
 
@@ -75,9 +77,11 @@ class IncrementDecrementTable:
     def __post_init__(self):
         keys = [*sorted(self.occupancy), *sorted(self.decrements)]
         given = {**self.occupancy, **self.decrements}
-        if any(given[key].shape != (self.n + 1,) for key in keys):
+        try:
+            counts = np.array([np.zeros(self.n + 1), *map(given.get, keys)], dtype=float).T
+        except (TypeError, ValueError):  # a column that is not n + 1 numbers
             self._check_columns()
-        counts = np.array([np.zeros(self.n + 1), *map(given.get, keys)], dtype=float).T
+            raise
         column = {key: c for c, key in enumerate(keys, 1)}
         self._own(counts, {i: column[i] for i in self.occupancy}, {pair: column[pair] for pair in self.decrements})
 
@@ -119,9 +123,16 @@ class IncrementDecrementTable:
         return IncrementDecrementTable, (self.n, dict(self.occupancy), dict(self.decrements), self.entry_age)
 
     def _check_columns(self):
-        """Refuse the first column, in ``_columns`` order, of the wrong length or
-        with a non-finite count, then a negative one."""
+        """Refuse the first column, in ``_columns`` order, that is not a sequence of
+        numbers, or is one of the wrong length, with a non-finite count, then a
+        negative one."""
         for name, column in self._columns():
+            try:
+                column = np.asarray(column, dtype=float)
+            except (TypeError, ValueError):
+                column = None
+            if column is None or column.ndim == 0:
+                raise ValidationError(f"column {name!r} is not a sequence of {self.n + 1} counts")
             if column.shape != (self.n + 1,):
                 raise ValidationError(f"column {name!r} has {column.shape[0]} rows, expected {self.n + 1}")
             if not np.isfinite(column).all():
@@ -182,9 +193,7 @@ class TransitionSequence:
             raise ValidationError("transition sequence edges must be distinct (row, column) pairs in 0..N-1, "
                                   "sorted, with one probability per period and edge")
         for name, value in (("rows", rows), ("columns", columns), ("probabilities", p)):
-            value = value.view()
-            value.flags.writeable = False
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _read_only(value))
         object.__setattr__(self, "n_states", n_states)
         lo, hi = np.min(p, initial=0.0), np.max(p, initial=0.0)
         if not np.isfinite([lo, hi]).all():
@@ -212,12 +221,17 @@ class TransitionSequence:
 
 @dataclass(frozen=True)
 class DistributionMatrix:
-    """Row k holds the state distribution of the process at time k."""
+    """Row k holds the state distribution of the process at time k.
+
+    ``matrix`` is a read-only view of the array given, so a checked
+    distribution stays as checked.
+    """
 
     matrix: np.ndarray  # shape (n+1, N)
 
     def __post_init__(self):
-        d = self.matrix
+        d = _read_only(self.matrix)
+        object.__setattr__(self, "matrix", d)
         if d.ndim != 2:
             raise ValidationError(f"distribution matrix must be 2-D, got shape {d.shape}")
         if not np.all(np.isfinite(d)):
@@ -260,9 +274,8 @@ def _parse_header(names: list[str]) -> tuple[dict[int, int], dict[tuple[int, int
     return l_columns, d_columns
 
 
-def _records(stream):
-    """The csv records of a table stream or list of lines, blank and comment lines skipped."""
-    reader = csv.reader(stream)
+def _records(reader):
+    """The records of a csv reader over a table's lines, blank and comment lines skipped."""
     try:
         yield from (r for r in reader if r and not r[0].lstrip().startswith("#"))
     except csv.Error as exc:
@@ -288,30 +301,9 @@ def _row_by_row(rows: list[list[str]], width: int) -> np.ndarray:
     return data
 
 
-def _header_and_body(text: str) -> "tuple[list[str] | None, str]":
-    """The first csv record of a table text and the text after it, line ends
-    translated to ``\n`` as a universal-newline stream does; a ParseError if csv
-    refuses a line it reads.  Lines are read one at a time up to the header,
-    unless one holds a quote, which may open a field running past the line end:
-    csv then reads the rest as a stream."""
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start) + 1 or len(text)
-        if '"' in text[start:end]:
-            stream = io.StringIO(text[start:])
-            return next(_records(stream), None), stream.read()
-        header = next(_records([text[start:end]]), None)
-        if header is not None:
-            return header, text[end:]
-        start = end
-    return None, ""
-
-
-def _plain_table(text: str) -> "tuple[list[str], np.ndarray] | None":
-    """The header record and the body with column k zeroed, when the body is plain;
-    else None.  Never raises.
+def _plain_table(text: str, skip: int, width: int) -> "np.ndarray | None":
+    """The body, the text after its first ``skip`` lines, with column k zeroed, when
+    it is plain; else None.  Never raises.
 
     Plain means only ASCII digits, ``.,eE+-`` and line ends, no line longer than
     the csv field limit, one ``np.loadtxt`` call reading every line into a full
@@ -319,11 +311,8 @@ def _plain_table(text: str) -> "tuple[list[str], np.ndarray] | None":
     in order.  numpy's C reader then gives the values ``float()`` gives, and the
     loop of :func:`_row_by_row` would have raised nothing.
     """
-    try:
-        header, body = _header_and_body(text)
-    except ParseError:
-        return None
-    if header is None or not body.isascii() or body.encode().translate(None, _PLAIN):
+    body = "".join(text.split("\n", skip)[skip:])
+    if not body.isascii() or body.encode().translate(None, _PLAIN):
         return None
     lines = body.split()
     if not lines or max(map(len, lines)) > csv.field_size_limit():
@@ -333,10 +322,10 @@ def _plain_table(text: str) -> "tuple[list[str], np.ndarray] | None":
         in_order = [int(line.partition(",")[0]) for line in lines] == list(range(len(lines)))
     except ValueError:
         return None
-    if not in_order or data.shape != (len(lines), len(header)):
+    if not in_order or data.shape != (len(lines), width):
         return None
     data[:, 0] = 0.0
-    return header, data
+    return data
 
 
 def load_table(path_or_text, model: StateModel, entry_age: int = 0) -> IncrementDecrementTable:
@@ -350,24 +339,28 @@ def load_table(path_or_text, model: StateModel, entry_age: int = 0) -> Increment
     decrement columns (their exits are implied).  A ``str`` holding a line break
     is CSV text, split at ``\n``, ``\r\n`` or ``\r`` as a file is; else a path.
 
-    A plain body (see :func:`_plain_table`) is read in one call of numpy's C
-    text reader.  Any other body, and every body with a fault, is read row by
-    row from csv records, which alone names a body fault; both ways give the
-    same values and the same messages.
+    One csv reader over the text's lines reads the header record.  A plain
+    body, the text after the lines the header took (see :func:`_plain_table`),
+    is read in one call of numpy's C text reader.  Any other body, and every
+    body with a fault, is read row by row from the records of the same reader,
+    which alone names a body fault; both ways give the same values and the
+    same messages.
     """
     text = path_or_text
     if not isinstance(path_or_text, str) or "\n" not in path_or_text and "\r" not in path_or_text:
         text = read_text(path_or_text, "table")
+    if "\r" in text:  # line ends as a universal-newline stream reads them
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
 
-    plain = _plain_table(text)
-    if plain:
-        header, data = plain
-        n = data.shape[0] - 1
-    else:
-        rows = list(_records(io.StringIO(text, newline=None)))
-        if not rows:
-            raise ParseError("empty table file")
-        header, n = rows[0], len(rows) - 2
+    reader = csv.reader(line[0] for line in _LINE.finditer(text))
+    records = _records(reader)
+    header = next(records, None)
+    if header is None:
+        raise ParseError("empty table file")
+    data = _plain_table(text, reader.line_num, len(header))
+    if data is None:
+        rows = list(records)
+    n = (len(rows) if data is None else len(data)) - 1
     header = [name.strip() for name in header]
     l_columns, d_columns = _parse_header(header)
 
@@ -384,8 +377,8 @@ def load_table(path_or_text, model: StateModel, entry_age: int = 0) -> Increment
 
     if n < 1:
         raise ParseError("table needs at least rows k=0 and k=1")
-    if not plain:
-        data = _row_by_row(rows[1:], len(header))
+    if data is None:
+        data = _row_by_row(rows, len(header))
 
     return IncrementDecrementTable._of(n, data, l_columns, d_columns, entry_age)
 
@@ -502,6 +495,7 @@ def transition_sequence(table: IncrementDecrementTable, model: StateModel) -> Tr
 
 def unit_distribution(n_states: int, state: int) -> np.ndarray:
     """Initial distribution concentrated on one state."""
+    n_states, state = _integer("state count", n_states), _integer("state", state)
     if not 1 <= state <= n_states:
         raise ValidationError(f"state {state} out of range 1..{n_states}")
     p = np.zeros(n_states)
@@ -588,7 +582,7 @@ def pattern_violations(seq: TransitionSequence, model: StateModel) -> list[tuple
     return [(int(k), int(i) + 1, int(j) + 1) for k, i, j in zip(k, seq.rows[e], seq.columns[e])]
 
 
-def diagonal_residuals(table: IncrementDecrementTable, model: StateModel, tol: float = 1e-9) -> dict[tuple[int, int], float]:
+def diagonal_residuals(table: IncrementDecrementTable, model: StateModel) -> dict[tuple[int, int], float]:
     """Gap between two diagonal conventions, keyed by (k, state).
 
     The row-complement convention used here sets the stay-put probability
@@ -596,7 +590,8 @@ def diagonal_residuals(table: IncrementDecrementTable, model: StateModel, tol: f
     next-period occupancy net of exits by current occupancy; the gap
     between the two equals the net occupancy change over the period, so
     nonzero residuals flag entrant or exit flows that the alternative
-    convention would misread (or an inconsistent table).
+    convention would misread (or an inconsistent table).  A gap counts when
+    its size exceeds 1e-9.
     """
     classes = classify_states(model)
     n = table.n
@@ -608,6 +603,6 @@ def diagonal_residuals(table: IncrementDecrementTable, model: StateModel, tol: f
         alternative = np.divide(l_col[1:] - exits, living, out=np.zeros(n), where=living > 0.0)
         row_complement = 1.0 - np.divide(exits, living, out=np.zeros(n), where=living > 0.0)
         gap = alternative - row_complement
-        for k in np.flatnonzero((living > 0.0) & (np.abs(gap) > tol)):
+        for k in np.flatnonzero((living > 0.0) & (np.abs(gap) > _RESIDUAL_TOL)):
             residuals[(int(k), i)] = float(gap[k])
     return residuals

@@ -21,7 +21,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Mapping
 
-from .errors import ParseError, ValidationError, read_text
+from .errors import ParseError, ValidationError, _integer, read_text
 
 Transition = tuple[int, int]
 
@@ -56,7 +56,7 @@ class StateModel:
     reflex: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        if self.n_states < 1:
+        if _integer("state count", self.n_states) < 1:
             raise ValidationError("a model needs at least one state")
         object.__setattr__(self, "transitions", frozenset(self.transitions))
         object.__setattr__(self, "reflex", frozenset(self.reflex))
@@ -330,6 +330,20 @@ def extend_model(model: StateModel, lump_sums: Mapping[Transition, object]) -> t
         plus_state_origin=origin,
         state_renumbering=renumbering,
     )
+    return extended, attachments
+
+
+def _extend_file(parsed: "ModelFile") -> tuple[ExtendedStateModel, dict[int, object]]:
+    """:func:`extend_model` on a model file, its ``attach`` amounts placed among the
+    returned ones in the new numbering; then the first attachment, in state order,
+    on an unknown state or on one a lump sum was rewritten onto is refused."""
+    extended, attachments = extend_model(parsed.model, parsed.lump_sums)
+    for s, amount in sorted(parsed.attachments.items()):
+        if s not in extended.state_renumbering:
+            raise ValidationError(f"attachment on unknown state {s}")
+        if extended.state_renumbering[s] in attachments:
+            raise ValidationError(f"attachment on state {s} collides with a lump sum rewritten onto it")
+        attachments[extended.state_renumbering[s]] = amount
     return extended, attachments
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cashflow import CashflowEntry, CashflowMatrix, build_cashflow, premium_selector
-from .errors import ParseError, ValidationError, _integer, read_text
+from .errors import ParseError, ValidationError, _integer, _read_only, read_text
 from .lifetable import DistributionMatrix
 from .statemodel import ArrivalOffsets
 
@@ -34,12 +34,14 @@ _RESULT_TOL = 1e-10
 
 @dataclass(frozen=True)
 class DiscountVector:
-    """Expected discount factors m_0..m_n with m_0 = 1."""
+    """Expected discount factors m_0..m_n with m_0 = 1; ``values`` is a read-only
+    view of the array given, so a checked vector stays as checked."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        v = self.values
+        v = _read_only(self.values)
+        object.__setattr__(self, "values", v)
         if v.ndim != 1 or v.shape[0] < 1:
             raise ValidationError("discount vector must be a nonempty 1-D array")
         if not (v.min() > 0 and v.max() < np.inf):  # NaN fails both

@@ -50,6 +50,20 @@ class TestCashflowMatrix:
         with pytest.raises(pv.ValidationError, match="cash-flow matrix has no periods"):
             pv.CashflowMatrix(np.ones((0, 3)))
 
+    def test_a_checked_matrix_cannot_be_edited(self, dread):
+        """Built by a checking or an unchecking builder, or from the caller's array,
+        which stays the caller's to write."""
+        given = np.ones((26, 10))
+        matrices = [pv.accelerated_benefit(0.5, 25), pv.dread_disease_case(2, 25), pv.CashflowMatrix(given),
+                    pv.build_cashflow([pv.CashflowEntry(2, 1, 5, 1.0)], 25, 10),
+                    pv.premium_selector({1}, dread.offsets, 10, 25, 10),
+                    pv.premium_outflow(0.1, {1}, dread.offsets, 10, 25, 10)]
+        matrices.append(matrices[0] + matrices[-1])
+        for c in matrices:
+            with pytest.raises(ValueError, match="read-only"):
+                c.matrix[3, 2] = np.nan
+        given[3, 2] = 2.0  # the caller's array stays the caller's to write
+
 
 class TestBuildCashflow:
     def test_overlapping_entries_add(self):
@@ -272,6 +286,14 @@ class TestIntegerArguments:
     def test_float_horizon_in_accelerated_benefit(self):
         with pytest.raises(pv.ValidationError, match=r"^horizon n must be an integer, got float 25\.0$"):
             pv.accelerated_benefit(0.5, 25.0)
+
+    def test_float_state_count_in_build_cashflow(self):
+        with pytest.raises(pv.ValidationError, match=r"^state count must be an integer, got float 10\.0$"):
+            pv.build_cashflow([], 25, 10.0)
+
+    def test_float_state_count_in_premium_selector(self, dread):
+        with pytest.raises(pv.ValidationError, match=r"^state count must be an integer, got float 10\.0$"):
+            pv.premium_selector({1}, dread.offsets, 10, 25, 10.0)
 
     def test_numpy_integers_give_the_same_matrices(self, dread):
         i = np.int64

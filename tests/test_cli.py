@@ -424,6 +424,24 @@ class TestDemo:
         assert lines[2].split(",")[0] == scenario[-1]
 
 
+#: Model files that ``validate`` and ``extend`` must judge alike: the bundled
+#: ones, the texts of the extend cases below, and three that ``validate`` once
+#: passed while ``extend`` refused them.
+AGREEMENT_FILES = {
+    "bundled": Path(MODEL).read_text(encoding="utf-8"),
+    "bundled-base": Path(BASE).read_text(encoding="utf-8"),
+    "renumbered-attach": "states 3\ntransition 1 2\ntransition 1 3\nlumpsum 1 3 1.0\nattach 2 0.25\nattach 3 0.5\n",
+    "unknown-attach": "states 2\ntransition 1 2\nattach 5 0.5\n",
+    "collision": "states 3\nreflex 2\ntransition 1 2\ntransition 2 3\nlumpsum 1 2 1.0\nattach 2 0.5\n",
+    **{f"non-finite {line}": f"states 2\ntransition 1 2\n{line}\n"
+       for line in ["lumpsum 1 2 nan", "lumpsum 1 2 -inf", "attach 2 inf", "attach 2 NaN"]},
+    "paying-and-non-paying": "states 3\nreflex 2\ntransition 1 2\ntransition 3 2\ntransition 1 3\n"
+                             "transition 2 1\nlumpsum 1 2 1.0\n",
+    "conflicting-amounts": "states 4\nreflex 3\ntransition 1 3\ntransition 2 3\ntransition 1 2\n"
+                           "transition 3 4\nlumpsum 1 3 1.0\nlumpsum 2 3 2.0\n",
+}
+
+
 class TestFileCommands:
     def test_extend_writes_shipped_model(self, capsys, tmp_path):
         out_path = tmp_path / "ext.model"
@@ -467,6 +485,33 @@ class TestFileCommands:
         code, out, _ = run(capsys, "extend", BASE)
         assert code == 0
         assert "states 10" in out
+
+    @pytest.mark.parametrize("name", AGREEMENT_FILES)
+    def test_validate_agrees_with_extend(self, capsys, tmp_path, name):
+        """Both accept the file, or ``validate`` reports the refusal ``extend`` reports."""
+        model = tmp_path / "m.model"
+        model.write_text(AGREEMENT_FILES[name], encoding="utf-8")
+        extend_code, _, extend_err = run(capsys, "extend", str(model))
+        code, out, err = run(capsys, "validate", str(model))
+        if extend_code == 0:
+            assert code == 0 and out.startswith("ok: ")
+        elif extend_code == 1:
+            assert (code, out, err) == (1, extend_err.removeprefix("error: "), "")
+        else:  # the file does not parse
+            assert (code, out, err) == (2, "", extend_err)
+
+    def test_validate_lists_every_structural_problem_before_the_extension(self, capsys, tmp_path):
+        model = tmp_path / "m.model"
+        model.write_text("states 2\ntransition 1 3\ntransition 2 2\nlumpsum 1 4 1.0\nattach 7 1.0\n")
+        assert run(capsys, "validate", str(model)) == (
+            1, "state id out of range in transition (1, 3)\nself-transition at state 2\n", "")
+        assert run(capsys, "extend", str(model))[2] == (
+            "error: state id out of range in transition (1, 3); self-transition at state 2\n")
+
+    def test_validate_reports_the_first_lump_sum_fault(self, capsys, tmp_path):
+        model = tmp_path / "m.model"
+        model.write_text("states 3\ntransition 1 2\nlumpsum 2 3 1.0\nlumpsum 1 3 1.0\nattach 7 1.0\n")
+        assert run(capsys, "validate", str(model)) == (1, "lump sum on missing transition (1, 3)\n", "")
 
     def test_fixtures_written(self, capsys, tmp_path):
         code, out, _ = run(capsys, "fixtures", "--out", str(tmp_path))

@@ -1,7 +1,7 @@
 """Table loading, one-period-state inference, transition sequences and
 occupancy distributions."""
 
-from types import SimpleNamespace
+import io
 
 import numpy as np
 import pytest
@@ -19,6 +19,10 @@ def columns(table) -> list:
 
 def refuse_the_csv_loop(*args):
     raise AssertionError("the csv loop read a plain table body")
+
+
+def refuse_a_stream(*args, **kwargs):
+    raise AssertionError("the table text was copied into an io.StringIO")
 
 
 class TestLoadTable:
@@ -92,7 +96,7 @@ class TestLoadTable:
     def test_plain_table_header_is_split_off_without_a_stream(self, model3, monkeypatch, text):
         want = [column.tobytes() for column in columns(pv.load_table(THREE_STATE_TABLE, model3))]
         monkeypatch.setattr(lifetable, "_row_by_row", refuse_the_csv_loop)
-        monkeypatch.setattr(lifetable, "io", SimpleNamespace())  # no io.StringIO to copy the text into
+        monkeypatch.setattr(io, "StringIO", refuse_a_stream)  # wherever one is made
         assert [column.tobytes() for column in columns(pv.load_table(text, model3))] == want
 
     def test_a_quoted_comment_runs_across_lines_before_the_header(self, model3, monkeypatch):
@@ -100,6 +104,23 @@ class TestLoadTable:
         monkeypatch.setattr(lifetable, "_row_by_row", refuse_the_csv_loop)
         text = '"# cohort\nk,l_9,d_9_1 is still the comment"\n' + THREE_STATE_TABLE
         assert [column.tobytes() for column in columns(pv.load_table(text, model3))] == want
+
+
+class TestTableConstructor:
+    def test_lists_of_counts_build_the_same_table(self):
+        listed = pv.IncrementDecrementTable(1, {1: [10.0, 9.0]}, {})
+        arrays = pv.IncrementDecrementTable(1, {1: np.array([10.0, 9.0])}, {})
+        assert listed.occupancy[1].tobytes() == arrays.occupancy[1].tobytes()
+
+    @pytest.mark.parametrize("column", [np.float64(3.0), 3.0, "ab", [[1.0, 2.0], [3.0]], ["a", "b"]],
+                             ids=["numpy-scalar", "float", "str", "ragged", "words"])
+    def test_a_column_that_is_not_counts_is_refused_by_name(self, column):
+        with pytest.raises(pv.ValidationError, match=r"^column 'd_1_2' is not a sequence of 2 counts$"):
+            pv.IncrementDecrementTable(1, {1: [10.0, 9.0]}, {(1, 2): column})
+
+    def test_a_list_of_the_wrong_length_is_refused_by_name(self):
+        with pytest.raises(pv.ValidationError, match=r"^column 'l_1' has 3 rows, expected 2$"):
+            pv.IncrementDecrementTable(1, {1: [10.0, 9.0, 8.0]}, {})
 
 
 class TestInferReflexColumns:
@@ -198,6 +219,17 @@ class TestDistributionMatrix:
         with pytest.raises(pv.ValidationError, match=r"^row 1 sums to 0\.9, not 1$"):
             pv.DistributionMatrix(np.array([[1.0, 0.0], [0.5, 0.4]]))
 
+    def test_a_checked_matrix_cannot_be_edited(self, dread):
+        given = np.array([[1.0, 0.0], [0.5, 0.5]])
+        for dist in (dread.dist, pv.DistributionMatrix(given)):
+            with pytest.raises(ValueError, match="read-only"):
+                dist.matrix[1, 1] = np.nan
+        given[1] = [0.25, 0.75]  # the caller's array stays the caller's to write
+
+    def test_unit_distribution_state_must_be_an_integer(self):
+        with pytest.raises(pv.ValidationError, match=r"^state must be an integer, got float 1\.5$"):
+            pv.unit_distribution(10, 1.5)
+
     def test_mass_conserved_on_bundled_table(self, dread):
         total = dread.dist.matrix.sum(axis=1)
         np.testing.assert_allclose(total, 1.0, rtol=0, atol=1e-12)
@@ -228,6 +260,10 @@ class TestBuildChain:
     def test_initial_state_out_of_range(self, model3, state):
         with pytest.raises(pv.ValidationError, match=f"state {state} out of range 1..3"):
             pv.build_chain(model3, THREE_STATE_TABLE, initial_state=state)
+
+    def test_initial_state_must_be_an_integer(self, dread):
+        with pytest.raises(pv.ValidationError, match=r"^state must be an integer, got float 2\.0$"):
+            pv.build_chain(dread.model, fx.bundled_path(fx.TABLE_FILE), initial_state=2.0)
 
     def test_chain_is_frozen(self, chain3):
         with pytest.raises(AttributeError):

@@ -44,6 +44,11 @@ class TestValidateModel:
         with pytest.raises(pv.ValidationError):
             pv.StateModel(n_states=0, transitions=frozenset())
 
+    @pytest.mark.parametrize("n_states, message", [(2.5, "float 2.5"), ("2", "str 2")])
+    def test_state_count_must_be_an_integer(self, n_states, message):
+        with pytest.raises(pv.ValidationError, match=f"^state count must be an integer, got {message}$"):
+            pv.StateModel(n_states=n_states, transitions=frozenset({(1, 2)}))
+
     def test_non_integral_ids_are_kept_and_reported(self):
         model = pv.StateModel(n_states=3, transitions=frozenset({(1, 2.5)}), reflex=frozenset({"2"}))
         assert model.transitions == frozenset({(1, 2.5)}) and model.reflex == frozenset({"2"})

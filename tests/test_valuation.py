@@ -44,6 +44,13 @@ class TestDiscountVector:
         with pytest.raises(pv.ValidationError, match="positive"):
             pv.DiscountVector(np.array([1.0, -0.5]))
 
+    def test_a_checked_vector_cannot_be_edited(self):
+        given = np.array([1.0, 0.99, 0.98])
+        for discount in (pv.constant_rate_discount(25, rate=0.01), pv.DiscountVector(given)):
+            with pytest.raises(ValueError, match="read-only"):
+                discount.values[1] = -1.0
+        given[1] = 0.5  # the caller's array stays the caller's to write
+
     def test_parse_and_length_check(self):
         d = pv.parse_discount_text("1.0\n0.9\n0.81\n", n=2)
         np.testing.assert_array_equal(d.values, [1.0, 0.9, 0.81])
