@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, ValidationError, _integer, _read_only, read_text
+from .errors import ParseError, ValidationError, _fields, _integer, _read_only, read_text
 from .statemodel import ArrivalOffsets
 
 #: Number of states in the dread-disease layout used by the builders.
@@ -130,11 +130,7 @@ def build_cashflow(entries, n: int, n_states: int) -> CashflowMatrix:
 def parse_cashflow_text(text: str) -> list[CashflowEntry]:
     """Parse ``flow <state> <k1> <k2> <amount>`` lines ('#' comments)."""
     entries = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for line_no, parts in _fields(text):
         if parts[0] != "flow" or len(parts) != 5:
             raise ParseError(f"line {line_no}: expected 'flow <state> <k1> <k2> <amount>'")
         try:

@@ -69,11 +69,6 @@ def _load_run(args, contract: bool = True):
     return chain, discount, c_in, pay_states
 
 
-def _print_matrix_csv(matrix: np.ndarray, precision: int):
-    for row in matrix:
-        print(",".join(f"{value:.{precision}g}" for value in row))
-
-
 # --------------------------------------------------------------------------
 # subcommand handlers
 # --------------------------------------------------------------------------
@@ -139,7 +134,8 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_cashflow(args) -> int:
-    _print_matrix_csv(_inflows(args, args.n, getattr(args, "states", None)).matrix, args.precision)
+    matrix = _inflows(args, args.n, getattr(args, "states", None)).matrix
+    _print_table([[f"{value:.{args.precision}g}" for value in row] for row in matrix], "csv")
     return 0
 
 

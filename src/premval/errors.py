@@ -1,6 +1,6 @@
-"""Exception types shared across the package, the one reader of input files, the
-check that a state, period or count is an integer, and the read-only view that
-keeps a checked array as it was checked."""
+"""Exception types shared across the package, the one reader of input files and
+splitter of their lines, the check that a state, period or count is an integer,
+and the read-only view that keeps a checked array as it was checked."""
 
 import operator
 
@@ -25,6 +25,12 @@ def read_text(path, what: str) -> str:
             return handle.read()
     except (OSError, ValueError) as exc:
         raise ParseError(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def _fields(text: str):
+    """(number from 1, whitespace-separated fields) of each line with anything before its ``#`` comment."""
+    return [(line_no, fields) for line_no, line in enumerate(text.splitlines(), start=1)
+            if (fields := line.partition("#")[0].split())]
 
 
 def _integer(name: str, value) -> int:

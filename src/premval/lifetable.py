@@ -36,6 +36,8 @@ _PROB_TOL = 1e-12
 _COUNT_SLACK = 1e-9
 _RESIDUAL_TOL = 1e-9
 
+#: Kinds of array, strings and objects, whose entries are not counts even when float() reads them.
+_NOT_COUNTS = "OSU"
 _COLUMN = re.compile(r"l_(\d+)|d_(\d+)_(\d+)")
 # One line of a table text, its "\n" kept, as a text stream yields it.
 _LINE = re.compile(r"[^\n]*\n|[^\n]+")
@@ -75,10 +77,14 @@ class IncrementDecrementTable:
     entry_age: int = 0
 
     def __post_init__(self):
+        vars(self)["n"] = _integer("horizon n", self.n)
         keys = [*sorted(self.occupancy), *sorted(self.decrements)]
         given = {**self.occupancy, **self.decrements}
         try:
-            counts = np.array([np.zeros(self.n + 1), *map(given.get, keys)], dtype=float).T
+            counts = np.array([np.zeros(self.n + 1), *map(given.get, keys)])
+            if counts.dtype.kind in _NOT_COUNTS:
+                raise TypeError
+            counts = counts.astype(float, copy=False).T
         except (TypeError, ValueError):  # a column that is not n + 1 numbers
             self._check_columns()
             raise
@@ -128,7 +134,8 @@ class IncrementDecrementTable:
         negative one."""
         for name, column in self._columns():
             try:
-                column = np.asarray(column, dtype=float)
+                column = np.asarray(column)
+                column = None if column.dtype.kind in _NOT_COUNTS else column.astype(float, copy=False)
             except (TypeError, ValueError):
                 column = None
             if column is None or column.ndim == 0:

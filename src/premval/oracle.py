@@ -375,15 +375,17 @@ def _path_totals(ensemble: PathEnsemble, cashflows: list[CashflowMatrix],
     return np.ascontiguousarray(totals.T)
 
 
+def _estimate(mean: float, residuals: np.ndarray, scale: float = 1.0) -> McEstimate:
+    """``mean`` with the standard error of the residuals' mean divided by ``scale``; 0.0 from one path."""
+    n_paths = residuals.shape[0]
+    std_error = float(np.std(residuals, ddof=1) / (scale * np.sqrt(n_paths))) if n_paths > 1 else 0.0
+    return McEstimate(mean=mean, std_error=std_error, n_paths=n_paths)
+
+
 def mc_pv(ensemble: PathEnsemble, c: CashflowMatrix, discount: DiscountVector) -> McEstimate:
     """Monte Carlo estimate of the expected present value."""
     (values,) = _path_totals(ensemble, [c], discount)
-    mean = float(np.mean(values))
-    if values.shape[0] > 1:
-        std_error = float(np.std(values, ddof=1) / np.sqrt(values.shape[0]))
-    else:
-        std_error = 0.0
-    return McEstimate(mean=mean, std_error=std_error, n_paths=values.shape[0])
+    return _estimate(float(np.mean(values)), values)
 
 
 def mc_premium(ensemble: PathEnsemble, c_in: CashflowMatrix, discount: DiscountVector,
@@ -404,12 +406,7 @@ def mc_premium(ensemble: PathEnsemble, c_in: CashflowMatrix, discount: DiscountV
     if mean_paying == 0.0:
         raise ValidationError("no simulated path ever occupies a premium state; the ratio is undefined")
     premium = mean_benefit / mean_paying
-    residuals = benefit - premium * paying
-    if ensemble.n_paths > 1:
-        std_error = float(np.std(residuals, ddof=1) / (mean_paying * np.sqrt(ensemble.n_paths)))
-    else:
-        std_error = 0.0
-    return McEstimate(mean=premium, std_error=std_error, n_paths=ensemble.n_paths)
+    return _estimate(premium, benefit - premium * paying, mean_paying)
 
 
 def empirical_distribution(ensemble: PathEnsemble, n_states: int) -> np.ndarray:

@@ -21,7 +21,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Mapping
 
-from .errors import ParseError, ValidationError, _integer, read_text
+from .errors import ParseError, ValidationError, _fields, _integer, read_text
 
 Transition = tuple[int, int]
 
@@ -101,9 +101,7 @@ class StateModel:
     @cached_property
     def _classes(self) -> "StateClassification":
         """What :func:`classify_states` returns; a raise is not cached, so a bad model raises on every call."""
-        problems = validate_model(self)
-        if problems:
-            raise ValidationError("; ".join(problems))
+        _require_valid(self)
         absorbing, reflex, transient = set(), set(), set()
         for s in range(1, self.n_states + 1):
             degree = self.out_degree(s)
@@ -196,6 +194,13 @@ def validate_model(model: StateModel) -> list[str]:
     return problems
 
 
+def _require_valid(model: StateModel):
+    """Refuse a model with any :func:`validate_model` diagnostic, naming them all."""
+    problems = validate_model(model)
+    if problems:
+        raise ValidationError("; ".join(problems))
+
+
 def classify_states(model: StateModel) -> StateClassification:
     """Classify every state as transient, absorbing or reflex.
 
@@ -214,9 +219,7 @@ def shortest_arrival(model: StateModel) -> ArrivalOffsets:
     search over the transition graph.  The result agrees with a
     unit-weight shortest-path computation.
     """
-    problems = validate_model(model)
-    if problems:
-        raise ValidationError("; ".join(problems))
+    _require_valid(model)
     offsets: dict[int, int | None] = {s: UNREACHABLE for s in range(1, model.n_states + 1)}
     offsets[model.initial_state] = 0
     queue = deque([model.initial_state])
@@ -268,9 +271,7 @@ def extend_model(model: StateModel, lump_sums: Mapping[Transition, object]) -> t
     Returns the extended model and the state-attached amounts (plus states
     and in-place reflex targets) in the new numbering.
     """
-    problems = validate_model(model)
-    if problems:
-        raise ValidationError("; ".join(problems))
+    _require_valid(model)
     lump_sums = dict(lump_sums)
     if not lump_sums and isinstance(model, ExtendedStateModel):
         return model, {}
@@ -335,9 +336,11 @@ def extend_model(model: StateModel, lump_sums: Mapping[Transition, object]) -> t
 
 def _extend_file(parsed: "ModelFile") -> tuple[ExtendedStateModel, dict[int, object]]:
     """:func:`extend_model` on a model file, its ``attach`` amounts placed among the
-    returned ones in the new numbering; then the first attachment, in state order,
-    on an unknown state or on one a lump sum was rewritten onto is refused."""
+    returned ones in the new numbering; then an extension no chain can be built
+    from (see :func:`classify_states`) is refused, and so is the first attachment,
+    in state order, on an unknown state or on one a lump sum was rewritten onto."""
     extended, attachments = extend_model(parsed.model, parsed.lump_sums)
+    classify_states(extended)
     for s, amount in sorted(parsed.attachments.items()):
         if s not in extended.state_renumbering:
             raise ValidationError(f"attachment on unknown state {s}")
@@ -348,18 +351,20 @@ def _extend_file(parsed: "ModelFile") -> tuple[ExtendedStateModel, dict[int, obj
 
 
 # ---------------------------------------------------------------------------
-# Line-oriented model file format.
-#
-#   states N
-#   label <id> [<text>]
-#   reflex <id> [<id> ...]
-#   transition <i> <j>
-#   lumpsum <i> <j> <amount>
-#   attach <state> <amount>
-#   initial <id>
-#
-# '#' starts a comment; blank lines are ignored.  State ids are 1-based.
+# Line-oriented model file format: one directive a line, each given below by
+# its usage and its fewest and most arguments.  '#' starts a comment; blank
+# lines are ignored.  State ids are 1-based.
 # ---------------------------------------------------------------------------
+
+_DIRECTIVES = {
+    "states": ("states N", 1, 1),
+    "label": ("label <id> [<text>]", 1, math.inf),
+    "reflex": ("reflex <id> [<id> ...]", 1, math.inf),
+    "transition": ("transition <i> <j>", 2, 2),
+    "lumpsum": ("lumpsum <i> <j> <amount>", 3, 3),
+    "attach": ("attach <state> <amount>", 2, 2),
+    "initial": ("initial <id>", 1, 1),
+}
 
 
 @dataclass(frozen=True)
@@ -389,43 +394,26 @@ def parse_model_text(text: str) -> ModelFile:
             fail(line_no, f"amount must be finite, got {text}")
         return value
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        keyword, args = parts[0], parts[1:]
-        try:
-            if keyword == "states":
-                if len(args) != 1:
-                    fail(line_no, "expected: states N")
-                n_states = int(args[0])
+    for line_no, fields in _fields(text):
+        keyword, args = fields[0], fields[1:]
+        usage, fewest, most = _DIRECTIVES.get(keyword) or fail(line_no, f"unknown directive {keyword!r}")
+        if not fewest <= len(args) <= most:
+            fail(line_no, f"expected: {usage}")
+        try:  # transitions first: most lines of a large model are transitions
+            if keyword == "transition":
+                transitions.add((int(args[0]), int(args[1])))
             elif keyword == "label":
-                if not args:
-                    fail(line_no, "expected: label <id> [<text>]")
                 labels[int(args[0])] = " ".join(args[1:])
             elif keyword == "reflex":
-                if not args:
-                    fail(line_no, "expected: reflex <id> [<id> ...]")
                 reflex.update(int(a) for a in args)
-            elif keyword == "transition":
-                if len(args) != 2:
-                    fail(line_no, "expected: transition <i> <j>")
-                transitions.add((int(args[0]), int(args[1])))
             elif keyword == "lumpsum":
-                if len(args) != 3:
-                    fail(line_no, "expected: lumpsum <i> <j> <amount>")
                 lump_sums[(int(args[0]), int(args[1]))] = amount(line_no, args[2])
             elif keyword == "attach":
-                if len(args) != 2:
-                    fail(line_no, "expected: attach <state> <amount>")
                 attachments[int(args[0])] = amount(line_no, args[1])
-            elif keyword == "initial":
-                if len(args) != 1:
-                    fail(line_no, "expected: initial <id>")
-                initial = int(args[0])
+            elif keyword == "states":
+                n_states = int(args[0])
             else:
-                fail(line_no, f"unknown directive {keyword!r}")
+                initial = int(args[0])
         except ValueError as exc:
             fail(line_no, str(exc))
     if n_states is None:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cashflow import CashflowEntry, CashflowMatrix, build_cashflow, premium_selector
-from .errors import ParseError, ValidationError, _integer, _read_only, read_text
+from .errors import ParseError, ValidationError, _fields, _integer, _read_only, read_text
 from .lifetable import DistributionMatrix
 from .statemodel import ArrivalOffsets
 
@@ -98,8 +98,8 @@ def constant_rate_discount(n: int, v: "float | None" = None, rate: "float | None
 def parse_discount_text(text: str, n: int) -> DiscountVector:
     """Parse n+1 factors separated by whitespace or commas ('#' comments)."""
     values = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        for token in raw.split("#", 1)[0].replace(",", " ").split():
+    for line_no, tokens in _fields(text.replace(",", " ")):
+        for token in tokens:
             try:
                 values.append(float(token))
             except ValueError as exc:

@@ -439,6 +439,8 @@ AGREEMENT_FILES = {
                              "transition 2 1\nlumpsum 1 2 1.0\n",
     "conflicting-amounts": "states 4\nreflex 3\ntransition 1 3\ntransition 2 3\ntransition 1 2\n"
                            "transition 3 4\nlumpsum 1 3 1.0\nlumpsum 2 3 2.0\n",
+    "reflex-with-two-exits": "states 3\nreflex 1\ntransition 1 2\ntransition 1 3\n",
+    "reflex-with-no-exit": "states 3\nreflex 3\ntransition 1 2\n",
 }
 
 
@@ -507,6 +509,17 @@ class TestFileCommands:
             1, "state id out of range in transition (1, 3)\nself-transition at state 2\n", "")
         assert run(capsys, "extend", str(model))[2] == (
             "error: state id out of range in transition (1, 3); self-transition at state 2\n")
+
+    @pytest.mark.parametrize("name, message", [
+        ("reflex-with-two-exits", "reflex flag on state 1, which has 2 outgoing transitions (exactly one required)"),
+        ("reflex-with-no-exit", "reflex flag on state 3, which has no outgoing transition"),
+    ])
+    def test_validate_and_extend_refuse_what_no_chain_can_be_built_from(self, capsys, tmp_path, name, message):
+        model = tmp_path / "m.model"
+        model.write_text(AGREEMENT_FILES[name], encoding="utf-8")
+        assert run(capsys, "validate", str(model)) == (1, message + "\n", "")
+        assert run(capsys, "extend", str(model)) == (1, "", f"error: {message}\n")
+        assert run(capsys, "table", "check", str(model), TABLE) == (1, "", f"error: {message}\n")
 
     def test_validate_reports_the_first_lump_sum_fault(self, capsys, tmp_path):
         model = tmp_path / "m.model"

@@ -63,7 +63,7 @@ def random_amount(rng: np.random.Generator, pool: list):
 def random_lump_sums(rng: np.random.Generator, model: pv.StateModel) -> dict:
     """Per target: pay none, all or a random share of its inbound transitions."""
     pool = [VALID_AMOUNTS[int(i)] for i in rng.choice(len(VALID_AMOUNTS), size=int(rng.integers(1, 4)))]
-    share = {j: (0.0, 1.0, 0.5)[int(rng.integers(3))] for (_, j) in model.transitions}
+    share = {j: (0.0, 1.0, 0.5)[int(rng.integers(3))] for (_, j) in sorted(model.transitions)}
     lump_sums = {(i, j): random_amount(rng, pool) for (i, j) in sorted(model.transitions)
                  if rng.random() < share[j]}
     if rng.random() < 0.03:

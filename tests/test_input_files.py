@@ -154,6 +154,15 @@ def open_mode(call: ast.Call) -> str:
     return str(given[0].value) if isinstance(given[0], ast.Constant) else ""
 
 
+def test_only_errors_splits_text_into_lines():
+    callers = set()
+    for source in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "splitlines":
+                callers.add(source.stem)
+    assert callers == {"errors"}
+
+
 def test_only_errors_read_text_reads_a_file():
     openings = list(file_openings())
     readers = [(module, function) for module, function, writes in openings if not writes]

@@ -118,6 +118,15 @@ class TestTableConstructor:
         with pytest.raises(pv.ValidationError, match=r"^column 'd_1_2' is not a sequence of 2 counts$"):
             pv.IncrementDecrementTable(1, {1: [10.0, 9.0]}, {(1, 2): column})
 
+    @pytest.mark.parametrize("occupancy", [{}, {1: [1.0, 2.0]}], ids=["no-columns", "a-column"])
+    def test_a_horizon_that_is_not_an_integer_is_refused(self, occupancy):
+        with pytest.raises(pv.ValidationError, match=r"^horizon n must be an integer, got float 1\.5$"):
+            pv.IncrementDecrementTable(1.5, occupancy, {})
+
+    def test_numeric_strings_are_not_counts(self):
+        with pytest.raises(pv.ValidationError, match=r"^column 'l_1' is not a sequence of 2 counts$"):
+            pv.IncrementDecrementTable(1, {1: ["10", "9"]}, {})
+
     def test_a_list_of_the_wrong_length_is_refused_by_name(self):
         with pytest.raises(pv.ValidationError, match=r"^column 'l_1' has 3 rows, expected 2$"):
             pv.IncrementDecrementTable(1, {1: [10.0, 9.0, 8.0]}, {})
@@ -197,6 +206,10 @@ class TestTransitionSequence:
         with pytest.raises(pv.ValidationError, match="outside"):
             pv.TransitionSequence(q)
 
+    def test_a_matrix_stack_that_is_not_square_is_refused(self):
+        with pytest.raises(pv.ValidationError, match=r"^transition sequence must be \(n, N, N\), got \(2, 3\)$"):
+            pv.TransitionSequence(np.zeros((2, 3)))
+
 
 class TestDistributionMatrix:
     def test_three_state_rows(self, chain3):
@@ -218,6 +231,15 @@ class TestDistributionMatrix:
     def test_row_not_summing_to_one_rejected(self):
         with pytest.raises(pv.ValidationError, match=r"^row 1 sums to 0\.9, not 1$"):
             pv.DistributionMatrix(np.array([[1.0, 0.0], [0.5, 0.4]]))
+
+    @pytest.mark.parametrize("matrix, message", [
+        (np.array([1.0, 0.0]), r"^distribution matrix must be 2-D, got shape \(2,\)$"),
+        (np.array([[1.0, 0.0], [np.nan, 1.0]]), "^non-finite occupancy probability$"),
+        (np.array([[1.0, 0.0], [1.5, -0.5]]), r"^occupancy probability outside \[0, 1\]$"),
+    ], ids=["1-D", "nan", "outside-unit-interval-summing-to-one"])
+    def test_a_matrix_that_is_not_a_distribution_is_refused(self, matrix, message):
+        with pytest.raises(pv.ValidationError, match=message):
+            pv.DistributionMatrix(matrix)
 
     def test_a_checked_matrix_cannot_be_edited(self, dread):
         given = np.array([[1.0, 0.0], [0.5, 0.5]])

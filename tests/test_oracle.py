@@ -56,6 +56,13 @@ class TestEnumeratePv:
         with pytest.raises(pv.ValidationError, match="enumeration is limited"):
             pv.enumerate_pv(seq, _unit(2, 1), cash, discount)
 
+    def test_wrong_horizon_refused(self, chain3, claim_cash3, flat_discount3):
+        long_cash = pv.build_cashflow([], n=3, n_states=3)
+        message = "^cash-flow or discount shape does not match the transition sequence$"
+        for cash, discount in [(long_cash, flat_discount3), (claim_cash3, pv.DiscountVector(np.ones(4)))]:
+            with pytest.raises(pv.ValidationError, match=message):
+                pv.enumerate_pv(chain3.seq, _unit(3, 1), cash, discount)
+
     def test_package_imports_without_docstrings(self):
         # enumerate_pv's docstring used to be formatted at import, and python -OO strips it to None.
         env = dict(os.environ, PYTHONPATH=str(Path(pv.__file__).parents[1]))
@@ -178,6 +185,16 @@ class TestSimulate:
         with pytest.raises(pv.ValidationError, match=message):
             pv.enumerate_pv(chain3.seq, initial, claim_cash3, flat_discount3)
 
+    @pytest.mark.parametrize("n_states, dtype", [(2 ** 15 - 1, np.int16), (2 ** 15, np.int32)])
+    def test_state_ids_past_int16_are_stored_as_int32(self, n_states, dtype):
+        """State 1 jumps to state N, every other state stays where it is."""
+        states = np.arange(1, n_states)
+        seq = pv.TransitionSequence(n_states=n_states, rows=np.r_[0, states], columns=np.r_[n_states - 1, states],
+                                    probabilities=np.ones((1, n_states)))
+        ensemble = pv.simulate(seq, _unit(n_states, 1), 3, master_seed=7)
+        assert ensemble.paths.dtype == dtype
+        assert ensemble.paths.tolist() == [[1, n_states]] * 3
+
 
 class TestMcEstimates:
     def test_pv_within_four_standard_errors(self, chain3, claim_cash3, geometric_discount3):
@@ -243,6 +260,22 @@ class TestMcEstimates:
                     pv.mc_premium(e, claim_cash3, geometric_discount3, {1, 2}, offsets, m=2),
                     pv.empirical_distribution(e, 3).tolist()) for e in (time_major, c_ordered)]
         assert results[0] == results[1]
+
+    def test_wrong_horizon_refused(self, chain3, claim_cash3, flat_discount3):
+        ensemble = pv.simulate(chain3.seq, _unit(3, 1), 10, master_seed=5)
+        message = "^cash-flow or discount shape does not match the ensemble horizon$"
+        for cash, discount in [(pv.build_cashflow([], n=3, n_states=3), flat_discount3),
+                               (claim_cash3, pv.DiscountVector(np.ones(4)))]:
+            with pytest.raises(pv.ValidationError, match=message):
+                pv.mc_pv(ensemble, cash, discount)
+
+    def test_one_path_has_a_zero_standard_error(self, chain3, claim_cash3, geometric_discount3):
+        ensemble = pv.simulate(chain3.seq, _unit(3, 1), 1, master_seed=3)
+        offsets = pv.shortest_arrival(chain3.model)
+        for estimate in (pv.mc_pv(ensemble, claim_cash3, geometric_discount3),
+                         pv.mc_premium(ensemble, claim_cash3, geometric_discount3, {1}, offsets, m=2)):
+            assert (estimate.std_error, estimate.n_paths) == (0.0, 1)
+            assert np.isfinite(estimate.mean)
 
     def test_invalid_standard_error_rejected(self):
         with pytest.raises(pv.ValidationError, match="standard error"):

@@ -132,6 +132,11 @@ class TestShortestArrival:
         assert offsets.offset(3) is pv.UNREACHABLE
         assert not offsets.is_reachable(3)
 
+    def test_an_invalid_model_is_refused(self):
+        model = pv.StateModel(n_states=2, transitions=frozenset({(1, 3)}))
+        with pytest.raises(pv.ValidationError, match=r"^state id out of range in transition \(1, 3\)$"):
+            pv.shortest_arrival(model)
+
     def test_payable_window(self, model3):
         offsets = pv.shortest_arrival(model3)
         assert offsets.payable(1, 1)
@@ -247,6 +252,12 @@ class TestModelFiles:
         assert pv.parse_model_text(text).model == model
         assert pv.parse_model_text("states 2\nlabel 2\n").model.labels == {2: ""}
 
+    def test_initial_state_round_trip(self):
+        model = pv.StateModel(n_states=3, transitions=frozenset({(2, 1), (2, 3)}), initial_state=2)
+        text = pv.format_model(model)
+        assert text.splitlines()[1] == "initial 2"
+        assert pv.parse_model_text(text).model == model
+
     def test_attachments_round_trip(self):
         base = fx.base_dread_disease()
         extended, attachments = pv.extend_model(base.model, base.lump_sums)
@@ -257,6 +268,19 @@ class TestModelFiles:
     def test_parse_errors_carry_line_numbers(self):
         with pytest.raises(pv.ParseError, match="line 2"):
             pv.parse_model_text("states 3\ntransition 1\n")
+
+    @pytest.mark.parametrize("line, usage", [
+        ("states", "states N"), ("states 2 3", "states N"),
+        ("label", "label <id> [<text>]"),
+        ("reflex", "reflex <id> [<id> ...]"),
+        ("transition 1", "transition <i> <j>"), ("transition 1 2 3", "transition <i> <j>"),
+        ("lumpsum 1 2", "lumpsum <i> <j> <amount>"), ("lumpsum 1 2 3 4", "lumpsum <i> <j> <amount>"),
+        ("attach 1", "attach <state> <amount>"), ("attach 1 2 3", "attach <state> <amount>"),
+        ("initial", "initial <id>"), ("initial 1 2", "initial <id>"),
+    ])
+    def test_a_directive_with_the_wrong_argument_count_names_its_usage(self, line, usage):
+        with pytest.raises(pv.ParseError, match=f"^line 2: expected: {re.escape(usage)}$"):
+            pv.parse_model_text(f"states 2\n{line}  # comment\n")
 
     def test_missing_states_line(self):
         with pytest.raises(pv.ParseError, match="states"):

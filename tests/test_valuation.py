@@ -40,6 +40,11 @@ class TestDiscountVector:
         with pytest.raises(pv.ValidationError, match=r"^m_0 must equal 1, got 0\.99$"):
             pv.DiscountVector(np.array([0.99, 0.98]))
 
+    @pytest.mark.parametrize("values", [np.ones((2, 2)), np.array([])], ids=["2-D", "empty"])
+    def test_a_vector_that_is_not_nonempty_1d_is_refused(self, values):
+        with pytest.raises(pv.ValidationError, match="^discount vector must be a nonempty 1-D array$"):
+            pv.DiscountVector(values)
+
     def test_nonpositive_factor_rejected(self):
         with pytest.raises(pv.ValidationError, match="positive"):
             pv.DiscountVector(np.array([1.0, -0.5]))
@@ -172,6 +177,11 @@ class TestPeriodPremium:
         offsets = pv.shortest_arrival(chain3.model)
         with pytest.raises(pv.ValidationError, match="premium horizon"):
             pv.period_premium(claim_cash3, chain3.dist, geometric_discount3, {1}, offsets, m=0)
+
+    @pytest.mark.parametrize("m", [0, 3])
+    def test_initial_state_premium_horizon_out_of_range(self, chain3, claim_cash3, geometric_discount3, m):
+        with pytest.raises(pv.ValidationError, match=f"^premium horizon m={m} out of range 1..2$"):
+            pv.period_premium_initial(claim_cash3, chain3.dist, geometric_discount3, m=m)
 
     def test_initial_state_premium_horizon_must_be_an_integer(self, chain3, claim_cash3, geometric_discount3):
         with pytest.raises(pv.ValidationError, match=r"^premium horizon m must be an integer, got float 2\.0$"):
