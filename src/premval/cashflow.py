@@ -173,31 +173,28 @@ def ceased_cover_states(acceleration: float) -> frozenset[int]:
     return TERMINAL_STATES if acceleration >= 1.0 else frozenset()
 
 
-def dread_disease_case(case: int, n: int, *, lump_sum: float = 1.0, annuity_rate: float = 0.25,
-                       death_benefit: float = 1.0, endowment: float = 1.0) -> CashflowMatrix:
-    """Inflows for three additional-benefit variants on the same layout.
-
-    Case 1 pays ``lump_sum`` on entry into the terminal stage on top of the
-    death benefit.  Case 2 replaces the lump sum with a terminal-illness
-    annuity of ``annuity_rate`` per year, payable in every terminal state;
-    each state's payments start at its earliest possible arrival time.
-    Case 3 is case 1 plus a pure endowment of ``endowment`` paid at the
+def dread_disease_case(case: int, n: int) -> CashflowMatrix:
+    """Inflows for three additional-benefit variants on the same layout, each
+    with a death benefit of 1.  Case 1 pays 1 on entry into the terminal stage.
+    Case 2 pays instead a terminal-illness annuity of 0.25 a year in every
+    terminal state, each state's payments starting at its earliest possible
+    arrival time.  Case 3 is case 1 plus a pure endowment of 1 paid at the
     horizon in every alive state (1..6).
     """
     if case not in (1, 2, 3):
         raise ValidationError(f"unknown case id {case!r} (expected 1, 2 or 3)")
     c = np.zeros((_periods(n), DREAD_DISEASE_STATES))
-    c[1:, 6] = death_benefit
-    c[2:, 8] = death_benefit
+    c[1:, 6] = 1.0
+    c[2:, 8] = 1.0
     if case in (1, 3):
-        c[1:, 2] = lump_sum
+        c[1:, 2] = 1.0
     else:
         for state in sorted(TERMINAL_STATES):
             first = state - 2  # earliest arrival: diagnosis at 1, one stage per year
-            c[first:, state - 1] = annuity_rate
+            c[first:, state - 1] = 0.25
     if case == 3:
-        c[n, 0:6] += endowment
-    return CashflowMatrix(c)
+        c[n, 0:6] += 1.0
+    return CashflowMatrix._of(c)  # amounts in [0, 2], n + 1 >= 1 periods
 
 
 def premium_selector(pay_states, offsets: ArrivalOffsets, m: int, n: int,

@@ -17,7 +17,7 @@ from .cashflow import (CashflowMatrix, accelerated_benefit, build_cashflow, ceas
                        dread_disease_case, load_cashflow_file, premium_outflow)
 from .errors import ParseError, PremvalError, ValidationError
 from .lifetable import _ROW_SUM_TOL, build_chain, diagonal_residuals
-from .oracle import CHUNK_SIZE, mc_pv, simulate
+from .oracle import mc_pv, simulate
 from .statemodel import UNREACHABLE, _extend_file, format_model, load_model_file, shortest_arrival, validate_model
 from .valuation import (annuity_due, constant_rate_discount, equivalence_residual, expected_pv,
                         load_discount_file, net_single_premium, period_premium)
@@ -44,6 +44,15 @@ def _inflows(args, n: int, n_states: "int | None") -> CashflowMatrix:
     return build_cashflow(load_cashflow_file(args.cashflow), n, n_states)
 
 
+def _load_chain(model_path, table_path, initial=None):
+    """Chain of a model file on a table.  The contract comes from the options, so no ``attach``
+    amount is read, and a ``lumpsum`` line, which only ``premval extend`` can place, is refused."""
+    parsed = load_model_file(model_path)
+    if parsed.lump_sums:
+        raise ValidationError(f"{model_path} has transition lump sums; run 'premval extend' on it first")
+    return build_chain(parsed.model, table_path, initial)
+
+
 def _load_run(args, contract: bool = True):
     """Chain, discount, contract inflows and pay states of a valuation command.
 
@@ -55,11 +64,14 @@ def _load_run(args, contract: bool = True):
         raise ValidationError("pass exactly one discount source: --rate or --discount-file")
     if contract and sum(x is not None for x in (args.accel, args.case, args.cashflow)) != 1:
         raise ValidationError("pass exactly one contract source: --accel, --case or --cashflow")
-    if getattr(args, "period", False) and (args.m is None or pay_states is None):
-        raise ValidationError("period mode requires --m and --pay-states")
+    if getattr(args, "period", False):
+        if args.m is None or pay_states is None:
+            raise ValidationError("period mode requires --m and --pay-states")
+    elif getattr(args, "m", None) is not None or pay_states is not None:
+        raise ValidationError("--m and --pay-states apply only in period mode (--period)")
     if not np.isfinite(getattr(args, "premium", 0.0)):
         raise ValidationError(f"--premium must be finite, got {args.premium}")
-    chain = build_chain(load_model_file(args.model).model, args.table, args.initial)
+    chain = _load_chain(args.model, args.table, args.initial)
     n = chain.table.n
     if args.rate is not None:
         discount = constant_rate_discount(n, rate=args.rate)
@@ -114,7 +126,7 @@ def _cmd_delta(args) -> int:
 
 
 def _cmd_table_check(args) -> int:
-    chain = build_chain(load_model_file(args.model).model, args.table)
+    chain = _load_chain(args.model, args.table)
     model, table = chain.model, chain.table
     residuals = diagonal_residuals(table, model)
     print(f"ok: horizon {table.n}, {model.n_states} states, "
@@ -125,7 +137,7 @@ def _cmd_table_check(args) -> int:
 
 
 def _cmd_dist(args) -> int:
-    chain = build_chain(load_model_file(args.model).model, args.table, args.initial)
+    chain = _load_chain(args.model, args.table, args.initial)
     header = ["k"] + [f"state_{j}" for j in range(1, chain.model.n_states + 1)]
     print(",".join(header))
     for k, row in enumerate(chain.dist.matrix):
@@ -173,7 +185,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_simulate(args) -> int:
     chain, discount, c_in, _ = _load_run(args)
-    ensemble = simulate(chain.seq, chain.initial, args.paths, args.seed, chunk_size=args.chunk_size)
+    ensemble = simulate(chain.seq, chain.initial, args.paths, args.seed)
     estimate = mc_pv(ensemble, c_in, discount)
     exact = expected_pv(c_in, chain.dist, discount)
     gap = abs(estimate.mean - exact)
@@ -276,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Multistate insurance valuation by the matrix method")
     parser.add_argument("--precision", type=_nonnegative_int, default=5, help="decimal places in reports")
     parser.add_argument("--format", choices=("plain", "csv"), default="plain", help="tabular output format")
-    parser.add_argument("--seed", type=int, default=0, help="default master seed for simulation")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check a model file")
@@ -348,10 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="cross-check the matrix value by simulation")
     _add_run_options(p)
     p.add_argument("--paths", type=int, required=True)
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                   help="master seed (falls back to the global --seed)")
-    p.add_argument("--chunk-size", type=int, default=CHUNK_SIZE,
-                   help="paths whose draws are held at once, one thread per 8192 of them up to the cores")
+    p.add_argument("--seed", type=int, default=0, help="master seed")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("demo", help="premium tables for the bundled SYNTHETIC fixture")

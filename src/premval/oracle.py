@@ -3,20 +3,20 @@ enumeration on small models and Monte Carlo simulation on any model.
 
 The simulator is counter-based: path i always consumes the same fixed block
 of the Philox stream derived from the master seed, regardless of how paths
-are batched into chunks.  Results are therefore bit-reproducible for a given
-(master_seed, n_paths), whatever the chunk size and the number of threads.
+are batched.  Results are therefore bit-reproducible for a given
+(master_seed, n_paths), whatever the number of threads.
 
-Every loop over the path axis (``simulate``'s chunks, the gather behind
+Every loop over the path axis (``simulate``'s draws, the gather behind
 ``mc_pv`` and ``mc_premium``, and ``empirical_distribution``'s counts) runs
-a chunk of ``chunk_size`` paths (``CHUNK_SIZE`` in the estimators) on
-T = max(1, min(cores, chunk_size // 8192)) threads, the calling thread
-among them, in contiguous blocks of ceil(chunk_size / T) paths and never
-on more threads than blocks; the cores are those ``os.sched_getaffinity``
-(else ``os.cpu_count()``) reports.  There is no setting for it, and the
-thread count changes no result: a block writes only its own paths, each
-path's total is summed over k in the same order in every block, and
-integer counts add exactly.  Threads hand the interpreter lock over at
-every numpy call, so a block below 8 192 paths runs faster on one thread.
+in contiguous blocks of ceil(CHUNK_SIZE / T) paths on
+T = max(1, min(cores, CHUNK_SIZE // 8192)) threads, the calling thread
+among them, and never on more threads than blocks; the cores are those
+``os.sched_getaffinity`` (else ``os.cpu_count()``) reports.  There is no
+setting for it, and the thread count changes no result: a block writes
+only its own paths, each path's total is summed over k in the same order
+in every block, and integer counts add exactly.  Threads hand the
+interpreter lock over at every numpy call, so a block below 8 192 paths
+runs faster on one thread.
 Median ``simulate`` times, one thread vs two, by block size (2 cores,
 numpy 2.4.6, seven alternating runs; more cores not measured):
 
@@ -57,7 +57,7 @@ MAX_ENUM_HORIZON = 12
 
 _PHILOX_WORDS_PER_BLOCK = 4
 
-#: Default number of paths simulated per chunk.
+#: Paths run at once across all threads, which bounds the draws ``simulate`` holds.
 CHUNK_SIZE = 1 << 15
 #: Fewest paths in a block before threads gain on it; see the module docstring.
 _THREADED_PATHS = 1 << 13
@@ -164,11 +164,11 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _path_blocks(n_paths: int, chunk_size: int) -> tuple[list[tuple[int, int]], int]:
+def _path_blocks(n_paths: int) -> tuple[list[tuple[int, int]], int]:
     """Contiguous blocks [start, stop) covering [0, n_paths), and the number
     of threads to run them on, as the module docstring sets out."""
-    threads = max(1, min(_usable_cores(), chunk_size // _THREADED_PATHS))
-    size = -(-chunk_size // threads)
+    threads = max(1, min(_usable_cores(), CHUNK_SIZE // _THREADED_PATHS))
+    size = -(-CHUNK_SIZE // threads)
     blocks = [(start, min(start + size, n_paths)) for start in range(0, n_paths, size)]
     return blocks, min(threads, len(blocks))
 
@@ -278,8 +278,7 @@ def _step(thresholds: np.ndarray, lengths: np.ndarray, states: np.ndarray, u: np
     return following
 
 
-def simulate(seq: TransitionSequence, initial: np.ndarray, n_paths: int, master_seed: int,
-             chunk_size: int = CHUNK_SIZE) -> PathEnsemble:
+def simulate(seq: TransitionSequence, initial: np.ndarray, n_paths: int, master_seed: int) -> PathEnsemble:
     """Draw state paths X(0..n) under the period transition matrices.
 
     The first uniform u of each path picks the initial state from
@@ -298,27 +297,21 @@ def simulate(seq: TransitionSequence, initial: np.ndarray, n_paths: int, master_
     built from the sequence's edges, once per sequence, and those of
     ``initial`` from a one-row sequence with an edge at every state on every
     call, so no dense Q is ever formed.
-    ``chunk_size`` bounds the paths whose uniform draws are held at once,
-    counted across all threads: T = max(1, min(cores, chunk_size // 8192))
-    threads, as measured in the module docstring, each step blocks of
-    ceil(chunk_size / T) paths and write their states straight into their
-    columns of the time-major path array (see ``PathEnsemble``).  A block's draws are staged
+    Each thread steps its blocks of paths (see the module docstring) and
+    writes their states straight into their columns of the time-major path
+    array (see ``PathEnsemble``).  A block's draws are staged
     ``_STAGED_PATHS`` paths at a time into its time-major uniforms, and
     each thread's buffers are allocated once per call by the calling
     thread, so no helper thread's malloc arena keeps them once freed.
-    ``n_paths``, ``master_seed`` and ``chunk_size`` must be integers (numpy
-    integers included).  See the module docstring for the reproducibility
-    contract.
+    ``n_paths`` and ``master_seed`` must be integers (numpy integers
+    included).  See the module docstring for the reproducibility contract.
     """
     n, n_states = seq.n, seq.n_states
     initial = initial_distribution(initial, n_states)
     n_paths = _integer("n_paths", n_paths)
     master_seed = _integer("master_seed", master_seed)
-    chunk_size = _integer("chunk_size", chunk_size)
     if n_paths < 1:
         raise ValidationError("n_paths must be positive")
-    if chunk_size < 1:
-        raise ValidationError("chunk_size must be positive")
     if not 0 <= master_seed < 2 ** 64:
         raise ValidationError("master_seed must fit in an unsigned 64-bit integer")
 
@@ -329,7 +322,7 @@ def simulate(seq: TransitionSequence, initial: np.ndarray, n_paths: int, master_
     dtype = np.int16 if n_states < 2 ** 15 else np.int32
     # Time-major, so that every step reads and writes contiguous vectors.
     time_major = np.empty((n + 1, n_paths), dtype=dtype)
-    blocks, threads = _path_blocks(n_paths, chunk_size)
+    blocks, threads = _path_blocks(n_paths)
     size = blocks[0][1]
     buffers = [(np.empty((min(size, _STAGED_PATHS), _words_per_path(n))), np.empty((n + 1, size)))
                for _ in range(threads)]
@@ -371,7 +364,7 @@ def _path_totals(ensemble: PathEnsemble, cashflows: list[CashflowMatrix],
         for k, states in enumerate(ensemble.paths.T):
             block += weighted[k].take(states[start:stop], axis=0)
 
-    _run_blocks(add_block, *_path_blocks(ensemble.n_paths, CHUNK_SIZE))
+    _run_blocks(add_block, *_path_blocks(ensemble.n_paths))
     return np.ascontiguousarray(totals.T)
 
 
@@ -418,7 +411,7 @@ def empirical_distribution(ensemble: PathEnsemble, n_states: int) -> np.ndarray:
         return np.stack([np.bincount(states[start:stop], minlength=n_states + 1)
                          for states in ensemble.paths.T])
 
-    counts = _run_blocks(count_block, *_path_blocks(ensemble.n_paths, CHUNK_SIZE))
+    counts = _run_blocks(count_block, *_path_blocks(ensemble.n_paths))
     return sum(counts, np.zeros((ensemble.n + 1, n_states + 1), dtype=np.intp))[:, 1:] / ensemble.n_paths
 
 

@@ -19,6 +19,8 @@ SRC = Path(pv.__file__).parent
 UNCHECKED_BUILDERS = {
     ("cashflow", "accelerated_benefit"):
         "its amounts are the share, 1 and 1 - share, with the share checked in [0, 1], on n + 1 >= 1 periods",
+    ("cashflow", "dread_disease_case"):
+        "its amounts are 0, 0.25, 1 and 2, with the case checked in 1..3, on n + 1 >= 1 periods",
     ("cashflow", "premium_selector"):
         "its amounts are 0 and 1, on n + 1 >= 2 periods, with a state payable before m or a refusal",
     ("cashflow", "premium_outflow"):
@@ -158,7 +160,7 @@ class TestDreadDiseaseCases:
 
     def test_annuity_case_replaces_lump_sum_with_terminal_income(self):
         plain = pv.accelerated_benefit(0.0, n=6).matrix
-        extra = pv.dread_disease_case(2, n=6, annuity_rate=0.25).matrix - plain
+        extra = pv.dread_disease_case(2, n=6).matrix - plain
         want = np.zeros_like(plain)
         for state in (3, 4, 5, 6):
             want[state - 2:, state - 1] = 0.25
@@ -166,15 +168,11 @@ class TestDreadDiseaseCases:
 
     def test_endowment_case_adds_survival_payment(self):
         base = pv.dread_disease_case(1, n=6).matrix
-        endow = pv.dread_disease_case(3, n=6, endowment=1.0).matrix
+        endow = pv.dread_disease_case(3, n=6).matrix
         extra = endow - base
         want = np.zeros_like(base)
         want[6, 0:6] = 1.0
         np.testing.assert_array_equal(extra, want)
-
-    def test_scalable_amounts(self):
-        doubled = pv.dread_disease_case(1, n=4, lump_sum=2.0, death_benefit=2.0).matrix
-        np.testing.assert_array_equal(doubled, 2.0 * pv.dread_disease_case(1, n=4).matrix)
 
 
 class TestPremiumSelector:

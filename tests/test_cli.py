@@ -99,6 +99,26 @@ class TestExitCodes:
         assert err == f"error: pay state {bad} out of range 1..10\n"
 
     @pytest.mark.parametrize("argv", [
+        ("premium", "--single", "--cashflow", os.devnull, "--rate", "0.01", "--model", "{model}", "--table", "{table}"),
+        ("annuity", "--state", "1", "--from", "0", "--to", "1", "--rate", "0.01",
+         "--model", "{model}", "--table", "{table}"),
+        ("dist", "{model}", "{table}"),
+        ("table", "check", "{model}", "{table}"),
+    ], ids=["premium", "annuity", "dist", "table-check"])
+    def test_chain_commands_refuse_lump_sums(self, capsys, tmp_path, argv):
+        """A chain command would price the chain without the lump sums, so it refuses them."""
+        model, table = tmp_path / "m.model", tmp_path / "t.csv"
+        model.write_text("states 2\ntransition 1 2\nlumpsum 1 2 5.0\nattach 2 7.0\n")
+        table.write_text("k,l_1,d_1_2\n0,100,10\n1,90,9\n")
+        argv = [a.format(model=model, table=table) for a in argv]
+        assert run(capsys, *argv) == (
+            1, "", f"error: {model} has transition lump sums; run 'premval extend' on it first\n")
+
+    def test_table_check_refuses_the_base_model(self, capsys):
+        assert run(capsys, "table", "check", BASE, TABLE) == (
+            1, "", f"error: {BASE} has transition lump sums; run 'premval extend' on it first\n")
+
+    @pytest.mark.parametrize("argv", [
         ("premium", "--model", MODEL, "--table", TABLE, "--rate", "0.01", "--accel", "0.5", "--single"),
         ("dist", MODEL, TABLE),
     ], ids=["premium", "dist"])
@@ -168,9 +188,16 @@ class TestInputChecks:
          "period mode requires --m and --pay-states"),
         (("check", "--premium", "0.1", "--rate", "0.01", "--case", "2", "--period", "--pay-states", "1"),
          "period mode requires --m and --pay-states"),
+        (("premium", "--rate", "0.01", "--accel", "0.5", "--single", "--m", "3", "--pay-states", "9"),
+         "--m and --pay-states apply only in period mode (--period)"),
+        (("check", "--premium", "0.0123", "--rate", "0.01", "--accel", "0.5", "--m", "25"),
+         "--m and --pay-states apply only in period mode (--period)"),
+        (("check", "--premium", "0.0123", "--rate", "0.01", "--accel", "0.5", "--pay-states", "1,2"),
+         "--m and --pay-states apply only in period mode (--period)"),
         (("annuity", "--state", "1", "--from", "0", "--to", "25"), "pass exactly one discount source"),
     ], ids=["pay-states-before-discount", "discount-before-contract", "check-discount-before-contract",
-            "contract", "premium-period", "check-period", "annuity-discount"])
+            "contract", "premium-period", "check-period", "premium-single-m", "check-single-m",
+            "check-single-pay-states", "annuity-discount"])
     def test_first_fault_is_reported_before_any_file_is_read(self, capsys, tmp_path, argv, message):
         absent = str(tmp_path / "absent")
         code, out, err = run(capsys, *argv, "--model", absent, "--table", absent)
@@ -181,7 +208,7 @@ class TestInputChecks:
 #: Each subcommand's options and their defaults: scripts depend on them, so
 #: no refactor of the parser may add, drop or re-default one.
 OPTIONS = {
-    "": {"--precision": 5, "--format": "plain", "--seed": 0},
+    "": {"--precision": 5, "--format": "plain"},
     "validate": {"model": None},
     "extend": {"model": None, "-o/--output": None},
     "delta": {"model": None},
@@ -201,8 +228,7 @@ OPTIONS = {
               "--accel": None, "--case": None, "--cashflow": None, "--premium": None, "--period": False,
               "--m": None, "--pay-states": None},
     "simulate": {"--model": None, "--table": None, "--rate": None, "--discount-file": None, "--initial": None,
-                 "--accel": None, "--case": None, "--cashflow": None, "--paths": None,
-                 "--seed": argparse.SUPPRESS, "--chunk-size": 32768},
+                 "--accel": None, "--case": None, "--cashflow": None, "--paths": None, "--seed": 0},
     "demo": {"scenario": None},
     "fixtures": {"--out": None},
 }
@@ -231,7 +257,7 @@ VALID = {
     "check": ("check", "--model", MODEL, "--table", TABLE, "--rate", "0.01", "--accel", "0.5",
               "--premium", "0.1", "--initial", "1"),
     "simulate": ("simulate", "--model", MODEL, "--table", TABLE, "--rate", "0.01", "--accel", "0.5",
-                 "--paths", "10", "--seed", "1", "--chunk-size", "4", "--initial", "1"),
+                 "--paths", "10", "--seed", "1", "--initial", "1"),
     "annuity": ("annuity", "--model", MODEL, "--table", TABLE, "--rate", "0.01", "--state", "1",
                 "--from", "0", "--to", "25", "--initial", "1"),
     "dist": ("dist", MODEL, TABLE, "--initial", "1"),
@@ -251,7 +277,6 @@ MALFORMED = [
     ("check", "--initial", ["x", "-1"]),
     ("simulate", "--paths", ["x", "-1"]),
     ("simulate", "--seed", ["x", "-1"]),
-    ("simulate", "--chunk-size", ["x", "0", "-4"]),
     ("simulate", "--rate", ["nan"]),
     ("annuity", "--state", ["x", "0", "11"]),
     ("annuity", "--from", ["x", "-1", "26"]),
@@ -381,20 +406,6 @@ class TestSimulateCommand:
         assert first == second
         assert "matrix value:" in first
         assert "standard errors" in first
-
-    def test_chunk_size_invisible_in_report(self, capsys):
-        base = ("simulate", "--model", MODEL, "--table", TABLE, "--rate", "0.01",
-                "--accel", "0.5", "--paths", "2000", "--seed", "99")
-        _, first, _ = run(capsys, *base, "--chunk-size", "300")
-        _, second, _ = run(capsys, *base, "--chunk-size", "100000")
-        assert first == second
-
-    def test_global_seed_used_when_not_given(self, capsys):
-        args = ("simulate", "--model", MODEL, "--table", TABLE, "--rate", "0.01",
-                "--accel", "0.5", "--paths", "1000")
-        _, with_default, _ = run(capsys, *args)
-        _, with_zero, _ = run(capsys, "--seed", "0", *args)
-        assert with_default == with_zero
 
 
 class TestDemo:

@@ -84,10 +84,11 @@ class TestSimulate:
                  for a, b in zip(ensemble.paths[:, :-1].ravel(), ensemble.paths[:, 1:].ravel())}
         assert steps <= allowed
 
-    def test_chunk_size_does_not_change_paths(self, chain3):
-        small = pv.simulate(chain3.seq, _unit(3, 1), 1_000, master_seed=9, chunk_size=17)
-        medium = pv.simulate(chain3.seq, _unit(3, 1), 1_000, master_seed=9, chunk_size=256)
-        huge = pv.simulate(chain3.seq, _unit(3, 1), 1_000, master_seed=9, chunk_size=1 << 20)
+    def test_chunk_size_does_not_change_paths(self, chain3, monkeypatch):
+        def paths(chunk_size):
+            monkeypatch.setattr(pv.oracle, "CHUNK_SIZE", chunk_size)
+            return pv.simulate(chain3.seq, _unit(3, 1), 1_000, master_seed=9)
+        small, medium, huge = paths(17), paths(256), paths(1 << 20)
         np.testing.assert_array_equal(small.paths, medium.paths)
         np.testing.assert_array_equal(small.paths, huge.paths)
 
@@ -135,17 +136,15 @@ class TestSimulate:
         ("master_seed", 1.5, "master_seed must be an integer, got float 1.5"),
         ("master_seed", np.float64(2.0), "master_seed must be an integer, got float64 2.0"),
         ("n_paths", 8.0, "n_paths must be an integer, got float 8.0"),
-        ("chunk_size", 2.5, "chunk_size must be an integer, got float 2.5"),
-        ("chunk_size", "4", "chunk_size must be an integer, got str 4"),
-    ], ids=["float-seed", "numpy-float-seed", "float-paths", "float-chunk", "str-chunk"])
+    ], ids=["float-seed", "numpy-float-seed", "float-paths"])
     def test_non_integral_arguments_refused(self, chain3, argument, value, message):
-        arguments = {"n_paths": 8, "master_seed": 1, "chunk_size": 3, argument: value}
+        arguments = {"n_paths": 8, "master_seed": 1, argument: value}
         with pytest.raises(pv.ValidationError, match=f"^{message}$"):
             pv.simulate(chain3.seq, _unit(3, 1), **arguments)
 
     def test_numpy_integer_arguments_accepted(self, chain3):
-        plain = pv.simulate(chain3.seq, _unit(3, 1), 50, master_seed=3, chunk_size=7)
-        numpy = pv.simulate(chain3.seq, _unit(3, 1), np.int32(50), master_seed=np.uint64(3), chunk_size=np.int64(7))
+        plain = pv.simulate(chain3.seq, _unit(3, 1), 50, master_seed=3)
+        numpy = pv.simulate(chain3.seq, _unit(3, 1), np.int32(50), master_seed=np.uint64(3))
         assert np.array_equal(plain.paths, numpy.paths)
         assert numpy.master_seed == 3 and type(numpy.master_seed) is int
 

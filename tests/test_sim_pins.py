@@ -108,10 +108,11 @@ def test_three_state_paths_are_pinned(chain3, case):
 @pytest.mark.parametrize("chunk_size", [1, 17, None], ids=["chunk1", "chunk17", "default"])
 def test_wide_paths_are_pinned(wide, chunk_size, monkeypatch):
     pin = DIGESTS["wide"]
-    chunking = {} if chunk_size is None else {"chunk_size": chunk_size}
+    if chunk_size is not None:
+        monkeypatch.setattr(oracle, "CHUNK_SIZE", chunk_size)
     for cores in CORE_COUNTS:
         set_cores(monkeypatch, cores)
-        ensemble = pv.simulate(wide, wide_initial(), pin["n_paths"], pin["seed"], **chunking)
+        ensemble = pv.simulate(wide, wide_initial(), pin["n_paths"], pin["seed"])
         assert path_digest(ensemble.paths) == pin["digest"], f"{cores} cores"
 
 
@@ -148,7 +149,7 @@ def simulate_peak(dread, monkeypatch, cores) -> int:
 
 
 def test_draws_in_flight_do_not_grow_with_the_thread_count(dread, monkeypatch):
-    # chunk_size counts paths across all threads, so two threads hold about
+    # CHUNK_SIZE counts paths across all threads, so two threads hold about
     # as many draws at once as one.
     serial = simulate_peak(dread, monkeypatch, 1)
     parallel = simulate_peak(dread, monkeypatch, 2)
@@ -157,23 +158,25 @@ def test_draws_in_flight_do_not_grow_with_the_thread_count(dread, monkeypatch):
 
 def test_blocks_split_the_chunk_between_the_cores(monkeypatch):
     set_cores(monkeypatch, 2)
-    assert oracle._path_blocks(40_000, 32_768) == ([(0, 16_384), (16_384, 32_768), (32_768, 40_000)], 2)
+    assert oracle._path_blocks(40_000) == ([(0, 16_384), (16_384, 32_768), (32_768, 40_000)], 2)
     set_cores(monkeypatch, 3)
-    assert oracle._path_blocks(4_096, 32_768) == ([(0, 4_096)], 1)
+    assert oracle._path_blocks(4_096) == ([(0, 4_096)], 1)
     # Blocks of one path gain nothing on threads (see oracle._THREADED_PATHS).
-    assert oracle._path_blocks(5, 1) == ([(i, i + 1) for i in range(5)], 1)
+    monkeypatch.setattr(oracle, "CHUNK_SIZE", 1)
+    assert oracle._path_blocks(5) == ([(i, i + 1) for i in range(5)], 1)
 
 
 @pytest.mark.parametrize("cores", [1, 2, 3, 8])
 def test_a_small_chunk_runs_on_one_thread(monkeypatch, cores):
     set_cores(monkeypatch, cores)
-    blocks, threads = oracle._path_blocks(4_096, 17)
+    monkeypatch.setattr(oracle, "CHUNK_SIZE", 17)
+    blocks, threads = oracle._path_blocks(4_096)
     assert threads == 1 and blocks[:2] == [(0, 17), (17, 34)]
 
 
 def test_no_thread_gets_a_block_below_the_threaded_size(monkeypatch):
     set_cores(monkeypatch, 8)
-    blocks, threads = oracle._path_blocks(200_000, oracle.CHUNK_SIZE)
+    blocks, threads = oracle._path_blocks(200_000)
     sizes = [stop - start for start, stop in blocks]
     assert threads > 1
     assert min(sizes[:-1]) >= oracle._THREADED_PATHS
