@@ -181,6 +181,7 @@ def dread_disease_case(case: int, n: int) -> CashflowMatrix:
     arrival time.  Case 3 is case 1 plus a pure endowment of 1 paid at the
     horizon in every alive state (1..6).
     """
+    case = _integer("case id", case)
     if case not in (1, 2, 3):
         raise ValidationError(f"unknown case id {case!r} (expected 1, 2 or 3)")
     c = np.zeros((_periods(n), DREAD_DISEASE_STATES))

@@ -15,17 +15,19 @@ among them, and never on more threads than blocks; the cores are those
 setting for it, and the thread count changes no result: a block writes
 only its own paths, each path's total is summed over k in the same order
 in every block, and integer counts add exactly.  Threads hand the
-interpreter lock over at every numpy call, so a block below 8 192 paths
-runs faster on one thread.
+interpreter lock over at every numpy call, about five a step, so a block
+below 8 192 paths runs faster on one thread: on both chains below, two
+threads first gain at 8 192 paths a block.
 Median ``simulate`` times, one thread vs two, by block size (2 cores,
-numpy 2.4.6, seven alternating runs; more cores not measured):
+numpy 2.4.6, seven alternating runs; more cores not measured; the N=200
+chain is perfbench's synthetic chain of seed 61):
 
-    block size   200 000 fixture paths   16 384 paths, N=200, n=120
-         1 024   306 vs 436 ms           187 vs 266 ms
-         2 048   258 vs 297 ms           151 vs 186 ms
-         4 096   216 vs 202 ms           125 vs 118 ms
-         8 192   189 vs 134 ms           114 vs  98 ms
-        16 384   185 vs 120 ms           -
+    block size   200 000 fixture paths   32 768 paths, N=200, n=120
+         1 024   200 vs 487 ms           285 vs 366 ms
+         2 048   152 vs 240 ms           140 vs 254 ms
+         4 096   158 vs 160 ms           144 vs 158 ms
+         8 192   121 vs 108 ms           116 vs  94 ms
+        16 384    93 vs  72 ms            99 vs  74 ms
 
 A uniform u moves a path from row c of cumulative probabilities (last entry
 forced to 1.0) to the 0-based state ``#{j : c_j < u}``.  The cumulative sum
@@ -35,6 +37,18 @@ column, so the count equals the sum over those columns w of len_w x
 This identity holds for every row, including rows whose cumulative sum
 decreases at an entry in [-1e-12, 0), and it lets the simulator step with a
 few thresholds per row instead of N.
+
+Most steps take one gather from a guide table (Chen and Asau 1974;
+Devroye 1986, section III.2.4).  It cuts [0, 1) into G buckets, G a power
+of two, and holds for each period, row and bucket b the count at b/G, or a
+mark where a threshold c_w has floor(c_w * G) == b.  Scaling by a power of
+two is exact, so each threshold lies below every draw of an unmarked bucket
+or above every one, and all of the bucket's draws give the same count: the
+guide answers exactly what the thresholds would.  A path that lands in a
+marked bucket is stepped from the thresholds.  G is the largest power of
+two in [16, 1024] that keeps the guide within 2^20 entries: 1 024 on the
+fixture, with 0.2% of its buckets marked, and 32 on an N=200, n=120 chain,
+with about 6% marked.
 """
 
 from __future__ import annotations
@@ -62,8 +76,12 @@ CHUNK_SIZE = 1 << 15
 #: Fewest paths in a block before threads gain on it; see the module docstring.
 _THREADED_PATHS = 1 << 13
 #: Paths whose raw draws ``simulate`` holds at once before copying them
-#: time-major: 0.9 MB of draws on the fixture.
-_STAGED_PATHS = 1 << 12
+#: time-major: 0.46 MB of draws on the fixture, 2 MB on an N=200, n=120 chain.
+_STAGED_PATHS = 1 << 11
+#: Most entries in a sequence's guide table, 2 MB of int16 states.
+_GUIDE_ENTRIES = 1 << 20
+#: Most (slot, path) entries ``_step`` compares in one call.
+_STEP_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -259,23 +277,92 @@ def _step_tables(rows: np.ndarray, columns: np.ndarray, probabilities: np.ndarra
     return thresholds, np.diff(starts, axis=1)
 
 
-def _sequence_steps(seq: TransitionSequence) -> tuple[np.ndarray, np.ndarray]:
-    """``_step_tables`` of the sequence's edges, built on its first simulation
-    and kept on it; its arrays are read-only, so the tables stay its own."""
+def _path_dtype(n_states: int):
+    """The integer type of simulated states, and so of a guide table's entries."""
+    return np.int16 if n_states < 2 ** 15 else np.int32
+
+
+def _guide_buckets(n: int, n_rows: int) -> int:
+    """G for the guide table of n periods of n_rows rows: the largest power of
+    two in [16, 1024] that keeps its n x (n_rows + 1) x G entries within
+    ``_GUIDE_ENTRIES``, or 16 where no such power does."""
+    fit = _GUIDE_ENTRIES // max(1, n * (n_rows + 1))
+    return 1 << min(10, max(4, fit.bit_length() - 1))
+
+
+def _guide_table(thresholds: np.ndarray, lengths: np.ndarray, buckets: int, dtype) -> np.ndarray:
+    """Guide table of n periods' (W, R) step tables with G = ``buckets``, a
+    power of two: entry (k, s, b) of the (n, R + 1, G) result is the 1-based
+    next state, ``#{j : c_j < u} + 1``, of every draw u in [b/G, (b + 1)/G)
+    from the row of 1-based state s in period k, or 0 where that count is
+    not the same for all of them.  Row 0 is never read.
+
+    u * G and t * G are exact, so a used slot's threshold t is below every
+    draw of bucket b if floor(t * G) < b, and above every one if
+    floor(t * G) > b.  On a bucket that holds no threshold the count is
+    therefore constant, and it is the count at b/G.
+    """
+    n, width, n_rows = thresholds.shape
+    guide = np.zeros((n, n_rows + 1, buckets), dtype=dtype)
+    guide[:, 1:, 0] = 1
+    flat = guide.reshape(-1)
+    straddled = []
+    for w in range(width):
+        k, row = np.nonzero(lengths[:, w])
+        first = np.floor(thresholds[k, w, row] * buckets).astype(np.intp)
+        at = (k * (n_rows + 1) + row + 1) * buckets
+        # The slot's length counts from the first bucket wholly above its
+        # threshold; a row has one threshold per slot, so no index repeats.
+        rises = first < buckets - 1
+        flat[at[rises] + np.maximum(first[rises] + 1, 0)] += lengths[k[rises], w, row[rises]].astype(dtype)
+        inside = (first >= 0) & (first < buckets)
+        straddled.append(at[inside] + first[inside])
+    np.cumsum(guide, axis=2, dtype=dtype, out=guide)
+    flat[np.concatenate(straddled)] = 0
+    return guide
+
+
+def _sequence_steps(seq: TransitionSequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_step_tables`` of the sequence's edges and their ``_guide_table``,
+    built on its first simulation and kept on it; its arrays are read-only,
+    so the tables stay its own."""
     if "_steps" not in vars(seq):
-        vars(seq)["_steps"] = _step_tables(seq.rows, seq.columns, seq.probabilities, (seq.n_states, seq.n_states))
+        thresholds, lengths = _step_tables(seq.rows, seq.columns, seq.probabilities, (seq.n_states, seq.n_states))
+        guide = _guide_table(thresholds, lengths, _guide_buckets(seq.n, seq.n_states), _path_dtype(seq.n_states))
+        vars(seq)["_steps"] = thresholds, lengths, guide
     return vars(seq)["_steps"]
 
 
 def _step(thresholds: np.ndarray, lengths: np.ndarray, states: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Next 0-based states, ``#{j : cumulative[state, j] < u}``, from one
-    period's (W, N) tables: the sum over slots of length x [threshold < u]."""
-    following = np.zeros_like(states)
-    below = np.empty(states.shape, dtype=bool)
-    for w in range(thresholds.shape[0]):
-        np.less(thresholds[w].take(states), u, out=below)
-        following += lengths[w].take(states) * below
+    period's (W, N) tables: the sum over slots of length x [threshold < u].
+    The slots go ``_STEP_ENTRIES // len(states)`` at a time, so the few
+    paths a guide table leaves take a few calls, and a wide row still holds
+    a bounded block of (slot, path) entries."""
+    following = np.zeros(states.shape, dtype=np.intp)
+    span = max(1, _STEP_ENTRIES // max(1, states.size))
+    for w in range(0, thresholds.shape[0], span):
+        below = thresholds[w:w + span].take(states, axis=1) < u
+        following += (lengths[w:w + span].take(states, axis=1) * below).sum(axis=0)
     return following
+
+
+def _guided_step(guide: np.ndarray, thresholds: np.ndarray, lengths: np.ndarray, states: np.ndarray,
+                 scaled: np.ndarray, index: np.ndarray, out: np.ndarray):
+    """Write to ``out`` the 1-based next states of the 1-based ``states``
+    under the draws ``scaled`` / G, from one period's (R + 1, G) guide table
+    and (W, R) step tables: one gather from bucket floor(u * G) of the
+    state's row, then ``_step`` for the paths whose bucket holds a
+    threshold.  ``index`` is an intp buffer as long as ``states``."""
+    buckets = guide.shape[1]
+    np.multiply(states, buckets, out=index, dtype=np.intp)
+    # Cast to intp before the sum, which floors the nonnegative scaled draws.
+    np.add(index, scaled, out=index, dtype=np.intp, casting="unsafe")
+    # Every index is in range; "clip" lets take write to out unbuffered.
+    guide.take(index, out=out, mode="clip")
+    missed = np.flatnonzero(out == 0)
+    if missed.size:
+        out[missed] = _step(thresholds, lengths, states[missed] - 1, scaled[missed] / buckets) + 1
 
 
 def simulate(seq: TransitionSequence, initial: np.ndarray, n_paths: int, master_seed: int) -> PathEnsemble:
@@ -291,12 +378,15 @@ def simulate(seq: TransitionSequence, initial: np.ndarray, n_paths: int, master_
     [-1e-12, 0), which a valid sequence may hold, make c decrease; the rule
     still holds exactly.
 
-    Each step gathers a path's row from compact run-length tables (see
-    ``_step_tables``) instead of a dense row of N cumulative values, so
-    memory and time scale with the nonzeros, not with N.  The tables are
-    built from the sequence's edges, once per sequence, and those of
-    ``initial`` from a one-row sequence with an edge at every state on every
-    call, so no dense Q is ever formed.
+    Each step reads a path's next state from its bucket of a guide table
+    (see the module docstring and ``_guide_table``) and, for the few paths
+    whose bucket holds a threshold, from compact run-length tables (see
+    ``_step_tables``) instead of a dense row of N cumulative values.  The
+    tables are built from the sequence's edges, once per sequence, on its
+    first simulation; the guide holds at most 2^20 entries, 1.5 MB of int16
+    on an N=200, n=120 chain.  The initial state is drawn from the tables
+    of a one-row sequence with an edge at every state, built on every call,
+    so no dense Q is ever formed.
     Each thread steps its blocks of paths (see the module docstring) and
     writes their states straight into their columns of the time-major path
     array (see ``PathEnsemble``).  A block's draws are staged
@@ -317,29 +407,29 @@ def simulate(seq: TransitionSequence, initial: np.ndarray, n_paths: int, master_
 
     initial_thresholds, initial_lengths = _step_tables(np.zeros(n_states, dtype=np.intp), np.arange(n_states),
                                                        initial[None], (1, n_states))
-    thresholds, lengths = _sequence_steps(seq)
+    thresholds, lengths, guide = _sequence_steps(seq)
+    buckets = guide.shape[2]
 
-    dtype = np.int16 if n_states < 2 ** 15 else np.int32
     # Time-major, so that every step reads and writes contiguous vectors.
-    time_major = np.empty((n + 1, n_paths), dtype=dtype)
+    time_major = np.empty((n + 1, n_paths), dtype=_path_dtype(n_states))
     blocks, threads = _path_blocks(n_paths)
     size = blocks[0][1]
-    buffers = [(np.empty((min(size, _STAGED_PATHS), _words_per_path(n))), np.empty((n + 1, size)))
-               for _ in range(threads)]
+    buffers = [(np.empty((min(size, _STAGED_PATHS), _words_per_path(n))), np.empty((n + 1, size)),
+                np.empty(size, dtype=np.intp)) for _ in range(threads)]
 
     def simulate_block(worker: int, start: int, stop: int):
         count = stop - start
-        draws, u = buffers[worker][0], buffers[worker][1][:, :count]
+        draws, u, index = buffers[worker][0], buffers[worker][1][:, :count], buffers[worker][2][:count]
+        # u holds the draws times G, which is exact for a power of two.
         for first in range(0, count, len(draws)):
             staged = draws[:min(len(draws), count - first)]
             _chunk_uniforms(master_seed, start + first, staged)
-            u[:, first:first + len(staged)] = staged[:, :n + 1].T
+            np.multiply(staged[:, :n + 1].T, buckets, out=u[:, first:first + len(staged)])
         columns = time_major[:, start:stop]
-        states = _step(initial_thresholds[0], initial_lengths[0], np.zeros(count, dtype=np.intp), u[0])
+        states = _step(initial_thresholds[0], initial_lengths[0], np.zeros(count, dtype=np.intp), u[0] / buckets)
         np.add(states, 1, out=columns[0])
         for k in range(n):
-            states = _step(thresholds[k], lengths[k], states, u[k + 1])
-            np.add(states, 1, out=columns[k + 1])
+            _guided_step(guide[k], thresholds[k], lengths[k], columns[k], u[k + 1], index, columns[k + 1])
 
     _run_blocks(simulate_block, blocks, threads)
     return PathEnsemble(paths=time_major.T, master_seed=master_seed)

@@ -153,6 +153,16 @@ class TestDreadDiseaseCases:
         with pytest.raises(pv.ValidationError, match="unknown case id"):
             pv.dread_disease_case(4, n=3)
 
+    @pytest.mark.parametrize("case", [2.0, "2", None])
+    def test_non_integer_case_id_rejected(self, case):
+        # 2.0 == 2, so a membership test alone would price case 2.
+        with pytest.raises(pv.ValidationError, match=r"^case id must be an integer, got "):
+            pv.dread_disease_case(case, n=3)
+
+    def test_numpy_integer_case_id_accepted(self):
+        np.testing.assert_array_equal(pv.dread_disease_case(np.int64(2), n=3).matrix,
+                                      pv.dread_disease_case(2, n=3).matrix)
+
     @pytest.mark.parametrize("n", [-1, -3])
     def test_negative_horizon_rejected(self, n):
         with pytest.raises(pv.ValidationError, match=rf"^horizon n={n} is negative$"):

@@ -7,8 +7,9 @@ at the seeds ``test_oracle.py`` uses, and a wide N=200 chain with sparse
 rows, identity rows and tiny negative diagonals, at several chunk sizes.
 The fixture and wide pins hold with the simulator's core count set to 1, 2
 and 3, and so do the fixture estimates, whose draws in flight must not grow
-with the thread count.  The step itself is checked against the dense rule it
-replaces, and its memory against the size of the transition matrices.
+with the thread count.  The step itself, with and without the guide table,
+is checked against the dense rule it replaces, its memory against the size
+of the transition matrices, and the guide table against its budget.
 """
 
 import hashlib
@@ -108,12 +109,37 @@ def test_three_state_paths_are_pinned(chain3, case):
 @pytest.mark.parametrize("chunk_size", [1, 17, None], ids=["chunk1", "chunk17", "default"])
 def test_wide_paths_are_pinned(wide, chunk_size, monkeypatch):
     pin = DIGESTS["wide"]
+    core_counts = CORE_COUNTS
     if chunk_size is not None:
         monkeypatch.setattr(oracle, "CHUNK_SIZE", chunk_size)
-    for cores in CORE_COUNTS:
+        # A chunk this small runs on one thread at every core count, so one run stands for all of them.
+        for cores in CORE_COUNTS:
+            set_cores(monkeypatch, cores)
+            assert oracle._path_blocks(pin["n_paths"])[1] == 1, f"{cores} cores"
+        core_counts = CORE_COUNTS[:1]
+    for cores in core_counts:
         set_cores(monkeypatch, cores)
         ensemble = pv.simulate(wide, wide_initial(), pin["n_paths"], pin["seed"])
         assert path_digest(ensemble.paths) == pin["digest"], f"{cores} cores"
+
+
+@pytest.mark.parametrize("buckets", [1, 16])
+def test_paths_stay_pinned_when_the_thresholds_step_most_paths(dread, wide, buckets, monkeypatch):
+    # With one bucket, every row with a threshold in [0, 1) sends its paths to _step.
+    monkeypatch.setattr(oracle, "_guide_buckets", lambda n, n_rows: buckets)
+    fixture, pin = DIGESTS["fixture"], DIGESTS["wide"]
+    seed = min(fixture["digests"])
+    seq = pv.transition_sequence(dread.table, dread.model)
+    ensemble = pv.simulate(seq, dread.initial, fixture["n_paths"], int(seed))
+    assert path_digest(ensemble.paths) == fixture["digests"][seed]
+    ensemble = pv.simulate(pv.TransitionSequence(wide.matrices), wide_initial(), pin["n_paths"], pin["seed"])
+    assert path_digest(ensemble.paths) == pin["digest"]
+
+
+@pytest.mark.parametrize(("n", "n_states", "buckets"), [(25, 10, 1024), (120, 200, 32), (120, 1000, 16), (0, 10, 1024)])
+def test_guide_buckets_fill_the_budget(n, n_states, buckets):
+    # The largest power of two in [16, 1024] within 2^20 entries; 16 even where it is not.
+    assert oracle._guide_buckets(n, n_states) == buckets
 
 
 def fixture_estimates(dread) -> list[str]:
@@ -263,18 +289,34 @@ def dense_step(row: np.ndarray, u: float) -> int:
     return int((cumulative < u).sum())
 
 
+def dense_steps(period: np.ndarray, states: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``dense_step`` of row ``states[i]`` of ``period`` and draw ``u[i]`` for every i."""
+    cumulative = np.cumsum(period, axis=1)
+    cumulative[:, -1] = 1.0
+    return (cumulative[states] < u[:, None]).sum(axis=1)
+
+
 @st.composite
-def rows_and_draws(draw):
+def rows_and_draws(draw, dyadic=False):
     """A few periods of stochastic rows, some with entries in [-1e-12, 0)
     or -0.0, on one edge list holding every entry that is not +0.0 in some
     period and a few +0.0 ones besides; and draws at and beside every
-    cumulative value of every row."""
+    cumulative value of every row.  With ``dyadic``, a row's probabilities
+    are multiples of 1/8 (0.125, 0.25, 0.5 and what is left of 1), so its
+    cumulative values fall on the lower ends of guide buckets."""
     n_states = draw(st.integers(1, 12))
     periods = np.zeros((draw(st.integers(1, 3)), draw(st.integers(1, 4)), n_states))
     for row in periods.reshape(-1, n_states):
         columns = draw(st.lists(st.integers(0, n_states - 1), min_size=1, max_size=5, unique=True))
-        weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(columns), max_size=len(columns)))
-        row[columns] = np.array(weights) / sum(weights)
+        if dyadic:
+            left = 1.0
+            for j in columns[:-1]:
+                row[j] = min(left, draw(st.sampled_from([0.125, 0.25, 0.5])))
+                left -= row[j]
+            row[columns[-1]] = left
+        else:
+            weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(columns), max_size=len(columns)))
+            row[columns] = np.array(weights) / sum(weights)
         for j in draw(st.lists(st.integers(0, n_states - 1), max_size=3, unique=True)):
             if j not in columns:
                 row[j] = -draw(st.one_of(st.just(0.0), st.floats(1e-16, 1e-12)))
@@ -304,6 +346,49 @@ def test_u_zero_picks_the_first_state_even_with_zero_probability():
     thresholds, lengths = oracle._step_tables(np.zeros(4, dtype=np.intp), np.arange(4), row[None], (1, 4))
     got = oracle._step(thresholds[0], lengths[0], np.zeros(1, dtype=np.int16), np.array([0.0]))
     assert got.tolist() == [0] == [dense_step(row, 0.0)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(rows_and_draws(), rows_and_draws(dyadic=True)), st.sampled_from([1, 4, 16, 1024]),
+       st.sampled_from([1, oracle._STEP_ENTRIES]))
+def test_guided_step_follows_the_dense_rule(case, buckets, step_entries):
+    # One bucket sends nearly every draw to _step, and one (slot, path) entry a call makes it go slot by slot.
+    periods, (rows, columns), draws = case
+    thresholds, lengths = oracle._step_tables(rows, columns, periods[:, rows, columns], periods.shape[1:])
+    guide = oracle._guide_table(thresholds, lengths, buckets, np.int16)
+    # Every bucket's lower end and the floats beside it, all of them for a
+    # few buckets and those of the buckets at and after each cumulative value otherwise.
+    lower = set(range(min(buckets, 16)))
+    lower.update(b for value in np.cumsum(periods, axis=2).ravel() for b in np.floor(value * buckets) + (0, 1))
+    for b in lower:
+        draws.extend((b / buckets, np.nextafter(b / buckets, -np.inf), np.nextafter(b / buckets, np.inf)))
+    draws = np.array(sorted({u for u in draws if 0.0 <= u < 1.0}))
+    states = np.repeat(np.arange(periods.shape[1], dtype=np.int16), len(draws))
+    u = np.tile(draws, periods.shape[1])
+    got = np.empty_like(states)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_STEP_ENTRIES", step_entries)
+        for k, period in enumerate(periods):
+            oracle._guided_step(guide[k], thresholds[k], lengths[k], states + 1, u * buckets,
+                                np.empty(len(states), dtype=np.intp), got)
+            assert (got - 1).tolist() == dense_steps(period, states, u).tolist()
+
+
+def test_the_guide_table_stays_within_its_budget():
+    seq = wide_sequence(120)
+    thresholds, lengths = oracle._step_tables(seq.rows, seq.columns, seq.probabilities, (WIDE_STATES, WIDE_STATES))
+    buckets = oracle._guide_buckets(seq.n, seq.n_states)
+    tracemalloc.start()
+    try:
+        guide = oracle._guide_table(thresholds, lengths, buckets, np.int16)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    budget = oracle._GUIDE_ENTRIES * guide.itemsize
+    assert buckets == 32 and guide.size <= oracle._GUIDE_ENTRIES
+    assert held <= budget, f"{held / 1e6:.2f} MB held of a {budget / 1e6:.2f} MB budget"
+    # Its transients are per slot, so building it holds at most as much again.
+    assert peak <= 2 * budget, f"peak {peak / 1e6:.2f} MB of a {budget / 1e6:.2f} MB budget"
 
 
 def test_simulate_memory_stays_below_half_the_matrices():
