@@ -41,8 +41,9 @@ _NOT_COUNTS = "OSU"
 _COLUMN = re.compile(r"l_(\d+)|d_(\d+)_(\d+)")
 # One line of a table text, its "\n" kept, as a text stream yields it.
 _LINE = re.compile(r"[^\n]*\n|[^\n]+")
-# Every byte a plain table body may hold; see _plain_table.
-_PLAIN = b"0123456789.,eE+-\n"
+# The bytes of a whole-count table body, and the others a plain body may hold; see _plain_table.
+_WHOLE = b"0123456789,\n"
+_FRACTION = b".eE+-"
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,10 @@ class IncrementDecrementTable:
     negative ones.  Then each state's outflow, its decrement columns added
     in the decrements' mapping order from +0.0, must not exceed its
     occupancy beyond a 1e-9 relative slack; the fault named is the first
-    state in the occupancy's mapping order, then the first k.
+    state in the occupancy's mapping order, then the first k.  A table
+    ``infer_reflex_columns`` returns re-checks the outflow of its reflex
+    states only: no other state's columns or exits differ from the checked
+    table it came from.
     """
 
     n: int
@@ -92,16 +96,22 @@ class IncrementDecrementTable:
         self._own(counts, {i: column[i] for i in self.occupancy}, {pair: column[pair] for pair in self.decrements})
 
     @classmethod
-    def _of(cls, n: int, counts: np.ndarray, occupancy: dict, decrements: dict, entry_age: int):
+    def _of(cls, n: int, counts: np.ndarray, occupancy: dict, decrements: dict, entry_age: int,
+            outflows=None):
         """The table over ``counts``, checked, given the column of each state
-        and each transition in the mapping orders the table keeps."""
+        and each transition in the mapping orders the table keeps; see ``_own``
+        for ``outflows``."""
         table = object.__new__(cls)
         vars(table).update(n=n, entry_age=entry_age)
-        table._own(counts, occupancy, decrements)
+        table._own(counts, occupancy, decrements, outflows)
         return table
 
-    def _own(self, counts: np.ndarray, occupancy: dict, decrements: dict):
-        """Take ``counts`` read-only, point the mappings at its columns, and check it."""
+    def _own(self, counts: np.ndarray, occupancy: dict, decrements: dict, outflows=None):
+        """Take ``counts`` read-only, point the mappings at its columns, and check it.
+
+        The outflow check covers the states in ``outflows``, every state in
+        ``occupancy`` when None; the other checks cover the whole array.
+        """
         counts.flags.writeable = False
         views = list(counts.T)
         vars(self).update(_counts=counts, _column={**occupancy, **decrements},
@@ -109,7 +119,7 @@ class IncrementDecrementTable:
                           decrements=MappingProxyType({pair: views[c] for pair, c in decrements.items()}))
         if not (np.min(counts, initial=np.inf) >= 0.0 and np.max(counts, initial=0.0) < np.inf):
             self._check_columns()
-        leaving: dict[int, list[int]] = {i: [] for i in occupancy}
+        leaving: dict[int, list[int]] = {i: [] for i in occupancy if outflows is None or i in outflows}
         for (i, _), c in decrements.items():
             if i in leaving:
                 leaving[i].append(c)
@@ -117,9 +127,10 @@ class IncrementDecrementTable:
         # Column 0, all zeros, pads the feeds.
         feeds = np.array([c + [0] * (width - len(c)) for c in leaving.values()], dtype=np.intp)
         feeds = feeds.reshape(len(leaving), width)
-        outflow = sum((counts.T[f] for f in feeds.T), np.zeros((len(leaving), self.n + 1)))
-        living = counts.T[list(occupancy.values())]
-        bad = outflow > living + _COUNT_SLACK * np.maximum(1.0, living)
+        living = counts.T[[occupancy[i] for i in leaving]]
+        with np.errstate(over="ignore"):  # a sum past the largest float is inf, and exceeds the occupancy
+            outflow = sum((counts.T[f] for f in feeds.T), np.zeros((len(leaving), self.n + 1)))
+            bad = outflow > living + _COUNT_SLACK * np.maximum(1.0, living)
         if bad.any():
             s, k = np.argwhere(bad)[0]
             raise ValidationError(f"decrement exceeds occupancy at k={k} for state {list(leaving)[s]}")
@@ -317,15 +328,25 @@ def _plain_table(text: str, skip: int, width: int) -> "np.ndarray | None":
     (rows, header width) array, and a first field that ``int()`` reads as 0..n
     in order.  numpy's C reader then gives the values ``float()`` gives, and the
     loop of :func:`_row_by_row` would have raised nothing.
+
+    A body of whole counts, digits, commas and line ends only, is read as int64,
+    about twice as fast as the float reader, and cast: the cast rounds to
+    nearest even, as ``float()`` rounds the same decimal, so each value is the
+    same bit for bit, past 2^53 too.  A field the int64 reader refuses (empty,
+    or above 2^63 - 1) leaves the body to the csv loop.
     """
     body = "".join(text.split("\n", skip)[skip:])
-    if not body.isascii() or body.encode().translate(None, _PLAIN):
+    if not body.isascii():
+        return None
+    rest = body.encode().translate(None, _WHOLE)
+    if rest.translate(None, _FRACTION):
         return None
     lines = body.split()
     if not lines or max(map(len, lines)) > csv.field_size_limit():
         return None
     try:
-        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=float if rest else np.int64)
+        data = data.astype(float, copy=False)
         in_order = [int(line.partition(",")[0]) for line in lines] == list(range(len(lines)))
     except ValueError:
         return None
@@ -348,10 +369,10 @@ def load_table(path_or_text, model: StateModel, entry_age: int = 0) -> Increment
 
     One csv reader over the text's lines reads the header record.  A plain
     body, the text after the lines the header took (see :func:`_plain_table`),
-    is read in one call of numpy's C text reader.  Any other body, and every
-    body with a fault, is read row by row from the records of the same reader,
-    which alone names a body fault; both ways give the same values and the
-    same messages.
+    is read in one call of numpy's C text reader: as int64 when it holds whole
+    counts only, as float otherwise.  Any other body, and every body with a
+    fault, is read row by row from the records of the same reader, which alone
+    names a body fault; all ways give the same values and the same messages.
     """
     text = path_or_text
     if not isinstance(path_or_text, str) or "\n" not in path_or_text and "\r" not in path_or_text:
@@ -405,6 +426,13 @@ def infer_reflex_columns(table: IncrementDecrementTable, model: StateModel) -> I
     The single exit count of a reflex state equals its occupancy and reads
     the same column.  Tabulated reflex occupancy columns are kept as-is;
     already-present values are never overwritten, so it is idempotent.
+
+    The new table's counts are checked for finiteness and sign in full, so
+    an inflow past the largest float is named as a non-finite ``l`` column;
+    the outflow check is re-run for the reflex states only.  They are the
+    only states inference can give an occupancy column or an exit; every
+    other state keeps the columns and exits the given table was checked
+    with, so the first fault named is the one a full re-check names.
     """
     classes = classify_states(model)
     n = table.n
@@ -430,14 +458,15 @@ def infer_reflex_columns(table: IncrementDecrementTable, model: StateModel) -> I
         feeders[:len(sources), t] = [decrements.get((i, r), occupancy.get(i)) for i in sources]
     inferred = columns[width:, 1:]
     for _ in range(n):  # row k is final after k rounds
-        inflow = sum((columns[sources, :-1] for sources in feeders), np.zeros(inferred.shape))
+        with np.errstate(over="ignore"):  # a sum past the largest float is inf, refused as non-finite
+            inflow = sum((columns[sources, :-1] for sources in feeders), np.zeros(inferred.shape))
         if np.array_equal(inflow, inferred):
             break
         inferred[:] = inflow
 
     for r in reflex:
         decrements.setdefault((r, model.successors(r)[0]), occupancy[r])
-    return IncrementDecrementTable._of(n, columns.T, occupancy, decrements, table.entry_age)
+    return IncrementDecrementTable._of(n, columns.T, occupancy, decrements, table.entry_age, classes.reflex)
 
 
 def transition_sequence(table: IncrementDecrementTable, model: StateModel) -> TransitionSequence:
@@ -472,7 +501,8 @@ def transition_sequence(table: IncrementDecrementTable, model: StateModel) -> Tr
     exits = counts[feeds]
     living = counts[[table._column[i] for i in transient]].reshape(len(transient), 1, n)
     unoccupied = living <= 0.0
-    raw = np.divide(exits, np.where(unoccupied, 1.0, living), out=exits)
+    with np.errstate(over="ignore"):  # an exit over a subnormal occupancy may be inf, refused below
+        raw = np.divide(exits, np.where(unoccupied, 1.0, living), out=exits)
     np.copyto(raw, 0.0, where=unoccupied)
     p = np.clip(raw, 0.0, 1.0)
     diagonal = 1.0 - sum((p[:, w] for w in range(width)), np.zeros((len(transient), n)))

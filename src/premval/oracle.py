@@ -142,6 +142,10 @@ def enumerate_pv(seq: TransitionSequence, initial: np.ndarray, c: CashflowMatrix
                  discount: DiscountVector) -> float:
     """Exact expected present value by summing over every positive-probability path.
 
+    Each step walks the row's edges in column order and skips the entries
+    equal to 0, so the paths and sums are those of the dense Q(k)'s nonzero
+    entries, and no dense Q is built.
+
     Refuses models beyond ``MAX_ENUM_STATES`` states or horizon
     ``MAX_ENUM_HORIZON``: the path count grows exponentially and larger
     inputs belong to the simulator.
@@ -155,19 +159,22 @@ def enumerate_pv(seq: TransitionSequence, initial: np.ndarray, c: CashflowMatrix
     if c.matrix.shape != (n + 1, n_states) or discount.values.shape[0] != n + 1:
         raise ValidationError("cash-flow or discount shape does not match the transition sequence")
 
-    weighted = discount.values[:, None] * c.matrix
-    q = seq.matrices
+    weighted = (discount.values[:, None] * c.matrix).tolist()
+    probabilities, columns = seq.probabilities.tolist(), seq.columns.tolist()
+    # The edges are sorted by row, so row i's are the slice starts[i]:starts[i + 1], by column.
+    starts = np.searchsorted(seq.rows, np.arange(n_states + 1)).tolist()
     total = 0.0
 
     def walk(k: int, state: int, probability: float, cash: float):
         nonlocal total
-        cash += weighted[k, state]
+        cash += weighted[k][state]
         if k == n:
             total += probability * cash
             return
-        row = q[k, state]
-        for nxt in np.nonzero(row)[0]:
-            walk(k + 1, int(nxt), probability * row[nxt], cash)
+        row = probabilities[k]
+        for e in range(starts[state], starts[state + 1]):
+            if row[e] != 0.0:
+                walk(k + 1, columns[e], probability * row[e], cash)
 
     for start in np.nonzero(initial)[0]:
         walk(0, int(start), float(initial[start]), 0.0)

@@ -1,8 +1,9 @@
 """Plain test helpers: the frozen three-state contract, randomized chain,
 graph and table factories for property tests, an independent
-earliest-arrival oracle, and two references kept from earlier versions of
-the library: the column-by-column table check, and the quote path that
-checked every cash-flow matrix and discount vector in full.  Test modules
+earliest-arrival oracle, and references kept from earlier versions of the
+library: the column-by-column table check, path enumeration over the dense
+Q(k), and the quote path that checked every cash-flow matrix and discount
+vector in full.  Test modules
 import them with ``from chains import ...``; fixtures stay in
 ``conftest.py``."""
 
@@ -14,6 +15,19 @@ import numpy as np
 import premval as pv
 
 THREE_STATE_TABLE = "k,l_1,d_1_2\n0,100,10\n1,90,9\n2,81,0\n"
+
+#: States 1 and 2 feed the one-period state 3, which moves on to the absorbing 4.
+FOUR_STATE_MODEL_TEXT = "states 4\nreflex 3\ntransition 1 2\ntransition 1 3\ntransition 2 3\ntransition 3 4\n"
+#: Tables for it whose counts add or divide past the largest float, by what
+#: overflows, each with the error that refuses it.
+OVERFLOWING_TABLES = {
+    "inferred-l_3": ("k,l_1,l_2,d_1_2,d_1_3,d_2_3\n0,1.5e308,1.5e308,0,1e308,1e308\n1,0,0,0,0,0\n",
+                     "non-finite count in column 'l_3'"),
+    "outflow": ("k,l_1,l_2,d_1_2,d_1_3,d_2_3\n0,1.7e308,0,1e308,1e308,0\n1,0,0,0,0,0\n",
+                "decrement exceeds occupancy at k=0 for state 1"),
+    "exit-over-subnormal": ("k,l_1,l_2,d_1_2,d_1_3,d_2_3\n0,5e-324,0,1e-9,0,0\n1,0,0,0,0,0\n",
+                            "probability inf outside [0, 1] at k=0, transition (1, 2)"),
+}
 
 
 def make_three_state_model() -> pv.StateModel:
@@ -247,6 +261,31 @@ def reference_table_fault(n: int, occupancy: dict, decrements: dict) -> "tuple[t
         s, k = np.argwhere(bad)[0]
         return pv.ValidationError, f"decrement exceeds occupancy at k={k} for state {list(leaving)[s]}"
     return None
+
+
+def reference_enumerate_pv(seq: pv.TransitionSequence, initial: np.ndarray, c: pv.CashflowMatrix,
+                           discount: pv.DiscountVector) -> float:
+    """``enumerate_pv``'s walk as it was over the dense Q(k): each row's
+    nonzero entries in column order, on a distribution and shapes taken as
+    they come."""
+    n = seq.n
+    weighted = discount.values[:, None] * c.matrix
+    q = seq.matrices
+    total = 0.0
+
+    def walk(k: int, state: int, probability: float, cash: float):
+        nonlocal total
+        cash += weighted[k, state]
+        if k == n:
+            total += probability * cash
+            return
+        row = q[k, state]
+        for nxt in np.nonzero(row)[0]:
+            walk(k + 1, int(nxt), probability * row[nxt], cash)
+
+    for start in np.nonzero(initial)[0]:
+        walk(0, int(start), float(initial[start]), 0.0)
+    return total
 
 
 # The quote path as it was while every builder's matrix went through the full

@@ -9,7 +9,9 @@ states, and periods in which a state is unoccupied.  A malformed table
 must keep naming the fault that the per-period build named first, and a
 malformed table or sequence the fault its per-column checks named first.
 The stacked reflex inference and Q build are checked against the
-per-state loops they replaced, and the check of Q against the size of Q.
+per-state loops they replaced, inference's re-check of the reflex states'
+outflow against a check of every state, and the check of Q against the size
+of Q.
 """
 
 import hashlib
@@ -20,12 +22,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import premval as pv
 import premval.fixtures as fx
-from chains import THREE_STATE_TABLE, make_three_state_model, random_table_case
+from chains import THREE_STATE_TABLE, make_three_state_model, random_table_case, reference_table_fault
 
 DIGESTS = json.loads((Path(__file__).parent / "data" / "chain_digests.json").read_text(encoding="utf-8"))
 
@@ -362,7 +364,8 @@ def test_sequence_check_allocates_no_full_size_temporary():
 # The per-state and per-(k, reflex state) loops that the stacked builds
 # replaced, kept as the reference: the stacked builds must give the same
 # bits, or refuse with the same message.
-def reference_infer_reflex_columns(table: pv.IncrementDecrementTable, model: pv.StateModel):
+def reference_inferred_columns(table: pv.IncrementDecrementTable, model: pv.StateModel) -> tuple[dict, dict]:
+    """The occupancy and decrement columns of the inferred table, unchecked."""
     classes = pv.classify_states(model)
     occupancy = {i: col.copy() for i, col in table.occupancy.items()}
     decrements = {pair: col.copy() for pair, col in table.decrements.items()}
@@ -389,7 +392,13 @@ def reference_infer_reflex_columns(table: pv.IncrementDecrementTable, model: pv.
 
     for r in predecessors:
         decrements.setdefault((r, model.successors(r)[0]), occupancy[r].copy())
-    return pv.IncrementDecrementTable(n=n, occupancy=occupancy, decrements=decrements, entry_age=table.entry_age)
+    return occupancy, decrements
+
+
+def reference_infer_reflex_columns(table: pv.IncrementDecrementTable, model: pv.StateModel):
+    occupancy, decrements = reference_inferred_columns(table, model)
+    return pv.IncrementDecrementTable(n=table.n, occupancy=occupancy, decrements=decrements,
+                                      entry_age=table.entry_age)
 
 
 def reference_transition_sequence(table: pv.IncrementDecrementTable, model: pv.StateModel):
@@ -512,3 +521,58 @@ def test_stacked_builds_match_the_per_state_loops(case):
         assert got == want
     else:
         assert got.matrices.tobytes() == want.matrices.tobytes()
+
+
+@st.composite
+def reflex_exit_tables(draw):
+    """A ``random_table_case`` table or a ``reflex_tables`` one, rebuilt with
+    extra decrements out of some reflex states, tabulated or inferred, to any
+    state: zero, fractions of the occupancy inference gives the state
+    (stretched as ``reflex_tables`` stretches exits), or free counts.  An
+    extra decrement may be the one inference would add, which it then keeps.
+    Tables the constructor refuses are skipped."""
+    if draw(st.booleans()):
+        model, text = random_table_case(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))))
+        table = pv.load_table(text, model)
+    else:
+        model, table = draw(reflex_tables())
+    try:
+        inferred = pv.infer_reflex_columns(table, model).occupancy
+    except pv.ValidationError:
+        inferred = {}
+    decrements = dict(table.decrements)
+    reflex = sorted(model.reflex)
+    for r in draw(st.lists(st.sampled_from(reflex), unique=True)) if reflex else []:
+        for j in draw(st.lists(st.integers(1, model.n_states).filter(lambda j: j != r), min_size=1,
+                               max_size=2, unique=True)):
+            share = draw(st.one_of(st.sampled_from([0.0, -0.0, 1e-10, 0.5, 1.0]), st.floats(0.0, 1.0)))
+            base = inferred.get(r, np.ones(table.n + 1))
+            counts = draw(st.one_of(st.just(base * share * draw(STRETCHES)),
+                                    st.lists(COUNTS, min_size=table.n + 1, max_size=table.n + 1).map(np.array)))
+            decrements[(r, j)] = counts
+    try:
+        return model, pv.IncrementDecrementTable(n=table.n, occupancy=dict(table.occupancy), decrements=decrements)
+    except pv.ValidationError:
+        assume(False)
+
+
+def fully_rechecked(table: pv.IncrementDecrementTable, model: pv.StateModel):
+    """What inference gives when every state's outflow is checked again: the
+    type and message of the fault, or the inferred columns."""
+    try:
+        occupancy, decrements = reference_inferred_columns(table, model)
+    except pv.ValidationError as exc:
+        return pv.ValidationError, str(exc)
+    fault = reference_table_fault(table.n, occupancy, decrements)
+    return fault or table_columns(pv.IncrementDecrementTable(n=table.n, occupancy=occupancy, decrements=decrements))
+
+
+@settings(max_examples=400, deadline=None)
+@given(reflex_exit_tables())
+def test_inference_refuses_what_a_full_recheck_refuses(case):
+    model, table = case
+    try:
+        got = table_columns(pv.infer_reflex_columns(table, model))
+    except pv.ValidationError as exc:
+        got = type(exc), str(exc)
+    assert got == fully_rechecked(table, model)

@@ -12,7 +12,7 @@ import pytest
 
 import premval as pv
 import premval.fixtures as fx
-from chains import THREE_STATE_TABLE, make_three_state_model
+from chains import FOUR_STATE_MODEL_TEXT, OVERFLOWING_TABLES, THREE_STATE_TABLE, make_three_state_model
 
 SRC = Path(pv.__file__).parent
 MODEL = str(fx.bundled_path(fx.MODEL_FILE))
@@ -85,6 +85,15 @@ def test_cli_reports_a_table_field_over_the_csv_limit(tmp_path):
     path.write_text(THREE_STATE_TABLE.replace("1,90,9", "1," + "9" * 131_073 + ",9"), encoding="utf-8")
     done = run_cli("table", "check", MODEL, str(path))
     assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: line 3: field larger than field limit (131072)\n")
+
+
+@pytest.mark.parametrize("table, message", OVERFLOWING_TABLES.values(), ids=OVERFLOWING_TABLES)
+def test_cli_reports_counts_past_the_largest_float_with_no_warning(table, message, tmp_path):
+    model, path = tmp_path / "four.model", tmp_path / "table.csv"
+    model.write_text(FOUR_STATE_MODEL_TEXT, encoding="utf-8")
+    path.write_text(table, encoding="utf-8")
+    done = run_cli("table", "check", str(model), str(path))
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", f"error: {message}\n")
 
 
 def test_a_bare_carriage_return_in_table_text_names_its_line(model3):

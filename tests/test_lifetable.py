@@ -2,6 +2,8 @@
 occupancy distributions."""
 
 import io
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -9,8 +11,10 @@ import pytest
 import premval as pv
 import premval.fixtures as fx
 from premval import lifetable
-from chains import (THREE_STATE_TABLE, graduated_cycle_case, large_chain_case, make_three_state_model,
-                    random_table_case)
+from chains import (FOUR_STATE_MODEL_TEXT, OVERFLOWING_TABLES, THREE_STATE_TABLE, graduated_cycle_case,
+                    large_chain_case, make_three_state_model, random_table_case)
+
+FOUR_STATE = pv.parse_model_text(FOUR_STATE_MODEL_TEXT).model
 
 
 def columns(table) -> list:
@@ -157,12 +161,28 @@ class TestInferReflexColumns:
         np.testing.assert_array_equal(table.occupancy[2], [0, 10, 9, 8])
         np.testing.assert_array_equal(table.occupancy[3], [0, 0, 10, 9])
 
+    def test_an_exit_added_past_a_tabulated_occupancy_is_refused(self):
+        # The table passes its own check; only the exit to 4, which inference adds, takes state 3 past 20.
+        table = pv.IncrementDecrementTable(
+            n=1, occupancy={1: [100, 80], 2: [0, 10], 3: [20, 20]},
+            decrements={(1, 2): [10, 0], (1, 3): [10, 0], (2, 3): [0, 0], (3, 1): [5, 5]})
+        with pytest.raises(pv.ValidationError, match="^decrement exceeds occupancy at k=0 for state 3$"):
+            pv.infer_reflex_columns(table, FOUR_STATE)
+
     def test_reflex_without_inbound_rejected(self):
         model = pv.StateModel(n_states=3, transitions=frozenset({(1, 3), (2, 3)}),
                               reflex=frozenset({2}))
         text = "k,l_1,d_1_3\n0,100,10\n1,90,0\n"
         with pytest.raises(pv.ValidationError, match="no inbound transition"):
             pv.infer_reflex_columns(pv.load_table(text, model), model)
+
+
+@pytest.mark.parametrize("table, message", OVERFLOWING_TABLES.values(), ids=OVERFLOWING_TABLES)
+def test_counts_past_the_largest_float_are_refused_with_no_warning(table, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(pv.ValidationError, match=f"^{re.escape(message)}$"):
+            pv.build_chain(FOUR_STATE, table)
 
 
 class TestTransitionSequence:

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import premval as pv
-from chains import random_chain
+from chains import random_chain, reference_enumerate_pv
+from test_acceptance import MASTER_SEED as C1_SEED
 
 
 def _unit(n_states, state):
@@ -37,6 +38,19 @@ class TestEnumeratePv:
         want = pv.expected_pv(cash, dist, discount)
         got = pv.enumerate_pv(seq, initial, cash, discount)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_edge_walk_matches_the_dense_walk(self, chain3, claim_cash3, flat_discount3):
+        # C1's 200 chains, the three-state chain, and a chain with -0.0 and +0.0 on its edges.
+        rng = np.random.default_rng(C1_SEED)
+        cases = [random_chain(rng, max_states=6, max_horizon=8) for _ in range(200)]
+        cases.append((chain3.seq, _unit(3, 1), claim_cash3, flat_discount3))
+        q = np.array([[[0.5, 0.5, -0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                      [[0.0, 0.25, 0.75], [-0.0, 0.5, 0.5], [0.0, 0.0, 1.0]]])
+        cash = pv.CashflowMatrix(np.arange(9.0).reshape(3, 3) / 7)
+        cases.append((pv.TransitionSequence(q), np.array([0.5, 0.5, 0.0]), cash, flat_discount3))
+        for seq, initial, cash, discount in cases:
+            got = pv.enumerate_pv(seq, initial, cash, discount)
+            assert float.hex(got) == float.hex(reference_enumerate_pv(seq, initial, cash, discount))
 
     def test_state_budget_enforced(self):
         n_states = pv.MAX_ENUM_STATES + 1

@@ -5,23 +5,24 @@ A mutation drops, swaps or duplicates a token or a separator, or puts in a
 NUL, a carriage return, non-ASCII digits, a 5 000-digit number or a stray
 sign or comment mark, between tokens or inside one.
 
-``load_table`` reads a plain table body with numpy's C text reader and any
-other body with its csv loop; on the same mutated tables, and on a plain body
-around each cell of ``test_table_cells_parse_as_float_does``, it must give
-what the csv loop gives alone: the same columns bit for bit, or the same
-error and message.
+``load_table`` reads a plain table body with numpy's C text reader, as int64
+when it holds whole counts only, and any other body with its csv loop; on the
+same mutated tables, and on a plain body around each cell of ``CELLS``, it
+must give what the csv loop gives alone: the same columns bit for bit, or the
+same error and message.
 """
 
 import re
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import premval as pv
 import premval.fixtures as fx
-from chains import THREE_STATE_TABLE, large_chain_case, make_three_state_model
+from chains import THREE_STATE_TABLE, graduated_cycle_case, large_chain_case, make_three_state_model
 from premval import lifetable
 
 MODEL_TEXT = fx.bundled_path(fx.BASE_MODEL_FILE).read_text(encoding="utf-8") + "attach 2 0.5\ninitial 1  # start\n"
@@ -142,10 +143,14 @@ def test_large_table_loads_as_the_csv_loop_does(text):
 
 
 # The cells of test_table_cells_parse_as_float_does, then cells of the plain
-# alphabet that float() or int() reads, refuses or takes out of range.
+# alphabet that float() or int() reads, refuses or takes out of range, then
+# whole counts around the int64 reader's limits: past 2^53, at and past
+# 2^63 - 1, past 2^64, and zero with leading zeros.
 CELLS = ["1_000", "0x10", "1e5000", "1,5", " 3.5 ", "nan", "", "٣", "1e-400", "0b1",
          "+5", "-0", "00", "1.", ".5", "1e+1", "5E-1", "1e400", "-1e400", "5-3", "e", "+", ".", "1..2", "--1",
-         "9" * 5000, "0." + "1" * 5000]
+         "9" * 5000, "0." + "1" * 5000,
+         "9007199254740993", "9000000000000000001", "9223372036854775807", "9223372036854775808",
+         "18446744073709551616", "0000"]
 
 
 @pytest.mark.parametrize("cell", CELLS)
@@ -163,3 +168,24 @@ def test_plain_tables_skip_the_csv_loop(monkeypatch):
     assert pv.load_table(fx.bundled_path(fx.TABLE_FILE), fx.dread_disease_model()).n == 25
     model, text = large_chain_case()
     assert pv.load_table(text, model).n == 120
+    model, text = graduated_cycle_case()
+    assert pv.load_table(text, model).n == 1000
+
+
+def test_whole_count_bodies_take_the_int64_reader(monkeypatch):
+    dtypes = []
+    loadtxt = np.loadtxt
+
+    def spy(*args, **kwargs):
+        dtypes.append(np.dtype(kwargs.get("dtype", float)))
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    cases = {"bundled": (fx.dread_disease_model(), fx.bundled_path(fx.TABLE_FILE)),
+             "large": large_chain_case(), "graduated": graduated_cycle_case()}
+    read = {}
+    for name, (model, source) in cases.items():
+        dtypes.clear()
+        pv.load_table(source, model)
+        read[name] = dtypes[:]
+    assert read == {"bundled": [np.int64], "large": [np.int64], "graduated": [np.float64]}
