@@ -56,7 +56,7 @@ class CashflowMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        c = _read_only(self.matrix)
+        c = _read_only(self.matrix, "cash-flow matrix")
         object.__setattr__(self, "matrix", c)
         if c.ndim != 2:
             raise ValidationError(f"cash-flow matrix must be 2-D, got shape {c.shape}")

@@ -4,6 +4,8 @@ and the read-only view that keeps a checked array as it was checked."""
 
 import operator
 
+import numpy as np
+
 
 class PremvalError(Exception):
     """Base class for every error raised by this package."""
@@ -41,8 +43,12 @@ def _integer(name: str, value) -> int:
         raise ValidationError(f"{name} must be an integer, got {type(value).__name__} {value}") from None
 
 
-def _read_only(array):
-    """A read-only view of ``array``; the array itself stays as writeable as it was."""
-    view = array.view()
+def _read_only(array, what: str, dtype=None):
+    """A read-only view of ``array`` as ``dtype`` (its own if None), the array itself as writeable
+    as it was; a ValidationError naming ``what`` unless it holds booleans, integers or floats."""
+    array = np.asarray(array)
+    if array.dtype.kind not in "biuf":
+        raise ValidationError(f"{what} must hold numbers, got dtype {array.dtype}")
+    view = np.asarray(array, dtype).view()
     view.setflags(write=False)
     return view

@@ -165,28 +165,24 @@ class IncrementDecrementTable:
             yield f"d_{i}_{j}", col
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, kw_only=True)
 class TransitionSequence:
     """Period transition matrices Q(0), ..., Q(n-1), each row-stochastic,
     stored on the edges of the state graph.
 
     ``rows`` and ``columns`` hold the 0-based (row, column) of the E entries
-    that may be nonzero in some period, sorted by (row, column) and the same
-    for every period; ``probabilities[k, e]`` is Q(k)'s entry at edge e, and
-    every entry off the edges is +0.0.  ``transition_sequence`` puts the
-    model's transitions and its transient and absorbing diagonals on the
-    edges and passes them by keyword, which are refused unless distinct,
-    sorted and within 0..N-1.  ``TransitionSequence(matrices)`` takes a dense (n, N, N) array
-    and makes an edge of every entry that is not +0.0 in some period
-    (-0.0 and entries in [-1e-12, 0) included), so ``matrices``, the dense
-    array built anew on each access, gives the input back bit for bit.
+    that may be nonzero in some period, as distinct integers in 0..N-1,
+    sorted by (row, column); ``probabilities[k, e]`` is Q(k)'s entry at edge
+    e, and every entry off the edges is +0.0.  ``transition_sequence`` puts
+    the model's transitions and transient and absorbing diagonals there.
 
-    Checked for shape, then non-finite and range on the edges (min and max
-    propagate NaN), then row sums.  A row sum adds the row's edges in column
-    order, starting from +0.0, so a row with no edge sums to 0.0; all of
-    them come from one ``bincount`` over the period-major edges.  The fault
-    named is the first (k, row) with the largest distance from 1.  The three
-    arrays are read-only views, so a checked sequence stays as checked.
+    Checked for the state count, edges and shape, then non-finite and range
+    on the edges (min and max propagate NaN), then row sums.  A row sum adds
+    the row's edges in column order, starting from +0.0, so a row with no
+    edge sums to 0.0; all of them come from one ``bincount`` over the
+    period-major edges.  The fault named is the first (k, row) with the
+    largest distance from 1.  The three arrays are read-only views, so a
+    checked sequence stays as checked.
     """
 
     n_states: int
@@ -194,32 +190,27 @@ class TransitionSequence:
     columns: np.ndarray  # shape (E,)
     probabilities: np.ndarray  # shape (n, E)
 
-    def __init__(self, matrices: "np.ndarray | None" = None, *, n_states: int = 0,
-                 rows=(), columns=(), probabilities=None):
-        if matrices is not None:
-            q = np.asarray(matrices, dtype=float)
-            if q.ndim != 3 or q.shape[1] != q.shape[2]:
-                raise ValidationError(f"transition sequence must be (n, N, N), got {q.shape}")
-            n_states = q.shape[1]
-            rows, columns = np.nonzero(np.any(q.view(np.uint64), axis=0))
-            probabilities = np.ascontiguousarray(q[:, rows, columns])
-        rows, columns = np.asarray(rows, dtype=np.intp), np.asarray(columns, dtype=np.intp)
-        p = np.asarray(probabilities, dtype=float)
-        if (p.ndim != 2 or not rows.shape == columns.shape == p.shape[1:]
+    def __post_init__(self):
+        if (n_states := _integer("state count", self.n_states)) < 1:
+            raise ValidationError("a transition sequence needs at least one state")
+        edges = [np.asarray(a) for a in (self.rows, self.columns)]
+        whole = all(a.dtype.kind in "iu" or a.size == 0 for a in edges)  # [] reads as floats
+        rows, columns = (_read_only(a, "edges", np.intp) if whole else a for a in edges)
+        given = np.asarray(self.probabilities)  # bincount copies a read-only view, so it reads this
+        p = _read_only(given, "transition probabilities", float)
+        if (not whole or p.ndim != 2 or not rows.shape == columns.shape == p.shape[1:]
                 or np.any((np.minimum(rows, columns) < 0) | (np.maximum(rows, columns) >= n_states))
                 or np.any(np.diff(rows * n_states + columns) <= 0)):
             raise ValidationError("transition sequence edges must be distinct (row, column) pairs in 0..N-1, "
                                   "sorted, with one probability per period and edge")
-        for name, value in (("rows", rows), ("columns", columns), ("probabilities", p)):
-            object.__setattr__(self, name, _read_only(value))
-        object.__setattr__(self, "n_states", n_states)
+        vars(self).update(n_states=n_states, rows=rows, columns=columns, probabilities=p)
         lo, hi = np.min(p, initial=0.0), np.max(p, initial=0.0)
         if not np.isfinite([lo, hi]).all():
             raise ValidationError("non-finite transition probability")
         if lo < -_PROB_TOL or hi > 1 + _PROB_TOL:
             raise ValidationError("transition probability outside [0, 1]")
         # One bin per (k, row), filled in period-major edge order.
-        sums = np.bincount((np.arange(self.n)[:, None] * n_states + rows).ravel(), weights=p.ravel(),
+        sums = np.bincount((np.arange(self.n)[:, None] * n_states + rows).ravel(), weights=given.ravel(),
                            minlength=self.n * n_states).reshape(self.n, n_states)
         if np.any(np.abs(sums - 1.0) > _ROW_SUM_TOL):
             k, i = np.unravel_index(int(np.argmax(np.abs(sums - 1.0))), sums.shape)
@@ -231,7 +222,8 @@ class TransitionSequence:
 
     @property
     def matrices(self) -> np.ndarray:
-        """Dense (n, N, N) copy of the sequence, built on each access."""
+        """Dense (n, N, N) copy of the sequence, built on each access; the library
+        never reads it, and keeps it for callers outside it."""
         q = np.zeros((self.n, self.n_states, self.n_states))
         q[:, self.rows, self.columns] = self.probabilities
         return q
@@ -248,7 +240,7 @@ class DistributionMatrix:
     matrix: np.ndarray  # shape (n+1, N)
 
     def __post_init__(self):
-        d = _read_only(self.matrix)
+        d = _read_only(self.matrix, "distribution matrix")
         object.__setattr__(self, "matrix", d)
         if d.ndim != 2:
             raise ValidationError(f"distribution matrix must be 2-D, got shape {d.shape}")
@@ -637,8 +629,9 @@ def diagonal_residuals(table: IncrementDecrementTable, model: StateModel) -> dic
         l_col = table.occupancy[i]
         living = l_col[:n]
         exits = sum((table.decrements[(i, j)][:n] for j in model.successors(i) if (i, j) in table.decrements), np.zeros(n))
-        alternative = np.divide(l_col[1:] - exits, living, out=np.zeros(n), where=living > 0.0)
-        row_complement = 1.0 - np.divide(exits, living, out=np.zeros(n), where=living > 0.0)
+        with np.errstate(over="ignore"):  # over a subnormal occupancy the gap may be inf, which counts
+            alternative = np.divide(l_col[1:] - exits, living, out=np.zeros(n), where=living > 0.0)
+            row_complement = 1.0 - np.divide(exits, living, out=np.zeros(n), where=living > 0.0)
         gap = alternative - row_complement
         for k in np.flatnonzero((living > 0.0) & (np.abs(gap) > _RESIDUAL_TOL)):
             residuals[(int(k), i)] = float(gap[k])

@@ -40,7 +40,7 @@ class DiscountVector:
     values: np.ndarray
 
     def __post_init__(self):
-        v = _read_only(self.values)
+        v = _read_only(self.values, "discount vector")
         object.__setattr__(self, "values", v)
         if v.ndim != 1 or v.shape[0] < 1:
             raise ValidationError("discount vector must be a nonempty 1-D array")

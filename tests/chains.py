@@ -1,11 +1,10 @@
-"""Plain test helpers: the frozen three-state contract, randomized chain,
-graph and table factories for property tests, an independent
-earliest-arrival oracle, and references kept from earlier versions of the
-library: the column-by-column table check, path enumeration over the dense
-Q(k), and the quote path that checked every cash-flow matrix and discount
-vector in full.  Test modules
-import them with ``from chains import ...``; fixtures stay in
-``conftest.py``."""
+"""Plain test helpers: the frozen three-state contract, the sequence of a
+dense (n, N, N) array, randomized chain, graph and table factories for
+property tests, an independent earliest-arrival oracle, and references kept
+from earlier versions of the library: the column-by-column table check,
+path enumeration over the dense Q(k), and the quote path that checked every
+cash-flow matrix and discount vector in full.  Test modules import them
+with ``from chains import ...``; fixtures stay in ``conftest.py``."""
 
 import heapq
 from collections import defaultdict
@@ -28,12 +27,27 @@ OVERFLOWING_TABLES = {
     "exit-over-subnormal": ("k,l_1,l_2,d_1_2,d_1_3,d_2_3\n0,5e-324,0,1e-9,0,0\n1,0,0,0,0,0\n",
                             "probability inf outside [0, 1] at k=0, transition (1, 2)"),
 }
+#: A table for it that passes, but whose next-period occupancy over a
+#: subnormal one gives an inf gap between the two diagonal conventions.
+SUBNORMAL_OCCUPANCY_TABLE = "k,l_1,l_2,d_1_2,d_1_3,d_2_3\n0,5e-324,0,0,0,0\n1,1e300,0,0,0,0\n"
 
 
 def make_three_state_model() -> pv.StateModel:
     """Active -> claim (one period) -> settled."""
     return pv.StateModel(n_states=3, transitions=frozenset({(1, 2), (2, 3)}),
                          reflex=frozenset({2}))
+
+
+def dense_sequence(q) -> pv.TransitionSequence:
+    """The sequence of a dense (n, N, N) array, with an edge at every entry
+    that is not +0.0 in some period (-0.0 and entries in [-1e-12, 0)
+    included), so ``matrices`` gives ``q`` back bit for bit."""
+    q = np.asarray(q, dtype=float)
+    if q.ndim != 3 or q.shape[1] != q.shape[2]:
+        raise ValueError(f"a dense sequence must be (n, N, N), got {q.shape}")
+    rows, columns = np.nonzero(np.any(q.view(np.uint64), axis=0))
+    return pv.TransitionSequence(n_states=q.shape[1], rows=rows, columns=columns,
+                                 probabilities=np.ascontiguousarray(q[:, rows, columns]))
 
 
 def random_chain(rng, max_states=6, max_horizon=8):
@@ -53,7 +67,7 @@ def random_chain(rng, max_states=6, max_horizon=8):
             targets = rng.choice(n_states, size=min(degree, n_states), replace=False)
             weights = rng.random(len(targets)) + 0.05
             q[k, i, targets] = weights / weights.sum()
-    seq = pv.TransitionSequence(q)
+    seq = dense_sequence(q)
     cash = rng.normal(0.0, 1.0, (n + 1, n_states))
     cash[rng.random((n + 1, n_states)) < 0.4] = 0.0
     discount = pv.DiscountVector(np.concatenate([[1.0], np.cumprod(rng.uniform(0.9, 1.0, n))]))

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 import premval as pv
 import premval.fixtures as fx
-from chains import THREE_STATE_TABLE, make_three_state_model, random_table_case, reference_table_fault
+from chains import THREE_STATE_TABLE, dense_sequence, make_three_state_model, random_table_case, reference_table_fault
 
 DIGESTS = json.loads((Path(__file__).parent / "data" / "chain_digests.json").read_text(encoding="utf-8"))
 
@@ -333,11 +333,11 @@ def test_first_sequence_fault_is_named(entries, message):
     for at, value in entries.items():
         q[at] = value
     with pytest.raises(pv.ValidationError, match=message):
-        pv.TransitionSequence(q)
+        dense_sequence(q)
 
 
 def test_empty_sequence_accepted():
-    assert pv.TransitionSequence(np.zeros((0, 3, 3))).n == 0
+    assert dense_sequence(np.zeros((0, 3, 3))).n == 0
 
 
 def test_negative_zero_inflow_gives_positive_zero_occupancy(model3):
@@ -354,7 +354,7 @@ def test_sequence_check_allocates_no_full_size_temporary():
     q[:, states, (states + 1) % 200] = 0.25
     tracemalloc.start()
     try:
-        pv.TransitionSequence(q)
+        dense_sequence(q)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -430,7 +430,7 @@ def reference_transition_sequence(table: pv.IncrementDecrementTable, model: pv.S
             raise pv.ValidationError(f"exit probabilities exceed 1 at k={k}, state {i}")
         q[:, i - 1, np.array(successors[i]) - 1] = p.T
         q[:, i - 1, i - 1] = np.maximum(diagonal, 0.0)
-    return pv.TransitionSequence(q)
+    return dense_sequence(q)
 
 
 COUNTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 7.0, 100.0]), st.floats(0.0, 1e6))

@@ -1,13 +1,18 @@
 """Transition sequences stored on edges.
 
-A dense (n, N, N) array handed to ``TransitionSequence`` must come back
-from ``.matrices`` byte for byte and be refused as the dense check refused
-it, and a chain far too large for a dense Q must build, propagate and
-simulate within a small fraction of one.
+The sequence of a dense (n, N, N) array, built by ``chains.dense_sequence``,
+must give the array back from ``.matrices`` byte for byte and be refused as
+the dense check refused it.  Edges given by keyword are refused unless they
+are integers, distinct, sorted and in range, and so are a state count that
+is not a positive integer and probabilities that are not numbers.  A chain
+far too large for a dense Q must build, propagate and simulate within a
+small fraction of one, and no module of the library reads a dense Q.
 """
 
+import ast
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import premval as pv
-from chains import large_chain_case
+from chains import dense_sequence, large_chain_case
 
+SRC = Path(pv.__file__).parent
 LARGE_PATHS = 4_096
 #: Peak traced memory allowed for the large chain; a dense Q would be 960 MB.
 LARGE_PEAK_BYTES = 100e6
@@ -46,7 +52,7 @@ def dense_sequences(draw, max_states=7):
 @settings(max_examples=200, deadline=None)
 @given(dense_sequences())
 def test_dense_input_round_trips_byte_for_byte(q):
-    seq = pv.TransitionSequence(q)
+    seq = dense_sequence(q)
     assert seq.matrices.tobytes() == q.tobytes()
     keys = seq.rows * seq.n_states + seq.columns
     assert (np.diff(keys) > 0).all()
@@ -81,7 +87,7 @@ def test_edge_check_refuses_what_the_dense_check_refused(q, data):
         q[k, i, np.argmax(q[k, i])] += data.draw(ROW_SHIFTS)
     want = reference_sequence_fault(q)
     try:
-        pv.TransitionSequence(q)
+        dense_sequence(q)
         got = None
     except pv.ValidationError as exc:
         got = str(exc)
@@ -100,24 +106,74 @@ def test_edge_check_refuses_what_the_dense_check_refused(q, data):
         assert abs(float(match[3]) - q.sum(axis=2)[named]) <= tol
 
 
-@pytest.mark.parametrize("rows, columns, probabilities", [
-    ([0, 1], [1, 0], [[1.0]]),
-    ([0, 1], [1], [[1.0, 1.0]]),
-    ([1, 0], [0, 1], [[1.0, 1.0]]),
-    ([0, 0], [1, 1], [[0.5, 0.5]]),
-    ([0, 2], [1, 0], [[1.0, 1.0]]),
-    ([0, 1], [-1, 0], [[1.0, 1.0]]),
-    ([0, 1], [1, 0], [1.0, 1.0]),
+EDGE_FAULT = "^transition sequence edges must be distinct"
+UNSIGNED = np.array([1, 0], dtype=np.uint64)
+
+
+@pytest.mark.parametrize("n_states, rows, columns, probabilities, message", [
+    (2, [0, 1], [1, 0], [[1.0]], EDGE_FAULT),
+    (2, [0, 1], [1], [[1.0, 1.0]], EDGE_FAULT),
+    (2, [1, 0], [0, 1], [[1.0, 1.0]], EDGE_FAULT),
+    (2, [0, 0], [1, 1], [[0.5, 0.5]], EDGE_FAULT),
+    (2, [0, 2], [1, 0], [[1.0, 1.0]], EDGE_FAULT),
+    (2, [0, 1], [-1, 0], [[1.0, 1.0]], EDGE_FAULT),
+    (2, [0, 1], [1, 0], [1.0, 1.0], EDGE_FAULT),
+    (2, [0.5, 1], [1, 0], [[1.0, 1.0]], EDGE_FAULT),
+    (2, [0, 1], [1.0, 0.0], [[1.0, 1.0]], EDGE_FAULT),
+    (2, ["0", "1"], [1, 0], [[1.0, 1.0]], EDGE_FAULT),
+    (2, UNSIGNED, UNSIGNED[::-1], [[1.0, 1.0]], EDGE_FAULT),
+    (2.0, [0, 1], [1, 0], [[1.0, 1.0]], r"^state count must be an integer, got float 2\.0$"),
+    (0, [], [], [[]], "^a transition sequence needs at least one state$"),
+    (2, [0, 1], [1, 0], [["1", "1"]], "^transition probabilities must hold numbers, got dtype <U1$"),
+    (2, [0, 1], [1, 0], [[1.0, None]], "^transition probabilities must hold numbers, got dtype object$"),
 ], ids=["one-probability-short", "columns-short", "unsorted", "repeated", "row-past-n", "negative-column",
-        "probabilities-1-d"])
-def test_malformed_edges_are_refused(rows, columns, probabilities):
-    with pytest.raises(pv.ValidationError, match="^transition sequence edges must be"):
-        pv.TransitionSequence(n_states=2, rows=rows, columns=columns, probabilities=probabilities)
+        "probabilities-1-d", "fractional-row", "float-columns", "string-rows", "unsigned-unsorted",
+        "float-state-count", "no-states", "string-probabilities", "object-probabilities"])
+def test_malformed_edges_are_refused(n_states, rows, columns, probabilities, message):
+    with pytest.raises(pv.ValidationError, match=message):
+        pv.TransitionSequence(n_states=n_states, rows=rows, columns=columns, probabilities=probabilities)
 
 
 def test_edges_give_the_dense_view():
     seq = pv.TransitionSequence(n_states=2, rows=[0, 1], columns=[1, 0], probabilities=[[1.0, 1.0], [1.0, 1.0]])
     assert seq.matrices.tolist() == [[[0.0, 1.0], [1.0, 0.0]]] * 2
+
+
+def test_integer_edges_of_any_width_and_no_edges_are_taken():
+    """Edges are stored as intp; an empty list, which numpy reads as floats,
+    is no edge at all, and a sequence of no periods needs none."""
+    narrow = pv.TransitionSequence(n_states=2, rows=UNSIGNED[::-1], columns=UNSIGNED.astype(np.int8),
+                                   probabilities=np.ones((3, 2), dtype=np.int32))
+    assert narrow.rows.dtype == narrow.columns.dtype == np.intp and narrow.probabilities.dtype == float
+    assert narrow.matrices.tolist() == [[[0.0, 1.0], [1.0, 0.0]]] * 3
+    empty = pv.TransitionSequence(n_states=3, rows=[], columns=[], probabilities=np.zeros((0, 0)))
+    assert (empty.n, empty.rows.dtype, empty.matrices.shape) == (0, np.intp, (0, 3, 3))
+
+
+def dense_reads(tree: ast.AST) -> list[int]:
+    """Lines that read an attribute ``matrices`` or view an array as ``np.uint64``,
+    the nonzero-to-edges rule's reinterpretation of a dense Q."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "matrices"
+            or isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "view"
+            and any(getattr(arg, "attr", None) == "uint64" for arg in [*node.args, *(k.value for k in node.keywords)])]
+
+
+def test_no_module_of_the_library_reads_a_dense_q():
+    reads = {source.name: lines for source in sorted(SRC.glob("*.py"))
+             if (lines := dense_reads(ast.parse(source.read_text(encoding="utf-8"))))}
+    assert reads == {}
+
+
+def test_the_guard_sees_reads_and_uint64_views_but_not_the_property():
+    tree = ast.parse("q = seq.matrices\n"
+                     "keys = q.view(np.uint64)\n"
+                     "bits = q.view(dtype=np.uint64)\n"
+                     "class S:\n"
+                     "    @property\n"
+                     "    def matrices(self):\n"
+                     "        return self.rows.view(np.int64)\n")
+    assert dense_reads(tree) == [1, 2, 3]
 
 
 def test_a_large_chain_is_built_and_simulated_without_a_dense_q():

@@ -12,7 +12,8 @@ import pytest
 
 import premval as pv
 import premval.fixtures as fx
-from chains import FOUR_STATE_MODEL_TEXT, OVERFLOWING_TABLES, THREE_STATE_TABLE, make_three_state_model
+from chains import (FOUR_STATE_MODEL_TEXT, OVERFLOWING_TABLES, SUBNORMAL_OCCUPANCY_TABLE, THREE_STATE_TABLE,
+                    make_three_state_model)
 
 SRC = Path(pv.__file__).parent
 MODEL = str(fx.bundled_path(fx.MODEL_FILE))
@@ -94,6 +95,15 @@ def test_cli_reports_counts_past_the_largest_float_with_no_warning(table, messag
     path.write_text(table, encoding="utf-8")
     done = run_cli("table", "check", str(model), str(path))
     assert (done.returncode, done.stdout, done.stderr) == (1, "", f"error: {message}\n")
+
+
+def test_cli_counts_a_gap_over_a_subnormal_occupancy_with_no_warning(tmp_path):
+    model, path = tmp_path / "four.model", tmp_path / "table.csv"
+    model.write_text(FOUR_STATE_MODEL_TEXT, encoding="utf-8")
+    path.write_text(SUBNORMAL_OCCUPANCY_TABLE, encoding="utf-8")
+    done = run_cli("table", "check", str(model), str(path))
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("ok: ") and "; 1 period/state cells show" in done.stdout
 
 
 def test_a_bare_carriage_return_in_table_text_names_its_line(model3):

@@ -11,8 +11,9 @@ import pytest
 import premval as pv
 import premval.fixtures as fx
 from premval import lifetable
-from chains import (FOUR_STATE_MODEL_TEXT, OVERFLOWING_TABLES, THREE_STATE_TABLE, graduated_cycle_case,
-                    large_chain_case, make_three_state_model, random_table_case)
+from chains import (FOUR_STATE_MODEL_TEXT, OVERFLOWING_TABLES, SUBNORMAL_OCCUPANCY_TABLE, THREE_STATE_TABLE,
+                    dense_sequence, graduated_cycle_case, large_chain_case, make_three_state_model,
+                    random_table_case)
 
 FOUR_STATE = pv.parse_model_text(FOUR_STATE_MODEL_TEXT).model
 
@@ -219,16 +220,12 @@ class TestTransitionSequence:
     def test_nonstochastic_matrix_rejected(self):
         q = np.ones((1, 2, 2))
         with pytest.raises(pv.ValidationError, match=r"^row 1 of Q\(0\) sums to 2\.0, not 1$"):
-            pv.TransitionSequence(q)
+            dense_sequence(q)
 
     def test_probability_outside_unit_interval_rejected(self):
         q = np.array([[[1.5, -0.5], [0.0, 1.0]]])
         with pytest.raises(pv.ValidationError, match="outside"):
-            pv.TransitionSequence(q)
-
-    def test_a_matrix_stack_that_is_not_square_is_refused(self):
-        with pytest.raises(pv.ValidationError, match=r"^transition sequence must be \(n, N, N\), got \(2, 3\)$"):
-            pv.TransitionSequence(np.zeros((2, 3)))
+            dense_sequence(q)
 
 
 class TestDistributionMatrix:
@@ -349,7 +346,7 @@ class TestAllowedPattern:
         q = chain3.seq.matrices.copy()
         q[1, 0, 2] += 0.05
         q[1, 0, 0] -= 0.05
-        seq = pv.TransitionSequence(q)
+        seq = dense_sequence(q)
         assert pv.pattern_violations(seq, chain3.model) == [(1, 1, 3)]
 
 
@@ -365,3 +362,9 @@ class TestDiagonalResiduals:
         text = "k,l_1,d_1_2\n0,100,0\n1,100,0\n2,100,0\n"
         table = pv.load_table(text, model)
         assert pv.diagonal_residuals(table, model) == {}
+
+    def test_a_gap_over_a_subnormal_occupancy_counts_with_no_warning(self):
+        chain = pv.build_chain(FOUR_STATE, SUBNORMAL_OCCUPANCY_TABLE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pv.diagonal_residuals(chain.table, chain.model) == {(0, 1): np.inf}

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import premval as pv
-from chains import random_chain, reference_enumerate_pv
+from chains import dense_sequence, random_chain, reference_enumerate_pv
 from test_acceptance import MASTER_SEED as C1_SEED
 
 
@@ -47,7 +47,7 @@ class TestEnumeratePv:
         q = np.array([[[0.5, 0.5, -0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
                       [[0.0, 0.25, 0.75], [-0.0, 0.5, 0.5], [0.0, 0.0, 1.0]]])
         cash = pv.CashflowMatrix(np.arange(9.0).reshape(3, 3) / 7)
-        cases.append((pv.TransitionSequence(q), np.array([0.5, 0.5, 0.0]), cash, flat_discount3))
+        cases.append((dense_sequence(q), np.array([0.5, 0.5, 0.0]), cash, flat_discount3))
         for seq, initial, cash, discount in cases:
             got = pv.enumerate_pv(seq, initial, cash, discount)
             assert float.hex(got) == float.hex(reference_enumerate_pv(seq, initial, cash, discount))
@@ -55,7 +55,7 @@ class TestEnumeratePv:
     def test_state_budget_enforced(self):
         n_states = pv.MAX_ENUM_STATES + 1
         q = np.tile(np.eye(n_states), (2, 1, 1))
-        seq = pv.TransitionSequence(q)
+        seq = dense_sequence(q)
         cash = pv.CashflowMatrix(np.zeros((3, n_states)))
         discount = pv.DiscountVector(np.ones(3))
         with pytest.raises(pv.ValidationError, match="enumeration is limited"):
@@ -64,7 +64,7 @@ class TestEnumeratePv:
     def test_horizon_budget_enforced(self):
         n = pv.MAX_ENUM_HORIZON + 1
         q = np.tile(np.eye(2), (n, 1, 1))
-        seq = pv.TransitionSequence(q)
+        seq = dense_sequence(q)
         cash = pv.CashflowMatrix(np.zeros((n + 1, 2)))
         discount = pv.DiscountVector(np.ones(n + 1))
         with pytest.raises(pv.ValidationError, match="enumeration is limited"):
@@ -118,7 +118,7 @@ class TestSimulate:
         assert abs(share - 0.5) < 4 * 0.5 / np.sqrt(4_000)
 
     def test_zero_horizon_draws_only_initial_states(self):
-        seq = pv.TransitionSequence(np.zeros((0, 3, 3)))
+        seq = dense_sequence(np.zeros((0, 3, 3)))
         ensemble = pv.simulate(seq, np.array([0.2, 0.3, 0.5]), 400, master_seed=10)
         assert ensemble.paths.shape == (400, 1)
         assert set(ensemble.paths[:, 0]) == {1, 2, 3}

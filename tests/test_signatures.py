@@ -31,7 +31,7 @@ SIGNATURES = {
     "Chain": "(model, table, seq, initial, dist, offsets)",
     "DistributionMatrix": "(matrix)",
     "IncrementDecrementTable": "(n, occupancy, decrements, entry_age=0)",
-    "TransitionSequence": "(matrices=None, *, n_states=0, rows=(), columns=(), probabilities=None)",
+    "TransitionSequence": "(*, n_states, rows, columns, probabilities)",
     "allowed_pattern": "(model)",
     "build_chain": "(model, table_source, initial_state=None, entry_age=0)",
     "diagonal_residuals": "(table, model)",

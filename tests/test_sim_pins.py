@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 
 import premval as pv
 from premval import oracle
+from chains import dense_sequence
 
 DIGESTS = json.loads((Path(__file__).parent / "data" / "sim_digests.json").read_text(encoding="utf-8"))
 WIDE_STATES = 200
@@ -62,7 +63,7 @@ def wide_sequence(n: int, seed: int = 20261018) -> pv.TransitionSequence:
                 p = p * (1.0 + rng.uniform(1e-13, 9e-13))
                 q[k, i, i] = 1.0 - p.sum()
             q[k, i, targets] = p
-    return pv.TransitionSequence(q)
+    return dense_sequence(q)
 
 
 def wide_initial() -> np.ndarray:
@@ -132,7 +133,7 @@ def test_paths_stay_pinned_when_the_thresholds_step_most_paths(dread, wide, buck
     seq = pv.transition_sequence(dread.table, dread.model)
     ensemble = pv.simulate(seq, dread.initial, fixture["n_paths"], int(seed))
     assert path_digest(ensemble.paths) == fixture["digests"][seed]
-    ensemble = pv.simulate(pv.TransitionSequence(wide.matrices), wide_initial(), pin["n_paths"], pin["seed"])
+    ensemble = pv.simulate(dense_sequence(wide.matrices), wide_initial(), pin["n_paths"], pin["seed"])
     assert path_digest(ensemble.paths) == pin["digest"]
 
 
