@@ -533,9 +533,9 @@ def unit_distribution(n_states: int, state: int) -> np.ndarray:
 
 
 def initial_distribution(initial, n_states: int) -> np.ndarray:
-    """``initial`` as a float vector, refused unless it is a distribution
-    over ``n_states`` states (NaN fails the sum test)."""
-    initial = np.asarray(initial, dtype=float)
+    """``initial`` as a read-only float vector, refused unless it holds
+    numbers and is a distribution over ``n_states`` states (NaN fails the sum test)."""
+    initial = _read_only(initial, "initial distribution", float)
     if initial.shape != (n_states,):
         raise ValidationError(f"initial distribution has shape {initial.shape}, expected ({n_states},)")
     if not abs(initial.sum() - 1.0) <= _ROW_SUM_TOL or np.any(initial < -_PROB_TOL):

@@ -2,8 +2,9 @@
 dense (n, N, N) array, randomized chain, graph and table factories for
 property tests, an independent earliest-arrival oracle, and references kept
 from earlier versions of the library: the column-by-column table check,
-path enumeration over the dense Q(k), and the quote path that checked every
-cash-flow matrix and discount vector in full.  Test modules import them
+path enumeration over the dense Q(k), the estimators' pass over every
+simulated path, and the quote path that checked every cash-flow matrix and
+discount vector in full.  Test modules import them
 with ``from chains import ...``; fixtures stay in ``conftest.py``."""
 
 import heapq
@@ -306,6 +307,26 @@ def reference_enumerate_pv(seq: pv.TransitionSequence, initial: np.ndarray, c: p
 # ``CashflowMatrix`` check and the checks used numpy's wrapper functions.
 # States, periods and horizons are taken as they come, so the references are
 # only meant for integer ones.
+
+
+def reference_path_totals(ensemble: pv.PathEnsemble, cashflows: list, discount: pv.DiscountVector) -> np.ndarray:
+    """Discounted cash totals of every path under each of K cash-flow
+    matrices, shape (K, n_paths), from one pass over k through every path,
+    as the estimators summed them before the distinct-path table: each
+    path's total starts from 0.0 and adds its cash at times 0, 1, ..., n."""
+    stacked = np.stack([c.matrix for c in cashflows], axis=2)
+    weighted = np.zeros((ensemble.n + 1, stacked.shape[1] + 1, len(cashflows)))
+    np.multiply(discount.values[:, None, None], stacked, out=weighted[:, 1:])
+    totals = np.zeros((ensemble.n_paths, len(cashflows)))
+    for k, states in enumerate(ensemble.paths.T):
+        totals += weighted[k].take(states, axis=0)
+    return np.ascontiguousarray(totals.T)
+
+
+def reference_empirical_distribution(ensemble: pv.PathEnsemble, n_states: int) -> np.ndarray:
+    """Occupancy frequencies counted over every path, time by time."""
+    counts = np.stack([np.bincount(states, minlength=n_states + 1) for states in ensemble.paths.T])
+    return counts[:, 1:] / ensemble.n_paths
 
 
 def reference_build_cashflow(entries, n: int, n_states: int) -> pv.CashflowMatrix:

@@ -3,6 +3,7 @@ chains and reproducible path simulation for big ones."""
 
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -193,6 +194,19 @@ class TestSimulate:
                              ids=["zeros", "negative", "nan", "shape"])
     def test_initial_must_be_a_distribution(self, chain3, claim_cash3, flat_discount3, initial):
         message = "shape" if len(initial) == 2 else r"^initial distribution must be nonnegative and sum to 1$"
+        with pytest.raises(pv.ValidationError, match=message):
+            pv.simulate(chain3.seq, initial, 10, master_seed=1)
+        with pytest.raises(pv.ValidationError, match=message):
+            pv.enumerate_pv(chain3.seq, initial, claim_cash3, flat_discount3)
+
+    @pytest.mark.parametrize("initial, dtype", [(["1", "0", "0"], "<U1"), (["x", "0", "0"], "<U1"),
+                                                (np.array([b"1", b"0", b"0"]), "|S1"), ([1.0, None, 0.0], "object")],
+                             ids=["numeric-strings", "letters", "bytes", "none"])
+    def test_initial_must_hold_numbers(self, chain3, claim_cash3, flat_discount3, initial, dtype):
+        # Strings used to be parsed by numpy: ['1', '0', '0'] passed, ['x', '0', '0'] raised numpy's ValueError.
+        message = f"^initial distribution must hold numbers, got dtype {re.escape(dtype)}$"
+        with pytest.raises(pv.ValidationError, match=message):
+            pv.distribution_matrix(chain3.seq, initial)
         with pytest.raises(pv.ValidationError, match=message):
             pv.simulate(chain3.seq, initial, 10, master_seed=1)
         with pytest.raises(pv.ValidationError, match=message):

@@ -6,8 +6,9 @@ little-endian int32, is pinned for the fixture chain, the three-state chain
 at the seeds ``test_oracle.py`` uses, and a wide N=200 chain with sparse
 rows, identity rows and tiny negative diagonals, at several chunk sizes.
 The fixture and wide pins hold with the simulator's core count set to 1, 2
-and 3, and so do the fixture estimates, whose draws in flight must not grow
-with the thread count.  The step itself, with and without the guide table,
+and 3, and so do the fixture estimates, which must equal those of a pass
+over every path and whose draws in flight must not grow with the thread
+count.  The step itself, with and without the guide table,
 is checked against the dense rule it replaces, its memory against the size
 of the transition matrices, and the guide table against its budget.
 """
@@ -27,7 +28,7 @@ from hypothesis import strategies as st
 
 import premval as pv
 from premval import oracle
-from chains import dense_sequence
+from chains import dense_sequence, reference_empirical_distribution, reference_path_totals
 
 DIGESTS = json.loads((Path(__file__).parent / "data" / "sim_digests.json").read_text(encoding="utf-8"))
 WIDE_STATES = 200
@@ -163,6 +164,17 @@ def test_estimates_do_not_depend_on_the_core_count(dread, monkeypatch):
         by_cores[cores] = fixture_estimates(dread)
     assert by_cores[2] == by_cores[1]
     assert by_cores[3] == by_cores[1]
+
+
+def test_estimates_match_a_pass_over_every_path(dread, monkeypatch):
+    # 200 000 paths are more than a chunk, so the estimators read them through the distinct-path table.
+    monkeypatch.setattr(oracle, "_path_totals", reference_path_totals)
+    monkeypatch.setattr(pv, "empirical_distribution", reference_empirical_distribution)
+    want = fixture_estimates(dread)
+    monkeypatch.undo()
+    for cores in CORE_COUNTS:
+        set_cores(monkeypatch, cores)
+        assert fixture_estimates(dread) == want, f"{cores} cores"
 
 
 def simulate_peak(dread, monkeypatch, cores) -> int:
