@@ -6,13 +6,12 @@ of the Philox stream derived from the master seed, regardless of how paths
 are batched.  Results are therefore bit-reproducible for a given
 (master_seed, n_paths), whatever the number of threads.
 
-Every loop over the path axis (``simulate``'s draws, the distinct-path
-table's keys, the gather behind ``mc_pv`` and ``mc_premium``, and
-``empirical_distribution``'s counts) runs in contiguous blocks of
-ceil(CHUNK_SIZE / T) paths on T = max(1, min(cores, CHUNK_SIZE // 8192))
-threads, the calling thread among them, and never on more threads than
-blocks; the cores are those ``os.sched_getaffinity`` (else
-``os.cpu_count()``) reports.  There is no
+Every loop over the path axis (``simulate``'s draws, the gather behind
+``mc_pv`` and ``mc_premium``, and ``empirical_distribution``'s counts) runs
+in contiguous blocks of ceil(CHUNK_SIZE / T) paths on
+T = max(1, min(cores, CHUNK_SIZE // 8192)) threads, the calling thread
+among them, and never on more threads than blocks; the cores are those
+``os.sched_getaffinity`` (else ``os.cpu_count()``) reports.  There is no
 setting for it, and the thread count changes no result: a block writes
 only its own paths, each path's total is summed over k in the same order
 in every block, and integer counts add exactly.  Threads hand the
@@ -51,27 +50,23 @@ two in [16, 1024] that keeps the guide within 2^20 entries: 1 024 on the
 fixture, with 0.2% of its buckets marked, and 32 on an N=200, n=120 chain,
 with about 6% marked.
 
-The estimators read an ensemble through its distinct-path table, built on
-the first estimator call and kept on the ensemble: its distinct paths,
-time-major, and each path's index into them.  ``mc_pv`` and ``mc_premium``
-sum each distinct path's cash over k in the same order, from 0.0, and
-gather the totals by the index; ``empirical_distribution`` counts each
-distinct path times the number of paths that take it.  Every total,
-estimate and frequency is therefore the one a pass over every path gives,
-bit for bit.  The table is exact: a path's prefix through time k is the
-int64 key ``key * (top + 1) + X_k``, and just before a key could overflow,
-the keys are replaced by their ranks (``np.sort``, a not-equal flag and
-``np.searchsorted``).  Each block of paths is reduced so, and then the
-blocks' distinct paths are reduced once more.  200 000 fixture paths hold
-about 1 150 distinct ones.  Their table takes about 20 ms to build on 2
-cores and keeps 1.66 MB, nearly all of it the index.  The estimators of a
-perfbench mc-fixture operation (``mc_pv``, three ``mc_premium`` and
-``frequency_vs_distribution``) then take about 34 ms, against 96 ms over
-every path (in-process, numpy 2.4.6).  An ensemble of at most
-``CHUNK_SIZE`` paths keeps no table.  Neither does one whose distinct
-prefixes pass a quarter of a block's paths or of all its paths: a block
-gives up at its first renumbering past that share.  The estimators then
-read every path through the same code, with no index.
+The estimators read an ensemble's paths once in full, on its first
+estimator call, and from the second call on through its distinct-path
+table, built on that call and kept on the ensemble: its distinct paths,
+time-major, and each path's index into them.  An ensemble that one
+estimator reads once, such as ``premval simulate``'s, so never pays for a
+table.  ``mc_pv`` and ``mc_premium`` sum each distinct path's cash over k
+in the same order, from 0.0, and gather the totals by the index;
+``empirical_distribution`` counts each distinct path times the number of
+paths that take it.  Every total, estimate and frequency is therefore the
+one a pass over every path gives, bit for bit.  The table is exact: a
+path's prefix through time k is the int64 key ``key * (top + 1) + X_k``,
+and just before a key could overflow, the keys are replaced by their ranks
+(``np.sort``, a not-equal flag and ``np.searchsorted``).  200 000 fixture
+paths hold about 1 150 distinct ones; their table takes about 25 ms to
+build and keeps 1.66 MB, nearly all of it the index.  The table is given
+up, and every path read as on the first call, once the distinct prefixes
+pass a quarter of the paths at a renumbering.
 """
 
 from __future__ import annotations
@@ -105,10 +100,8 @@ _STAGED_PATHS = 1 << 11
 _GUIDE_ENTRIES = 1 << 20
 #: Most (slot, path) entries ``_step`` compares in one call.
 _STEP_ENTRIES = 1 << 16
-#: Most paths an ensemble may hold and still be read without a distinct-path table.
-_UNTABLED_PATHS = CHUNK_SIZE
-#: Largest share of a block's paths, and of the ensemble's, that may be
-#: distinct path prefixes before the distinct-path table is given up.
+#: Largest share of an ensemble's paths that may be distinct path prefixes
+#: before its distinct-path table is given up.
 _DISTINCT_SHARE = 0.25
 #: The largest int64: no key of a path prefix, nor the factor that shifts one, passes it.
 _KEY_BOUND = (1 << 63) - 1
@@ -126,8 +119,10 @@ class PathEnsemble:
     a C-contiguous (n+1, n_paths) array, so ``paths.T[k]``, the state of
     every path at time k, is one contiguous vector.  The estimators read
     those rows; a C-ordered ``paths`` gives the same results, only slower.
-    ``paths`` is a read-only view of the array given, so the distinct-path
-    table the estimators keep on an ensemble stays true to its paths.
+    ``paths`` is a read-only view of the array given, which must not change
+    after the ensemble is built: the estimators keep on the ensemble its
+    largest state and its distinct-path table, and do not read the array
+    again for them.
     """
 
     paths: np.ndarray  # shape (n_paths, n+1), integer dtype
@@ -146,7 +141,9 @@ class PathEnsemble:
             raise ValidationError(f"state {int(paths[i, k])} below 1 in path {i} at time {k}")
 
     def _check_states_up_to(self, n_states: int):
-        if _distinct_paths(self)[2] > n_states:
+        if "_largest" not in vars(self):
+            vars(self)["_largest"] = int(self.paths.max())
+        if vars(self)["_largest"] > n_states:
             i, k = np.argwhere(self.paths > n_states)[0]
             raise ValidationError(f"state {int(self.paths[i, k])} above {n_states} in path {i} at time {k}")
 
@@ -478,11 +475,11 @@ def simulate(seq: TransitionSequence, initial: np.ndarray, n_paths: int, master_
 
 def _renumbered(keys: np.ndarray) -> tuple[np.ndarray, int]:
     """Each key's rank among the distinct keys, and their number."""
-    ordered = np.sort(keys)
-    first = np.empty(ordered.size, dtype=bool)
+    distinct = np.sort(keys)
+    first = np.empty(distinct.size, dtype=bool)
     first[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    distinct = ordered[first]
+    np.not_equal(distinct[1:], distinct[:-1], out=first[1:])
+    distinct = distinct[first]
     return np.searchsorted(distinct, keys), distinct.size
 
 
@@ -493,8 +490,9 @@ def _distinct_columns(states: np.ndarray, limit: float) -> "tuple[np.ndarray, np
 
     Column i's prefix through time k is the int64 key
     ``key * (top + 1) + states[k, i]``, top being the largest state, which
-    is exact and distinct for distinct prefixes.  Just before a key could pass 2^63 - 1, the keys are
-    replaced by their ranks, which keeps them so, and counted against ``limit``.
+    is exact and distinct for distinct prefixes.  Just before a key could
+    pass 2^63 - 1, the keys are replaced by their ranks, which keeps them
+    so, and counted against ``limit``.
     """
     base = int(states.max()) + 1
     keys = np.zeros(states.shape[1], dtype=np.int64)
@@ -506,8 +504,8 @@ def _distinct_columns(states: np.ndarray, limit: float) -> "tuple[np.ndarray, np
             if bound > limit or bound * base > _KEY_BOUND:
                 return None
         keys *= base
-        # Exact: every state is below base, so below 2^63.
-        np.add(keys, row, out=keys, casting="unsafe")
+        # Exact in int64, whatever the states' integer type: every state is below base.
+        np.add(keys, row, out=keys, dtype=np.int64, casting="unsafe")
         bound *= base
     keys, bound = _renumbered(keys)
     if bound > limit:
@@ -517,50 +515,22 @@ def _distinct_columns(states: np.ndarray, limit: float) -> "tuple[np.ndarray, np
     return states.take(first, axis=1), keys
 
 
-def _distinct_table(states: np.ndarray) -> "tuple[np.ndarray, np.ndarray | None, int]":
-    """``_distinct_paths`` of the time-major (n+1, n_paths) ``states``.
+def _distinct_paths(ensemble: PathEnsemble) -> "tuple[np.ndarray, np.ndarray | None]":
+    """The paths an estimator reads, time-major, and each path's index into
+    them, or None where they are every path.
 
-    Each thread finds the distinct columns of its path blocks, writing each
-    path's index into its block's columns, and one more call finds the
-    distinct columns among the blocks' own.  A block gives up past
-    ``_DISTINCT_SHARE`` of a whole block's paths (the last block may be
-    shorter), the merge past that share of all of them, and once one block
-    gives up, the others stop at their next block."""
-    n_paths = states.shape[1]
-    if n_paths > _UNTABLED_PATHS:
-        index = np.empty(n_paths, dtype=np.intp)
-        blocks, threads = _path_blocks(n_paths)
-        limit = _DISTINCT_SHARE * blocks[0][1]
-        given_up = []
-
-        def block_columns(worker: int, start: int, stop: int):
-            found = None if given_up else _distinct_columns(states[:, start:stop], limit)
-            if found is None:
-                given_up.append(start)
-                return None
-            index[start:stop] = found[1]
-            return found[0]
-
-        columns = _run_blocks(block_columns, blocks, threads)
-        merged = None if given_up else _distinct_columns(np.concatenate(columns, axis=1), _DISTINCT_SHARE * n_paths)
-        if merged is not None:
-            distinct, at = merged
-            offsets = np.cumsum([0] + [block.shape[1] for block in columns[:-1]])
-            for (start, stop), offset in zip(blocks, offsets):
-                index[start:stop] += offset
-            return distinct, at[index], int(distinct.max())
-    return states, None, int(states.max())
-
-
-def _distinct_paths(ensemble: PathEnsemble) -> "tuple[np.ndarray, np.ndarray | None, int]":
-    """The ensemble's distinct paths as a time-major (n+1, U) array, each
-    path's index into it, and the largest state, built on the first call
-    and kept on the ensemble; or, where the table is skipped or given up
-    (see the module docstring), every path, time-major, no index and the
-    largest state."""
-    if "_distinct" not in vars(ensemble):
-        vars(ensemble)["_distinct"] = _distinct_table(ensemble.paths.T)
-    return vars(ensemble)["_distinct"]
+    The first call on an ensemble reads every path.  The second builds its
+    distinct-path table and keeps it on the ensemble for every later call;
+    where the table is given up (see the module docstring), every path is
+    kept instead."""
+    kept = vars(ensemble)
+    if "_distinct" not in kept:
+        every = ensemble.paths.T
+        if "_read" not in kept:
+            kept["_read"] = True
+            return every, None
+        kept["_distinct"] = _distinct_columns(every, _DISTINCT_SHARE * every.shape[1]) or (every, None)
+    return kept["_distinct"]
 
 
 def _path_totals(ensemble: PathEnsemble, cashflows: list[CashflowMatrix],
@@ -572,7 +542,7 @@ def _path_totals(ensemble: PathEnsemble, cashflows: list[CashflowMatrix],
     if any(c.matrix.shape[0] != n + 1 for c in cashflows) or discount.values.shape[0] != n + 1:
         raise ValidationError("cash-flow or discount shape does not match the ensemble horizon")
     ensemble._check_states_up_to(cashflows[0].n_states)
-    states, index, _ = _distinct_paths(ensemble)
+    states, index = _distinct_paths(ensemble)
     # Row s of weighted[k] is state s's cash, so the 1-based states index it; row 0 is never read.
     stacked = np.stack([c.matrix for c in cashflows], axis=2)
     weighted = np.zeros((n + 1, stacked.shape[1] + 1, len(cashflows)))
@@ -626,7 +596,7 @@ def mc_premium(ensemble: PathEnsemble, c_in: CashflowMatrix, discount: DiscountV
 def empirical_distribution(ensemble: PathEnsemble, n_states: int) -> np.ndarray:
     """Occupancy frequencies by (time, state); shape (n+1, n_states)."""
     ensemble._check_states_up_to(n_states)
-    states, index, _ = _distinct_paths(ensemble)
+    states, index = _distinct_paths(ensemble)
     multiplicities = None if index is None else np.bincount(index, minlength=states.shape[1])
 
     def count_block(worker: int, start: int, stop: int) -> np.ndarray:

@@ -4,19 +4,18 @@
 distinct simulated path once and gather the results by each path's index
 into the table.  Every total, estimate and frequency must equal, bit for
 bit, what a pass over every path gives (``chains.reference_path_totals``
-and ``chains.reference_empirical_distribution``), whatever the path layout
-and the core count, and whether the table is built, skipped or given up.
-The table must hold exactly the ensemble's paths, the table kept for
-200 000 fixture paths little more than its index and distinct paths, and
-the estimators must read states only through it.
+and ``chains.reference_empirical_distribution``), whatever the path layout,
+the states' integer type and the core count, and whether the table is
+built or given up.  An ensemble's first estimator call reads every path
+and keeps no table; the second builds it.  The table must hold exactly the
+ensemble's paths, the table kept for 200 000 fixture paths little more
+than its index and distinct paths, and the estimators must read states
+only through it.
 """
 
 import ast
-import dataclasses
 import inspect
-import sys
 import textwrap
-import threading
 import tracemalloc
 
 import numpy as np
@@ -31,11 +30,12 @@ from chains import random_chain, reference_empirical_distribution, reference_pat
 FIXTURE_PATHS = 200_000
 #: Bytes the kept table may hold beyond its index and its distinct paths.
 HELD_SLACK = 16_384
-#: Bytes its build may hold at once beyond two indexes: each thread's keys
-#: and their sorted copy and ranks, for blocks of CHUNK_SIZE paths at most.
-BUILD_SLACK = 1_500_000
-#: How the table is made to behave: (paths an ensemble may hold untabled, share of distinct prefixes allowed).
-MODES = {"default": None, "share": (0, oracle._DISTINCT_SHARE), "table": (0, 1.0), "given-up": (0, 0.0)}
+#: Bytes its build may hold at once beyond two indexes: the keys and their
+#: sorted copy are as large as an index, and a renumbering's flags are one
+#: byte a path.
+BUILD_SLACK = 500_000
+#: The share of distinct prefixes that makes the table behave so.
+MODES = {"default": oracle._DISTINCT_SHARE, "table": 1.0, "given-up": 0.0}
 
 
 def estimates(ensemble, cash, discount, pay, offsets, m, n_states) -> list[str]:
@@ -62,17 +62,19 @@ def everywhere(n_states: int) -> pv.ArrivalOffsets:
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 2_500), st.sampled_from(["path-major", "time-major"]),
-       st.sampled_from([1, 2, 3]), st.sampled_from(sorted(MODES)), st.sampled_from([64, 300, 1 << 15]))
-def test_estimators_match_the_full_pass(seed, n_paths, layout, cores, mode, chunk_size):
+       st.sampled_from(["int16", "int64", "uint64"]), st.sampled_from([1, 2, 3]), st.sampled_from(sorted(MODES)),
+       st.sampled_from([64, 300, 1 << 15]))
+def test_estimators_match_the_full_pass(seed, n_paths, layout, dtype, cores, mode, chunk_size):
     rng = np.random.default_rng(seed)
     seq, initial, cash, discount = random_chain(rng)
     n_states = seq.n_states
     start = int(np.flatnonzero(initial)[0]) + 1
     pay = {start, *(int(s) for s in rng.choice(np.arange(1, n_states + 1), size=2))}
     m = int(rng.integers(1, seq.n + 1))
-    ensemble = pv.simulate(seq, initial, n_paths, seed)
+    paths = pv.simulate(seq, initial, n_paths, seed).paths.astype(dtype)
     if layout == "path-major":
-        ensemble = dataclasses.replace(ensemble, paths=np.ascontiguousarray(ensemble.paths))
+        paths = np.ascontiguousarray(paths)
+    ensemble = pv.PathEnsemble(paths, master_seed=seed)
     args = (ensemble, cash, discount, pay, everywhere(n_states), m, n_states)
     want = reference_estimates(*args)
     with pytest.MonkeyPatch.context() as patch:
@@ -80,48 +82,81 @@ def test_estimators_match_the_full_pass(seed, n_paths, layout, cores, mode, chun
         patch.setattr(oracle, "CHUNK_SIZE", chunk_size)
         patch.setattr(oracle, "_THREADED_PATHS", 16)
         patch.setattr(oracle, "_usable_cores", lambda: cores)
-        if MODES[mode]:
-            patch.setattr(oracle, "_UNTABLED_PATHS", MODES[mode][0])
-            patch.setattr(oracle, "_DISTINCT_SHARE", MODES[mode][1])
-        got = estimates(*args)
-        index = oracle._distinct_paths(ensemble)[1]
-    assert got == want
+        patch.setattr(oracle, "_DISTINCT_SHARE", MODES[mode])
+        # The first mc_pv reads every path; every later call reads the table or, given up, every path again.
+        first = estimates(*args)
+        again = estimates(*args)
+    assert first == want and again == want
+    index = vars(ensemble)["_distinct"][1]
     if mode == "table":
         assert index is not None
-    elif mode in ("given-up", "default"):
+    elif mode == "given-up":
         assert index is None
+
+
+@pytest.mark.parametrize("dtype", ["int16", "int32", "int64", "uint64"])
+def test_keys_are_exact_for_every_integer_type(dtype):
+    """Two paths that part only at time 19, where the key of a prefix of
+    sevens passes 2^53: in float64 arithmetic their keys would round together."""
+    paths = np.full((2, 20), 7, dtype=dtype)
+    paths[1, 19] = 6
+    distinct, index = oracle._distinct_columns(paths.T, 2)
+    assert distinct.shape == (20, 2)
+    np.testing.assert_array_equal(distinct[:, index], paths.T)
+
+
+@pytest.mark.parametrize("dtype, top", [("int64", 2 ** 62 + 1), ("int64", 2 ** 63 - 1), ("uint64", 2 ** 63 + 5)])
+def test_states_near_2_63_give_the_table_up(dtype, top):
+    """No renumbered key has room for one more such state: the table is given up, not overflowed."""
+    paths = np.array([[1, 2, 3], [1, top, 3], [2, 2, 3]], dtype=dtype)
+    assert oracle._distinct_columns(paths.T, 3) is None
+
+
+def test_large_states_are_renumbered_at_every_step():
+    rng = np.random.default_rng(2)
+    paths = rng.choice(np.array([1, 2 ** 40, 2 ** 41], dtype=np.int64), size=(500, 12))
+    distinct, index = oracle._distinct_columns(paths.T, 500)
+    assert distinct.shape[1] == len(np.unique(paths, axis=0))
+    np.testing.assert_array_equal(distinct[:, index], paths.T)
 
 
 def fixture_ensemble(dread, n_paths=FIXTURE_PATHS, seed=20261018):
     return pv.simulate(dread.seq, dread.initial, n_paths, seed)
 
 
+def read_twice(ensemble):
+    """``_distinct_paths`` on an ensemble's second read, which builds its table."""
+    oracle._distinct_paths(ensemble)
+    return oracle._distinct_paths(ensemble)
+
+
 def test_the_table_holds_each_fixture_path_once(dread):
     ensemble = fixture_ensemble(dread)
-    distinct, index, top = oracle._distinct_paths(ensemble)
+    distinct, index = read_twice(ensemble)
     assert distinct.flags.c_contiguous and distinct.shape[0] == ensemble.n + 1
     assert np.unique(distinct, axis=1).shape == distinct.shape
     # Around 1 150 of the 200 000 paths are distinct.
     assert distinct.shape[1] < FIXTURE_PATHS * oracle._DISTINCT_SHARE
     np.testing.assert_array_equal(distinct[:, index], ensemble.paths.T)
-    assert top == ensemble.paths.max()
     assert oracle._distinct_paths(ensemble)[0] is distinct
 
 
-def test_a_chunk_of_paths_is_read_without_a_table(dread):
-    at_most = fixture_ensemble(dread, oracle.CHUNK_SIZE)
-    assert oracle._distinct_paths(at_most)[1] is None
-    above = fixture_ensemble(dread, oracle.CHUNK_SIZE + 1)
-    assert oracle._distinct_paths(above)[1] is not None
+def test_an_ensemble_read_once_keeps_no_table(dread):
+    ensemble = fixture_ensemble(dread, 4_000)
+    benefit = pv.accelerated_benefit(0.5, dread.table.n)
+    first = pv.mc_pv(ensemble, benefit, dread.discount)
+    assert "_distinct" not in vars(ensemble)
+    assert pv.mc_pv(ensemble, benefit, dread.discount) == first
+    assert vars(ensemble)["_distinct"][1] is not None
 
 
 def test_the_table_is_given_up_past_its_share(dread):
     """Uniform random states make nearly every path distinct: the estimators read every path."""
     rng = np.random.default_rng(5)
-    paths = rng.integers(1, dread.model.n_states + 1, (oracle.CHUNK_SIZE + 100, dread.table.n + 1), dtype=np.int16)
+    paths = rng.integers(1, dread.model.n_states + 1, (5_000, dread.table.n + 1), dtype=np.int16)
     ensemble = pv.PathEnsemble(paths, master_seed=0)
-    states, index, top = oracle._distinct_paths(ensemble)
-    assert index is None and np.shares_memory(states, paths) and top == paths.max()
+    states, index = read_twice(ensemble)
+    assert index is None and np.shares_memory(states, paths)
     benefit = pv.accelerated_benefit(0.5, dread.table.n)
     args = (ensemble, benefit, dread.discount, {1, 2}, dread.offsets, dread.table.n, dread.model.n_states)
     assert estimates(*args) == reference_estimates(*args)
@@ -129,9 +164,9 @@ def test_the_table_is_given_up_past_its_share(dread):
 
 @pytest.mark.parametrize("layout", ["path-major", "time-major"])
 @pytest.mark.parametrize("estimator", ["mc_pv", "mc_premium", "empirical_distribution"])
-def test_states_above_the_width_are_named_with_the_table_on(chain3, claim_cash3, flat_discount3, estimator,
-                                                           layout, monkeypatch):
-    monkeypatch.setattr(oracle, "_UNTABLED_PATHS", 0)
+def test_states_above_the_width_are_named_on_every_call(chain3, claim_cash3, flat_discount3, estimator, layout,
+                                                        monkeypatch):
+    """The largest state is kept on the ensemble after the first call, and a fault is still named."""
     monkeypatch.setattr(oracle, "_DISTINCT_SHARE", 1.0)
     estimate = {
         "mc_pv": lambda e: pv.mc_pv(e, claim_cash3, flat_discount3),
@@ -145,39 +180,10 @@ def test_states_above_the_width_are_named_with_the_table_on(chain3, claim_cash3,
     for paths, message in cases:
         if layout == "time-major":
             paths = np.ascontiguousarray(paths.T).T
-        with pytest.raises(pv.ValidationError, match=f"^{message}$"):
-            estimate(pv.PathEnsemble(paths, master_seed=0))
-
-
-@pytest.mark.parametrize("share", [1.0, 0.05], ids=["built", "given-up"])
-def test_the_table_is_exact_under_thread_contention(share, monkeypatch):
-    """Six threads, switching every microsecond, write disjoint slices of
-    one index and share one give-up flag."""
-    rng = np.random.default_rng(11)
-    paths = rng.integers(1, 4, (3_000, 9), dtype=np.int16)
-    monkeypatch.setattr(oracle, "CHUNK_SIZE", 96)
-    monkeypatch.setattr(oracle, "_THREADED_PATHS", 16)
-    monkeypatch.setattr(oracle, "_usable_cores", lambda: 6)
-    monkeypatch.setattr(oracle, "_UNTABLED_PATHS", 0)
-    monkeypatch.setattr(oracle, "_DISTINCT_SHARE", share)
-    assert oracle._path_blocks(len(paths))[1] == 6
-    outcome = []
-    runner = threading.Thread(target=lambda: outcome.append(oracle._distinct_table(paths.T)), daemon=True)
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        runner.start()
-        runner.join(timeout=120)
-    finally:
-        sys.setswitchinterval(switch)
-    assert not runner.is_alive(), "_distinct_table did not finish"
-    states, index, top = outcome[0]
-    assert top == 3
-    if share == 1.0:
-        np.testing.assert_array_equal(states[:, index], paths.T)
-        assert states.shape[1] == len(np.unique(paths, axis=0))
-    else:
-        assert index is None and states is not None and np.shares_memory(states, paths)
+        ensemble = pv.PathEnsemble(paths, master_seed=0)
+        for _ in range(2):
+            with pytest.raises(pv.ValidationError, match=f"^{message}$"):
+                estimate(ensemble)
 
 
 def test_paths_are_a_read_only_view():
@@ -193,19 +199,18 @@ def test_paths_are_a_read_only_view():
     assert simulated.paths.T.flags.c_contiguous
 
 
-def test_the_kept_table_and_its_build_stay_small(dread, monkeypatch):
-    for cores in (1, 2, 3):
-        monkeypatch.setattr(oracle, "_usable_cores", lambda: cores)
-        ensemble = fixture_ensemble(dread)
-        tracemalloc.start()
-        try:
-            distinct, index, _ = oracle._distinct_paths(ensemble)
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        table = index.nbytes + distinct.nbytes
-        assert held <= table + HELD_SLACK, f"{cores} cores: {held} B held for a {table} B table"
-        assert peak <= 2 * index.nbytes + BUILD_SLACK, f"{cores} cores: peak {peak / 1e6:.2f} MB"
+def test_the_kept_table_and_its_build_stay_small(dread):
+    ensemble = fixture_ensemble(dread)
+    oracle._distinct_paths(ensemble)
+    tracemalloc.start()
+    try:
+        distinct, index = oracle._distinct_paths(ensemble)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    table = index.nbytes + distinct.nbytes
+    assert held <= table + HELD_SLACK, f"{held} B held for a {table} B table"
+    assert peak <= 2 * index.nbytes + BUILD_SLACK, f"peak {peak / 1e6:.2f} MB"
 
 
 def path_reads(function) -> list[int]:

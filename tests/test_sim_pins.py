@@ -167,7 +167,7 @@ def test_estimates_do_not_depend_on_the_core_count(dread, monkeypatch):
 
 
 def test_estimates_match_a_pass_over_every_path(dread, monkeypatch):
-    # 200 000 paths are more than a chunk, so the estimators read them through the distinct-path table.
+    # After the first mc_pv, the estimators read the 200 000 paths through their distinct-path table.
     monkeypatch.setattr(oracle, "_path_totals", reference_path_totals)
     monkeypatch.setattr(pv, "empirical_distribution", reference_empirical_distribution)
     want = fixture_estimates(dread)
