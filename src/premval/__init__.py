@@ -17,9 +17,9 @@ from .lifetable import (Chain, DistributionMatrix, IncrementDecrementTable, Tran
                         allowed_pattern, build_chain, diagonal_residuals, distribution_matrix,
                         infer_reflex_columns, load_table, pattern_violations, transition_sequence,
                         unit_distribution)
-from .cashflow import (CashflowEntry, CashflowMatrix, accelerated_benefit, build_cashflow,
-                       ceased_cover_states, dread_disease_case, load_cashflow_file,
+from .cashflow import (CashflowEntry, CashflowMatrix, build_cashflow, load_cashflow_file,
                        parse_cashflow_text, premium_outflow, premium_selector)
+from .fixtures import accelerated_benefit, ceased_cover_states, dread_disease_case
 from .valuation import (DiscountVector, PremiumResult, annuity_due, constant_rate_discount,
                         equivalence_residual, expected_pv, load_discount_file, net_single_premium,
                         parse_discount_text, period_premium, period_premium_initial)

@@ -13,8 +13,7 @@ import sys
 import numpy as np
 
 from . import fixtures
-from .cashflow import (CashflowMatrix, accelerated_benefit, build_cashflow, ceased_cover_states,
-                       dread_disease_case, load_cashflow_file, premium_outflow)
+from .cashflow import CashflowMatrix, build_cashflow, load_cashflow_file, premium_outflow
 from .errors import ParseError, PremvalError, ValidationError
 from .lifetable import _ROW_SUM_TOL, build_chain, diagonal_residuals
 from .oracle import mc_pv, simulate
@@ -38,9 +37,9 @@ def _parse_pay_states(text: "str | None") -> "frozenset[int] | None":
 def _inflows(args, n: int, n_states: "int | None") -> CashflowMatrix:
     """Contract inflows from the one source given: ``accel``, ``case`` or a ``cashflow`` file."""
     if getattr(args, "accel", None) is not None:
-        return accelerated_benefit(args.accel, n)
+        return fixtures.accelerated_benefit(args.accel, n)
     if getattr(args, "case", None) is not None:
-        return dread_disease_case(args.case, n)
+        return fixtures.dread_disease_case(args.case, n)
     return build_cashflow(load_cashflow_file(args.cashflow), n, n_states)
 
 
@@ -139,9 +138,8 @@ def _cmd_table_check(args) -> int:
 def _cmd_dist(args) -> int:
     chain = _load_chain(args.model, args.table, args.initial)
     header = ["k"] + [f"state_{j}" for j in range(1, chain.model.n_states + 1)]
-    print(",".join(header))
-    for k, row in enumerate(chain.dist.matrix):
-        print(",".join([str(k)] + [f"{p:.{args.precision}g}" for p in row]))
+    rows = [[str(k)] + [f"{p:.{args.precision}g}" for p in row] for k, row in enumerate(chain.dist.matrix)]
+    _print_table([header] + rows, "csv")
     return 0
 
 
@@ -197,14 +195,9 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-_DEMO_LAMBDAS = (0.001, 0.25, 0.5, 0.75, 1.0)
-_DEMO_PAY_SETS = (frozenset({1}), frozenset({1, 2}), frozenset({1, 2, 3, 4, 5, 6}))
-_DEMO_RATE = 0.01
-
-
 def _demo_row(label, c_in, chain, discount, m, precision, ceased=frozenset()):
     cells = [label, f"{net_single_premium(c_in, chain.dist, discount).value:.{precision}f}"]
-    for pay in _DEMO_PAY_SETS:
+    for _, pay in fixtures.DEMO_PAY_SETS:
         if pay & ceased:
             cells.append("—")
         else:
@@ -226,22 +219,22 @@ def _cmd_demo(args) -> int:
     chain = build_chain(fixtures.dread_disease_model(), fixtures.bundled_path(fixtures.TABLE_FILE),
                         entry_age=fixtures.ENTRY_AGE)
     table = chain.table
-    discount = constant_rate_discount(table.n, rate=_DEMO_RATE)
+    discount = constant_rate_discount(table.n, rate=fixtures.DEMO_RATE)
     m = table.n
     print(f"dread-disease demo [{args.scenario}] on the bundled SYNTHETIC table "
-          f"(entry age {fixtures.ENTRY_AGE}, horizon {table.n} years, rate {_DEMO_RATE:.0%}, m={m})")
-    header = ["", "single", "p{1}", "p{1,2}", "p{1-6}"]
+          f"(entry age {fixtures.ENTRY_AGE}, horizon {table.n} years, rate {fixtures.DEMO_RATE:.0%}, m={m})")
+    header = ["", "single"] + [label for label, _ in fixtures.DEMO_PAY_SETS]
     rows = [header]
     if args.scenario == "accel":
         header[0] = "lambda"
-        for lam in _DEMO_LAMBDAS:
-            c_in = accelerated_benefit(lam, table.n)
+        for lam in fixtures.DEMO_LAMBDAS:
+            c_in = fixtures.accelerated_benefit(lam, table.n)
             rows.append(_demo_row(f"{lam:g}", c_in, chain, discount, m,
-                                  args.precision, ceased_cover_states(lam)))
+                                  args.precision, fixtures.ceased_cover_states(lam)))
     else:
         header[0] = "case"
         case = int(args.scenario[-1])
-        c_in = dread_disease_case(case, table.n)
+        c_in = fixtures.dread_disease_case(case, table.n)
         rows.append(_demo_row(str(case), c_in, chain, discount, m, args.precision))
     _print_table(rows, args.format)
     return 0
@@ -283,10 +276,21 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+#: The most decimal places Python formats a float to.
+_MAX_PRECISION = 2 ** 31 - 1
+
+
+def _precision(text: str) -> int:
+    value = _nonnegative_int(text)
+    if value > _MAX_PRECISION:
+        raise argparse.ArgumentTypeError(f"expected at most {_MAX_PRECISION} decimal places, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="premval",
                                      description="Multistate insurance valuation by the matrix method")
-    parser.add_argument("--precision", type=_nonnegative_int, default=5, help="decimal places in reports")
+    parser.add_argument("--precision", type=_precision, default=5, help="decimal places in reports")
     parser.add_argument("--format", choices=("plain", "csv"), default="plain", help="tabular output format")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -1,6 +1,7 @@
 """Exception types shared across the package, the one reader of input files and
 splitter of their lines, the check that a state, period or count is an integer,
-and the read-only view that keeps a checked array as it was checked."""
+the allocation of an array sized by an argument, and the read-only view that
+keeps a checked array as it was checked."""
 
 import operator
 
@@ -41,6 +42,15 @@ def _integer(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise ValidationError(f"{name} must be an integer, got {type(value).__name__} {value}") from None
+
+
+def _allocate(shape, what: str, dtype=float, make=np.zeros) -> np.ndarray:
+    """``make(shape, dtype)`` for a shape of nonnegative sizes; a ValidationError naming ``what``
+    and the shape if numpy cannot make an array that large."""
+    try:
+        return make(shape, dtype)
+    except (ValueError, MemoryError):  # past numpy's largest array, or past the memory to be had
+        raise ValidationError(f"{what} of shape {shape} does not fit in memory") from None
 
 
 def _read_only(array, what: str, dtype=None):

@@ -1,10 +1,21 @@
-"""Bundled example model and a SYNTHETIC companion life table.
+"""The bundled dread-disease example: its model, a SYNTHETIC companion life
+table, the benefit builders priced on it and the demo's settings.
 
-The model is the ten-state dread-disease layout described in
-:mod:`premval.cashflow`: diagnosis can be local (state 2) or immediately
-terminal (state 3), terminal illness walks down the remaining-lifetime
-states 3..6, and the two death routes pass through one-period payout states
-(7 and 9) before absorbing (8 and 10).
+The model has ten states:
+
+    1  healthy                       6  terminal stage, under 1 year left
+    2  diagnosed, local disease      7  death payout due (from 1 or 2)
+    3  terminal stage, under 4 years 8  dead (from 1 or 2)
+    4  terminal stage, under 3 years 9  death payout due (terminal)
+    5  terminal stage, under 2 years 10 dead (terminal)
+
+Diagnosis can be local (state 2) or immediately terminal (state 3), terminal
+illness walks down the remaining-lifetime states 3..6, and the two death
+routes pass through the one-period payout states 7 and 9 before absorbing
+in 8 and 10.  Each builder pays in a state from the state's earliest arrival
+time on, the offset :func:`~premval.statemodel.shortest_arrival` gives it
+from state 1: the rule :func:`~premval.cashflow.premium_selector` applies to
+premiums.
 
 The companion table is generated, not observed.  It evolves a closed cohort
 of ten million lives from entry age 40 over 25 years under smooth synthetic
@@ -16,10 +27,15 @@ population, nothing more; no real data went in.
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 from pathlib import Path
 
-from .statemodel import ModelFile, StateModel, _extend_file, format_model
+import numpy as np
+
+from .cashflow import CashflowMatrix, _periods
+from .errors import ValidationError, _allocate, _integer
+from .statemodel import ModelFile, StateModel, _extend_file, format_model, shortest_arrival
 
 ENTRY_AGE = 40
 HORIZON = 25
@@ -35,6 +51,18 @@ _TABLE_COLUMNS = [
 MODEL_FILE = "dread_disease.model"
 BASE_MODEL_FILE = "dread_disease_base.model"
 TABLE_FILE = "synthetic_table.csv"
+
+#: Number of states in the model.
+DREAD_DISEASE_STATES = 10
+
+#: Its terminal-illness states.
+TERMINAL_STATES = frozenset({3, 4, 5, 6})
+
+#: The demo's yearly interest rate, accelerated shares, and premium-state sets with their column labels.
+DEMO_RATE = 0.01
+DEMO_LAMBDAS = (0.001, 0.25, 0.5, 0.75, 1.0)
+DEMO_PAY_SETS = (("p{1}", frozenset({1})), ("p{1,2}", frozenset({1, 2})),
+                 ("p{1-6}", frozenset({1, 2, 3, 4, 5, 6})))
 
 
 def dread_disease_model() -> StateModel:
@@ -72,6 +100,69 @@ def base_dread_disease() -> ModelFile:
         (1, 3): 1.0, (2, 3): 1.0,
     }
     return ModelFile(model=model, lump_sums=lump_sums, attachments={})
+
+
+@functools.cache
+def _first_rows() -> dict:
+    """Each state's earliest arrival time in :func:`dread_disease_model`, from state 1:
+    the first row in which a builder pays in the state."""
+    return shortest_arrival(dread_disease_model()).offsets
+
+
+def _paying(n: int, amounts: dict) -> np.ndarray:
+    """(n+1) x 10 matrix paying ``amounts[state]`` in each state from its earliest arrival time on."""
+    first = _first_rows()
+    c = _allocate((_periods(n), DREAD_DISEASE_STATES), "cash-flow matrix")
+    for state, amount in amounts.items():
+        c[first[state]:, state - 1] = amount
+    return c
+
+
+def accelerated_benefit(acceleration: float, n: int) -> CashflowMatrix:
+    """Inflows for a death benefit of 1 with an accelerated share.
+
+    The share ``acceleration`` of the benefit is brought forward and paid on
+    entry into the terminal stage (state 3); the remaining share is paid at
+    death after a terminal illness (state 9).  Death without a preceding
+    terminal stage (state 7) always pays the full benefit.  An acceleration
+    of 0 is the plain death cover with a zero terminal-entry row kept in
+    place; an acceleration of 1 is the stand-alone cover, where nothing is
+    left to pay at state 9.
+    """
+    if not 0.0 <= acceleration <= 1.0:
+        raise ValidationError(f"acceleration share {acceleration!r} outside [0, 1]")
+    c = _paying(n, {3: acceleration, 7: 1.0, 9: 1.0 - acceleration})
+    return CashflowMatrix._of(c)  # amounts in [0, 1], n + 1 >= 1 periods
+
+
+def ceased_cover_states(acceleration: float) -> frozenset[int]:
+    """States where premium collection stops under stand-alone cover.
+
+    With the whole benefit accelerated the contract ends at terminal
+    diagnosis, so no premium can be collected in states 3..6.
+    """
+    return TERMINAL_STATES if acceleration >= 1.0 else frozenset()
+
+
+def dread_disease_case(case: int, n: int) -> CashflowMatrix:
+    """Inflows for three additional-benefit variants, each with a death
+    benefit of 1.  Case 1 pays 1 on entry into the terminal stage.  Case 2
+    pays instead a terminal-illness annuity of 0.25 a year in every terminal
+    state.  Case 3 is case 1 plus a pure endowment of 1 paid at the horizon
+    in every alive state (1..6).
+    """
+    case = _integer("case id", case)
+    if case not in (1, 2, 3):
+        raise ValidationError(f"unknown case id {case!r} (expected 1, 2 or 3)")
+    amounts = {7: 1.0, 9: 1.0}
+    if case in (1, 3):
+        amounts[3] = 1.0
+    else:
+        amounts.update(dict.fromkeys(TERMINAL_STATES, 0.25))
+    c = _paying(n, amounts)
+    if case == 3:
+        c[n, 0:6] += 1.0
+    return CashflowMatrix._of(c)  # amounts in [0, 2], n + 1 >= 1 periods
 
 
 def _hazards(k: int, decay_17: float, decay_27: float) -> dict[str, float]:

@@ -78,7 +78,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cashflow import CashflowMatrix, premium_selector
-from .errors import ValidationError, _integer
+from .errors import ValidationError, _allocate, _integer
 from .lifetable import DistributionMatrix, TransitionSequence, initial_distribution
 from .statemodel import ArrivalOffsets
 from .valuation import DiscountVector, _check_inflows
@@ -449,7 +449,7 @@ def simulate(seq: TransitionSequence, initial: np.ndarray, n_paths: int, master_
     buckets = guide.shape[2]
 
     # Time-major, so that every step reads and writes contiguous vectors.
-    time_major = np.empty((n + 1, n_paths), dtype=_path_dtype(n_states))
+    time_major = _allocate((n + 1, n_paths), "path array", _path_dtype(n_states), np.empty)
     blocks, threads = _path_blocks(n_paths)
     size = blocks[0][1]
     buffers = [(np.empty((min(size, _STAGED_PATHS), _words_per_path(n))), np.empty((n + 1, size)),

@@ -3,12 +3,16 @@ dense (n, N, N) array, randomized chain, graph and table factories for
 property tests, an independent earliest-arrival oracle, and references kept
 from earlier versions of the library: the column-by-column table check,
 path enumeration over the dense Q(k), the estimators' pass over every
-simulated path, and the quote path that checked every cash-flow matrix and
-discount vector in full.  Test modules import them
+simulated path, the quote path that checked every cash-flow matrix and
+discount vector in full, and the fixture builders' hard-coded rows.  An
+exact reference prices in rationals: ``fractions.Fraction`` holds every
+binary64 input exactly, so the library's float results can be measured
+against the true value of their own inputs.  Test modules import them
 with ``from chains import ...``; fixtures stay in ``conftest.py``."""
 
 import heapq
 from collections import defaultdict
+from fractions import Fraction
 
 import numpy as np
 
@@ -356,6 +360,24 @@ def reference_accelerated_benefit(acceleration: float, n: int) -> pv.CashflowMat
     return pv.CashflowMatrix(c)
 
 
+def reference_dread_disease_case(case: int, n: int) -> pv.CashflowMatrix:
+    if case not in (1, 2, 3):
+        raise pv.ValidationError(f"unknown case id {case!r} (expected 1, 2 or 3)")
+    if n < 0:
+        raise pv.ValidationError(f"horizon n={n} is negative")
+    c = np.zeros((n + 1, 10))
+    c[1:, 6] = 1.0
+    c[2:, 8] = 1.0
+    if case in (1, 3):
+        c[1:, 2] = 1.0
+    else:
+        for state in (3, 4, 5, 6):
+            c[state - 2:, state - 1] = 0.25
+    if case == 3:
+        c[n, 0:6] += 1.0
+    return pv.CashflowMatrix(c)
+
+
 def reference_premium_selector(pay_states, offsets, m: int, n: int, n_states: int) -> pv.CashflowMatrix:
     if not 1 <= m <= n:
         raise pv.ValidationError(f"premium horizon m={m} out of range 1..{n}")
@@ -402,3 +424,21 @@ def reference_expected_pv(c: pv.CashflowMatrix, dist, discount) -> float:
         raise pv.ValidationError(
             f"discount vector length {discount.values.shape[0]} does not match horizon {dist.matrix.shape[0] - 1}")
     return float(discount.values @ np.sum(c.matrix * dist.matrix, axis=1))
+
+
+def rational_distribution(seq: pv.TransitionSequence, initial: np.ndarray) -> list:
+    """D as (n+1) lists of N ``Fraction``s: the exact forward recursion over the
+    sequence's edges, from the exact values of its float probabilities."""
+    rows = [[Fraction(float(p)) for p in initial]]
+    for k in range(seq.n):
+        here, step = rows[-1], [Fraction(0)] * seq.n_states
+        for i, j, q in zip(seq.rows.tolist(), seq.columns.tolist(), seq.probabilities[k].tolist()):
+            step[j] += here[i] * Fraction(q)
+        rows.append(step)
+    return rows
+
+
+def rational_expected_pv(c: pv.CashflowMatrix, d: list, discount: pv.DiscountVector) -> Fraction:
+    """The exact expected present value of ``c`` under the rational distribution ``d``."""
+    return sum((Fraction(m) * sum((Fraction(x) * p for x, p in zip(row, d_k) if x), Fraction(0))
+                for m, row, d_k in zip(discount.values.tolist(), c.matrix.tolist(), d)), Fraction(0))

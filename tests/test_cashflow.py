@@ -17,9 +17,9 @@ SRC = Path(pv.__file__).parent
 #: The builders that make a CashflowMatrix without its check, each with the
 #: reason no argument can give it a matrix the check would refuse.
 UNCHECKED_BUILDERS = {
-    ("cashflow", "accelerated_benefit"):
+    ("fixtures", "accelerated_benefit"):
         "its amounts are the share, 1 and 1 - share, with the share checked in [0, 1], on n + 1 >= 1 periods",
-    ("cashflow", "dread_disease_case"):
+    ("fixtures", "dread_disease_case"):
         "its amounts are 0, 0.25, 1 and 2, with the case checked in 1..3, on n + 1 >= 1 periods",
     ("cashflow", "premium_selector"):
         "its amounts are 0 and 1, on n + 1 >= 2 periods, with a state payable before m or a refusal",

@@ -152,6 +152,32 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert f"argument {option}: expected a nonnegative integer, got '{value}'" in err
 
+    #: Sizes past any 64-bit address space, so that no refusal depends on the memory free: a path
+    #: array of 5.2e18 bytes, past the 2^57 bytes of 5-level paging and numpy's 2^63 - 1; and
+    #: shapes past numpy's largest array.
+    @pytest.mark.parametrize("argv, message", [
+        (("simulate", "--model", MODEL, "--table", TABLE, "--rate", "0.01", "--accel", "0.5",
+          "--paths", "100000000000000000"), "path array of shape (26, 100000000000000000) does not fit in memory"),
+        (("simulate", "--model", MODEL, "--table", TABLE, "--rate", "0.01", "--accel", "0.5",
+          "--paths", "1" + "0" * 30), f"path array of shape (26, 1{'0' * 30}) does not fit in memory"),
+        (("cashflow", "accel", "--lambda", "0.5", "--n", "1" + "0" * 27),
+         f"cash-flow matrix of shape (1{'0' * 26}1, 10) does not fit in memory"),
+        (("cashflow", "case", "--id", "2", "--n", "1" + "0" * 27),
+         f"cash-flow matrix of shape (1{'0' * 26}1, 10) does not fit in memory"),
+        (("cashflow", "build", "--flows", os.devnull, "--n", "3", "--states", "1" + "0" * 20),
+         f"cash-flow matrix of shape (4, 1{'0' * 20}) does not fit in memory"),
+    ], ids=["paths-past-the-address-space", "paths-past-numpy", "accel-n", "case-n", "build-states"])
+    def test_oversize_sizes_are_refused_in_one_line(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_precision_past_what_python_formats_is_refused(self, capsys):
+        code, out, err = run(capsys, "--precision", "1000000000000", "premium", "--model", MODEL, "--table", TABLE,
+                             "--rate", "0.01", "--accel", "0.5", "--single")
+        assert (code, out) == (2, "")
+        assert "argument --precision: expected at most 2147483647 decimal places, got '1000000000000'" in err
+        assert build_parser().parse_args(["--precision", "2147483647", "validate", MODEL]).precision == 2 ** 31 - 1
+
     def test_cashflow_zero_states_keeps_its_validation_error(self, capsys, tmp_path):
         flows = tmp_path / "c.flows"
         flows.write_text("flow 1 0 2 1.5\n")
