@@ -2,9 +2,9 @@
 
 A contract is summarised by an (n+1) x N matrix: entry (k, j) is the signed
 amount payable at time k while the process occupies state j.  Benefits are
-positive, premiums negative.  The value kernel multiplies this matrix
-elementwise with the occupancy distribution, so every product that can be
-written this way prices through the same two lines of algebra.
+positive, premiums negative.  The one value kernel of :mod:`premval.valuation`
+adds the products (m_k * D[k, j]) * C[k, j] over k for each state, then over
+the states, so every contract written this way prices in one fixed order.
 
 Premiums use the same shape: :func:`premium_selector` alone says where a
 premium is payable, as a 0/1 matrix that every premium computation takes
@@ -139,7 +139,7 @@ def premium_selector(pay_states, offsets: ArrivalOffsets, m: int, n: int,
     if not 1 <= m <= n:
         raise ValidationError(f"premium horizon m={m} out of range 1..{n}")
     pay = sorted(set(pay_states), key=lambda s: _integer("pay state", s))
-    selector = np.zeros((n + 1, n_states))
+    selector = _allocate((n + 1, max(n_states, 0)), "premium selector")
     payable = False
     for s in pay:
         if not 1 <= s <= n_states:

@@ -45,10 +45,10 @@ def _integer(name: str, value) -> int:
 
 
 def _allocate(shape, what: str, dtype=float, make=np.zeros) -> np.ndarray:
-    """``make(shape, dtype)`` for a shape of nonnegative sizes; a ValidationError naming ``what``
-    and the shape if numpy cannot make an array that large."""
+    """``make(shape, dtype=dtype)`` for a shape of nonnegative sizes; a ValidationError naming
+    ``what`` and the shape if numpy cannot make an array that large."""
     try:
-        return make(shape, dtype)
+        return make(shape, dtype=dtype)
     except (ValueError, MemoryError):  # past numpy's largest array, or past the memory to be had
         raise ValidationError(f"{what} of shape {shape} does not fit in memory") from None
 

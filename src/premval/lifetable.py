@@ -15,7 +15,8 @@ row-stacked distribution of the process started from a given initial state;
 The matrices live on the edges of the state graph, the entries the model
 lets be nonzero (:func:`allowed_pattern`): a :class:`TransitionSequence`
 holds one (n, E) array of probabilities on a fixed edge list, and builds
-the dense (n, N, N) array only when ``matrices`` is read.
+the dense (n, N, N) array only when ``matrices`` is read.  D is stepped on
+the same edges, each column adding its in-edges in stored order, no BLAS.
 """
 
 from __future__ import annotations
@@ -546,20 +547,17 @@ def initial_distribution(initial, n_states: int) -> np.ndarray:
 def distribution_matrix(seq: TransitionSequence, initial: np.ndarray) -> DistributionMatrix:
     """Stack the state distribution at times 0..n, starting from ``initial``.
 
-    Each period's edges are written into one reused dense (N, N) buffer,
-    whose entries off the edges stay +0.0, and ``p @ buffer`` takes the
-    step, so D is the product with the dense Q(k), bit for bit.
+    Each step is taken on the edges: ``bincount`` adds each edge's product
+    D[k, i] * Q(k)[i, j] into its column j, so a column sums its in-edges in
+    stored edge order from +0.0.  No platform kernel picks the order, so D
+    is a fixed function of its float inputs on any host.
     """
     initial = initial_distribution(initial, seq.n_states)
     rows = np.empty((seq.n + 1, seq.n_states))
     rows[0] = initial
-    p = initial
-    buffer = np.zeros((seq.n_states, seq.n_states))
-    flat, at = buffer.reshape(-1), seq.rows * seq.n_states + seq.columns
     for k in range(seq.n):
-        flat[at] = seq.probabilities[k]
-        p = p @ buffer
-        rows[k + 1] = p
+        rows[k + 1] = np.bincount(seq.columns, weights=rows[k][seq.rows] * seq.probabilities[k],
+                                  minlength=seq.n_states)
     return DistributionMatrix(rows)
 
 

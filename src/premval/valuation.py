@@ -1,16 +1,18 @@
 """Expected present values, annuities and net premiums.
 
-Everything here reduces to a single kernel: the expected present value of a
-state-attached cash-flow matrix C under an occupancy distribution D and a
-discount vector M is
-
-    sum over k of  m_k * sum over j of  C[k, j] * D[k, j].
-
-Net single premiums apply the kernel to the inflow matrix.  Annuities and
-period-premium denominators take one contraction of a 0/1 selector: one state
-over an interval, or :func:`~premval.cashflow.premium_selector`, whose states
-collect from their earliest arrival after the chain's start.  All interval
-arguments are half-open: [k1, k2) covers payments at times k1, ..., k2 - 1.
+Everything here reduces to one kernel, :func:`_contract`: the expected
+present value of a state-attached cash-flow matrix C under an occupancy
+distribution D and a discount vector M, summed in one order that no platform
+kernel chooses.  Each term is (m_k * D[k, j]) * C[k, j], written in place as
+``w = m[:, None] * D; w *= C``; the terms are added over k for each state,
+then the state totals over the states.  So a value is a fixed function of
+its float inputs on any host, and a 0/1 selector gives the sum of its
+one-state parts bit for bit.  Values, net single premiums, residuals and
+premium numerators take a cash-flow matrix; annuities and premium
+denominators a 0/1 selector: one state over an interval, or
+:func:`~premval.cashflow.premium_selector`, whose states collect from their
+earliest arrival after the chain's start.  All interval arguments are
+half-open: [k1, k2) covers payments at times k1, ..., k2 - 1.
 
 Matrices and vectors are checked where they are made; the functions here
 check only what they add: matching shapes, nonnegative inflows and a
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cashflow import CashflowEntry, CashflowMatrix, build_cashflow, premium_selector
-from .errors import ParseError, ValidationError, _fields, _integer, _read_only, read_text
+from .errors import ParseError, ValidationError, _allocate, _fields, _integer, _read_only, read_text
 from .lifetable import DistributionMatrix
 from .statemodel import ArrivalOffsets
 
@@ -92,7 +94,8 @@ def constant_rate_discount(n: int, v: "float | None" = None, rate: "float | None
         v = 1.0 / (1.0 + rate)
     if not 0.0 < v <= 1.0:
         raise ValidationError(f"discount factor {v!r} outside (0, 1]")
-    return DiscountVector(np.asarray(v, dtype=float) ** np.arange(_integer("horizon n", n) + 1))
+    powers = _allocate(max(_integer("horizon n", n) + 1, 0), "discount vector", make=np.arange)
+    return DiscountVector(np.asarray(v, dtype=float) ** powers)
 
 
 def parse_discount_text(text: str, n: int) -> DiscountVector:
@@ -117,19 +120,22 @@ def load_discount_file(path, n: int) -> DiscountVector:
         raise ParseError(f"discount file {path}: {exc}") from exc
 
 
-def _check_shapes(c: CashflowMatrix, dist: DistributionMatrix, discount: DiscountVector):
+def _contract(c: CashflowMatrix, dist: DistributionMatrix, discount: DiscountVector) -> float:
+    """The kernel: the discounted expected sum of ``c`` under ``dist``, in the module's one order."""
     if c.matrix.shape != dist.matrix.shape:
         raise ValidationError(
             f"cash-flow shape {c.matrix.shape} does not match distribution shape {dist.matrix.shape}")
     if discount.values.shape[0] != dist.matrix.shape[0]:
         raise ValidationError(
             f"discount vector length {discount.values.shape[0]} does not match horizon {dist.matrix.shape[0] - 1}")
+    w = discount.values[:, None] * dist.matrix
+    w *= c.matrix
+    return float(np.add.accumulate(np.add.accumulate(w)[-1])[-1])
 
 
 def expected_pv(c: CashflowMatrix, dist: DistributionMatrix, discount: DiscountVector) -> float:
     """Expected present value of the cash flows under the distribution."""
-    _check_shapes(c, dist, discount)
-    return float(discount.values @ (c.matrix * dist.matrix).sum(axis=1))
+    return _contract(c, dist, discount)
 
 
 def _check_inflows(c_in: CashflowMatrix):
@@ -143,15 +149,7 @@ def _check_inflows(c_in: CashflowMatrix):
 def net_single_premium(c_in: CashflowMatrix, dist: DistributionMatrix, discount: DiscountVector) -> PremiumResult:
     """Net single premium of the benefit inflows (all entries nonnegative)."""
     _check_inflows(c_in)
-    return PremiumResult(value=expected_pv(c_in, dist, discount), kind="single")
-
-
-def _contract(selector: CashflowMatrix, dist: DistributionMatrix, discount: DiscountVector) -> float:
-    """Discounted expected count of the (k, state) cells a 0/1 selector marks, summed over k
-    and then over states, so a selector gives the sum of its one-state parts bit for bit."""
-    _check_shapes(selector, dist, discount)
-    weighted = discount.values[:, None] * dist.matrix * selector.matrix
-    return float(np.add.accumulate(np.add.accumulate(weighted)[-1])[-1])
+    return PremiumResult(value=_contract(c_in, dist, discount), kind="single")
 
 
 def annuity_due(dist: DistributionMatrix, discount: DiscountVector, state: int, k_start: int, k_end: int) -> float:
@@ -168,7 +166,7 @@ def annuity_due(dist: DistributionMatrix, discount: DiscountVector, state: int, 
 def _period_result(c_in: CashflowMatrix, dist: DistributionMatrix, discount: DiscountVector,
                    selector: CashflowMatrix, pay: frozenset, m: int) -> PremiumResult:
     _check_inflows(c_in)
-    numerator = expected_pv(c_in, dist, discount)
+    numerator = _contract(c_in, dist, discount)
     denominator = _contract(selector, dist, discount)
     if denominator == 0.0:
         raise ValidationError("premium annuity value is zero; the premium is undefined")
@@ -204,4 +202,4 @@ def equivalence_residual(c_in: CashflowMatrix, c_out: CashflowMatrix,
     Zero (up to rounding) when the premium satisfies the equivalence
     principle for the given contract.
     """
-    return expected_pv(c_in + c_out, dist, discount)
+    return _contract(c_in + c_out, dist, discount)

@@ -4,11 +4,13 @@ property tests, an independent earliest-arrival oracle, and references kept
 from earlier versions of the library: the column-by-column table check,
 path enumeration over the dense Q(k), the estimators' pass over every
 simulated path, the quote path that checked every cash-flow matrix and
-discount vector in full, and the fixture builders' hard-coded rows.  An
-exact reference prices in rationals: ``fractions.Fraction`` holds every
-binary64 input exactly, so the library's float results can be measured
-against the true value of their own inputs.  Test modules import them
-with ``from chains import ...``; fixtures stay in ``conftest.py``."""
+discount vector in full, and the fixture builders' hard-coded rows.  Float
+references sum D and the valuation kernel in the library's stated orders
+with plain Python loops.  An exact reference prices in rationals:
+``fractions.Fraction`` holds every binary64 input exactly, so the library's
+float results can be measured against the true value of their own inputs.
+Test modules import them with ``from chains import ...``; fixtures stay in
+``conftest.py``."""
 
 import heapq
 from collections import defaultdict
@@ -417,13 +419,40 @@ def reference_check_inflows(c_in: pv.CashflowMatrix):
 
 
 def reference_expected_pv(c: pv.CashflowMatrix, dist, discount) -> float:
+    """The valuation kernel as explicit loops over Python floats, in its stated
+    order: each term (m_k * D[k, j]) * C[k, j], added over k from k = 0 for
+    each state, then the state totals from state 1.  Each sum starts from
+    its first term, as ``np.add.accumulate`` does, so a sum of -0.0 stays -0.0."""
     if c.matrix.shape != dist.matrix.shape:
         raise pv.ValidationError(
             f"cash-flow shape {c.matrix.shape} does not match distribution shape {dist.matrix.shape}")
     if discount.values.shape[0] != dist.matrix.shape[0]:
         raise pv.ValidationError(
             f"discount vector length {discount.values.shape[0]} does not match horizon {dist.matrix.shape[0] - 1}")
-    return float(discount.values @ np.sum(c.matrix * dist.matrix, axis=1))
+    m, d, cash = discount.values.tolist(), dist.matrix.tolist(), c.matrix.tolist()
+    states = []
+    for j in range(len(d[0])):
+        total = m[0] * d[0][j] * cash[0][j]
+        for k in range(1, len(m)):
+            total += m[k] * d[k][j] * cash[k][j]
+        states.append(total)
+    value = states[0]
+    for total in states[1:]:
+        value += total
+    return value
+
+
+def reference_distribution(seq: pv.TransitionSequence, initial: np.ndarray) -> np.ndarray:
+    """The float twin of ``rational_distribution``: D by the forward recursion
+    over the sequence's edges in stored order, each entry of a step a Python
+    float that starts from 0.0 and adds the products of its in-edges."""
+    rows = [np.asarray(initial, dtype=float).tolist()]
+    for k in range(seq.n):
+        here, step = rows[-1], [0.0] * seq.n_states
+        for i, j, q in zip(seq.rows.tolist(), seq.columns.tolist(), seq.probabilities[k].tolist()):
+            step[j] += here[i] * q
+        rows.append(step)
+    return np.array(rows)
 
 
 def rational_distribution(seq: pv.TransitionSequence, initial: np.ndarray) -> list:

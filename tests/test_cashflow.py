@@ -217,6 +217,11 @@ class TestPremiumSelector:
             with pytest.raises(pv.ValidationError, match=f"^pay state {bad} out of range 1..10$"):
                 call()
 
+    def test_horizon_past_numpys_largest_array_is_named(self, dread):
+        with pytest.raises(pv.ValidationError,
+                           match=rf"^premium selector of shape \(1{'0' * 26}1, 10\) does not fit in memory$"):
+            pv.premium_selector({1}, dread.offsets, 1, 10 ** 27, 10)
+
 
 class TestPremiumOutflow:
     def test_offsets_shift_payment_start(self, model3):

@@ -4,12 +4,12 @@ A quote prices a benefit as perfbench's quote-book does: a discount vector,
 an inflow matrix, its net single premium, the premium selector, the period
 premium, the premium outflow and the equivalence residual.  Each step must
 give what the reference gives, which checked every matrix and discount
-vector in full: the same ``float.hex`` of every value, the same bytes of
-every matrix, or the same exception type and message.  The inputs reach the
-faults each check exists for: non-finite, signed-zero and huge premiums,
-bad discount factors, negative and -0.0 inflows, overlapping entries that
-overflow, unreachable and out-of-range pay states and horizons at and past
-the ends.
+vector in full and values by explicit loops in the kernel's stated order:
+the same ``float.hex`` of every value, the same bytes of every matrix, or
+the same exception type and message.  The inputs reach the faults each
+check exists for: non-finite, signed-zero and huge premiums, bad discount
+factors, negative and -0.0 inflows, overlapping entries that overflow,
+unreachable and out-of-range pay states and horizons at and past the ends.
 
 Both sides run with numpy's overflow and invalid-value warnings off: an
 overflowing entry sum warns on both, and the reference's outflow warned on
@@ -24,7 +24,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import premval as pv
-from premval import valuation
 from chains import (random_chain, reference_accelerated_benefit, reference_build_cashflow,
                     reference_check_inflows, reference_discount_fault, reference_expected_pv,
                     reference_premium_outflow, reference_premium_selector)
@@ -40,7 +39,7 @@ def reference_period_premium(c_in, dist, discount, pay_states, offsets, m) -> pv
     selector = reference_premium_selector(pay, offsets, m, dist.n, dist.n_states)
     reference_check_inflows(c_in)
     numerator = reference_expected_pv(c_in, dist, discount)
-    denominator = valuation._contract(selector, dist, discount)
+    denominator = reference_expected_pv(selector, dist, discount)
     if denominator == 0.0:
         raise pv.ValidationError("premium annuity value is zero; the premium is undefined")
     return pv.PremiumResult(value=numerator / denominator, kind="period", pay_states=pay, m=m,

@@ -36,6 +36,10 @@ class TestDiscountVector:
         with pytest.raises(pv.ValidationError, match=f"^horizon n must be an integer, got {type(n).__name__} {n}$"):
             pv.constant_rate_discount(n, rate=0.01)
 
+    def test_horizon_past_numpys_largest_array_is_named(self):
+        with pytest.raises(pv.ValidationError, match=f"^discount vector of shape 1{'0' * 26}1 does not fit in memory$"):
+            pv.constant_rate_discount(10 ** 27, rate=0.01)
+
     def test_first_factor_must_be_one(self):
         with pytest.raises(pv.ValidationError, match=r"^m_0 must equal 1, got 0\.99$"):
             pv.DiscountVector(np.array([0.99, 0.98]))
@@ -259,7 +263,10 @@ def test_every_annuity_and_premium_goes_through_one_contraction(monkeypatch, cha
         raise RuntimeError("kernel called")
     monkeypatch.setattr(pv.valuation, "_contract", refuse)
     offsets = pv.shortest_arrival(chain3.model)
-    for call in (lambda: pv.annuity_due(chain3.dist, geometric_discount3, 1, 0, 2),
+    for call in (lambda: pv.expected_pv(claim_cash3, chain3.dist, geometric_discount3),
+                 lambda: pv.net_single_premium(claim_cash3, chain3.dist, geometric_discount3),
+                 lambda: pv.equivalence_residual(claim_cash3, claim_cash3, chain3.dist, geometric_discount3),
+                 lambda: pv.annuity_due(chain3.dist, geometric_discount3, 1, 0, 2),
                  lambda: pv.period_premium_initial(claim_cash3, chain3.dist, geometric_discount3, m=2),
                  lambda: pv.period_premium(claim_cash3, chain3.dist, geometric_discount3, {1}, offsets, m=2)):
         with pytest.raises(RuntimeError, match="kernel called"):
