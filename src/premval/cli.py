@@ -276,8 +276,10 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-#: The most decimal places Python formats a float to.
-_MAX_PRECISION = 2 ** 31 - 1
+#: The most decimal places a report may ask for: a finite binary64's exact
+#: decimal expansion ends within 1 074 places and ``g`` shows at most 767
+#: significant digits, so a larger precision only pads with zeros.
+_MAX_PRECISION = 1074
 
 
 def _precision(text: str) -> int:

@@ -6,18 +6,14 @@ of the Philox stream derived from the master seed, regardless of how paths
 are batched.  Results are therefore bit-reproducible for a given
 (master_seed, n_paths), whatever the number of threads.
 
-Every loop over the path axis (``simulate``'s draws, the gather behind
-``mc_pv`` and ``mc_premium``, and ``empirical_distribution``'s counts) runs
-in contiguous blocks of ceil(CHUNK_SIZE / T) paths on
-T = max(1, min(cores, CHUNK_SIZE // 8192)) threads, the calling thread
-among them, and never on more threads than blocks; the cores are those
-``os.sched_getaffinity`` (else ``os.cpu_count()``) reports.  There is no
-setting for it, and the thread count changes no result: a block writes
-only its own paths, each path's total is summed over k in the same order
-in every block, and integer counts add exactly.  Threads hand the
-interpreter lock over at every numpy call, about five a step, so a block
-below 8 192 paths runs faster on one thread: on both chains below, two
-threads first gain at 8 192 paths a block.
+``simulate`` steps its paths in contiguous blocks of ceil(CHUNK_SIZE / T)
+paths on T = max(1, min(cores, CHUNK_SIZE // 8192)) threads, the calling
+thread among them, and never on more threads than blocks; the cores are
+those ``os.sched_getaffinity`` (else ``os.cpu_count()``) reports.  There is
+no setting for it, and the thread count changes no path: a block writes
+only its own paths.  Threads hand the interpreter lock over at every numpy
+call, about five a step, so a block below 8 192 paths runs faster on one
+thread: on both chains below, two threads first gain at 8 192 paths a block.
 Median ``simulate`` times, one thread vs two, by block size (2 cores,
 numpy 2.4.6, seven alternating runs; more cores not measured; the N=200
 chain is perfbench's synthetic chain of seed 61):
@@ -50,23 +46,25 @@ two in [16, 1024] that keeps the guide within 2^20 entries: 1 024 on the
 fixture, with 0.2% of its buckets marked, and 32 on an N=200, n=120 chain,
 with about 6% marked.
 
-The estimators read an ensemble's paths once in full, on its first
-estimator call, and from the second call on through its distinct-path
-table, built on that call and kept on the ensemble: its distinct paths,
-time-major, and each path's index into them.  An ensemble that one
-estimator reads once, such as ``premval simulate``'s, so never pays for a
-table.  ``mc_pv`` and ``mc_premium`` sum each distinct path's cash over k
-in the same order, from 0.0, and gather the totals by the index;
-``empirical_distribution`` counts each distinct path times the number of
-paths that take it.  Every total, estimate and frequency is therefore the
-one a pass over every path gives, bit for bit.  The table is exact: a
-path's prefix through time k is the int64 key ``key * (top + 1) + X_k``,
-and just before a key could overflow, the keys are replaced by their ranks
-(``np.sort``, a not-equal flag and ``np.searchsorted``).  200 000 fixture
-paths hold about 1 150 distinct ones; their table takes about 25 ms to
-build and keeps 1.66 MB, nearly all of it the index.  The table is given
-up, and every path read as on the first call, once the distinct prefixes
-pass a quarter of the paths at a renumbering.
+The estimators run on the calling thread and read an ensemble through its
+distinct-path table: its distinct paths, time-major, and each path's index
+into them, built on the ensemble's first estimator call and kept on it with
+its largest state.  ``mc_pv`` and ``mc_premium`` sum each distinct path's
+cash over k in the same order, from 0.0, and gather the totals by the
+index; ``empirical_distribution`` counts each distinct path times the
+number of paths that take it.  Every total, estimate and frequency is
+therefore the one a pass over every path gives, bit for bit.  The table is
+exact: a path's prefix through time k is the int64 key
+``key * (top + 1) + X_k``, and just before a key could overflow, the keys
+are replaced by their ranks (``np.sort``, a not-equal flag and
+``np.searchsorted``).  200 000 fixture paths hold about 1 150 distinct
+ones; their table takes about 25 ms to build and keeps 1.66 MB, nearly all
+of it the index.  An ensemble that one estimator reads once, such as
+``premval simulate``'s, still pays for the build: a first ``mc_pv`` on a
+million fixture paths takes about 115 ms, where a pass over every path on
+two threads took about 65 ms (2 cores, numpy 2.4.6).  The table is given
+up, and every path read instead, once the distinct prefixes pass a quarter
+of the paths at a renumbering.
 """
 
 from __future__ import annotations
@@ -120,9 +118,9 @@ class PathEnsemble:
     every path at time k, is one contiguous vector.  The estimators read
     those rows; a C-ordered ``paths`` gives the same results, only slower.
     ``paths`` is a read-only view of the array given, which must not change
-    after the ensemble is built: the estimators keep on the ensemble its
-    largest state and its distinct-path table, and do not read the array
-    again for them.
+    after the ensemble is built: the first estimator call keeps on the
+    ensemble one record of its largest state and its distinct-path table
+    (see the module docstring), and no later call reads the array again.
     """
 
     paths: np.ndarray  # shape (n_paths, n+1), integer dtype
@@ -139,13 +137,6 @@ class PathEnsemble:
         if paths.min() < 1:
             i, k = np.argwhere(paths < 1)[0]
             raise ValidationError(f"state {int(paths[i, k])} below 1 in path {i} at time {k}")
-
-    def _check_states_up_to(self, n_states: int):
-        if "_largest" not in vars(self):
-            vars(self)["_largest"] = int(self.paths.max())
-        if vars(self)["_largest"] > n_states:
-            i, k = np.argwhere(self.paths > n_states)[0]
-            raise ValidationError(f"state {int(self.paths[i, k])} above {n_states} in path {i} at time {k}")
 
     @property
     def n_paths(self) -> int:
@@ -229,20 +220,19 @@ def _path_blocks(n_paths: int) -> tuple[list[tuple[int, int]], int]:
     return blocks, min(threads, len(blocks))
 
 
-def _run_blocks(function, blocks: list[tuple[int, int]], threads: int) -> list:
-    """``function(worker, start, stop)`` for every block, results in block order.
+def _run_blocks(function, blocks: list[tuple[int, int]], threads: int):
+    """``function(worker, start, stop)`` for every block.
 
     Worker w in [0, threads), the calling thread being worker 0, runs blocks
     w, w + threads, ... in turn, so a function can keep one set of buffers
     per worker.  An exception is re-raised once every thread has ended.
     """
-    results = [None] * len(blocks)
     errors = []
 
     def work(worker: int):
         try:
             for index in range(worker, len(blocks), threads):
-                results[index] = function(worker, *blocks[index])
+                function(worker, *blocks[index])
         except BaseException as exc:  # re-raised in the calling thread below
             errors.append(exc)
 
@@ -254,7 +244,6 @@ def _run_blocks(function, blocks: list[tuple[int, int]], threads: int) -> list:
         helper.join()
     if errors:
         raise errors[0]
-    return results
 
 
 def _words_per_path(n: int) -> int:
@@ -483,18 +472,18 @@ def _renumbered(keys: np.ndarray) -> tuple[np.ndarray, int]:
     return np.searchsorted(distinct, keys), distinct.size
 
 
-def _distinct_columns(states: np.ndarray, limit: float) -> "tuple[np.ndarray, np.ndarray] | None":
-    """The distinct columns of ``states``, an (n+1, P) array of states >= 1,
-    as a C-contiguous (n+1, U) array, and each column's index into it; None
-    once more than ``limit`` distinct prefixes turn up.
+def _distinct_columns(states: np.ndarray, top: int, limit: float) -> "tuple[np.ndarray, np.ndarray] | None":
+    """The distinct columns of ``states``, an (n+1, P) array of states in
+    [1, top], as a C-contiguous (n+1, U) array, and each column's index into
+    it; None once more than ``limit`` distinct prefixes turn up.
 
     Column i's prefix through time k is the int64 key
-    ``key * (top + 1) + states[k, i]``, top being the largest state, which
-    is exact and distinct for distinct prefixes.  Just before a key could
-    pass 2^63 - 1, the keys are replaced by their ranks, which keeps them
-    so, and counted against ``limit``.
+    ``key * (top + 1) + states[k, i]``, which is exact and distinct for
+    distinct prefixes.  Just before a key could pass 2^63 - 1, the keys are
+    replaced by their ranks, which keeps them so, and counted against
+    ``limit``.
     """
-    base = int(states.max()) + 1
+    base = top + 1
     keys = np.zeros(states.shape[1], dtype=np.int64)
     bound = 1  # every key is below it
     for row in states:
@@ -515,22 +504,24 @@ def _distinct_columns(states: np.ndarray, limit: float) -> "tuple[np.ndarray, np
     return states.take(first, axis=1), keys
 
 
-def _distinct_paths(ensemble: PathEnsemble) -> "tuple[np.ndarray, np.ndarray | None]":
+def _distinct_paths(ensemble: PathEnsemble, n_states: int) -> "tuple[np.ndarray, np.ndarray | None]":
     """The paths an estimator reads, time-major, and each path's index into
-    them, or None where they are every path.
+    them, or None where they are every path; a ValidationError naming the
+    first state above ``n_states``.
 
-    The first call on an ensemble reads every path.  The second builds its
-    distinct-path table and keeps it on the ensemble for every later call;
-    where the table is given up (see the module docstring), every path is
-    kept instead."""
-    kept = vars(ensemble)
-    if "_distinct" not in kept:
+    The first call on an ensemble takes its largest state and builds its
+    distinct-path table, or gives it up (see the module docstring), and
+    keeps both on the ensemble for every later call."""
+    if "_distinct" not in vars(ensemble):
         every = ensemble.paths.T
-        if "_read" not in kept:
-            kept["_read"] = True
-            return every, None
-        kept["_distinct"] = _distinct_columns(every, _DISTINCT_SHARE * every.shape[1]) or (every, None)
-    return kept["_distinct"]
+        top = int(every.max())
+        table = _distinct_columns(every, top, _DISTINCT_SHARE * every.shape[1]) or (every, None)
+        vars(ensemble)["_distinct"] = top, *table
+    top, states, index = vars(ensemble)["_distinct"]
+    if top > n_states:
+        i, k = np.argwhere(ensemble.paths > n_states)[0]
+        raise ValidationError(f"state {int(ensemble.paths[i, k])} above {n_states} in path {i} at time {k}")
+    return states, index
 
 
 def _path_totals(ensemble: PathEnsemble, cashflows: list[CashflowMatrix],
@@ -541,20 +532,14 @@ def _path_totals(ensemble: PathEnsemble, cashflows: list[CashflowMatrix],
     n = ensemble.n
     if any(c.matrix.shape[0] != n + 1 for c in cashflows) or discount.values.shape[0] != n + 1:
         raise ValidationError("cash-flow or discount shape does not match the ensemble horizon")
-    ensemble._check_states_up_to(cashflows[0].n_states)
-    states, index = _distinct_paths(ensemble)
+    states, index = _distinct_paths(ensemble, cashflows[0].n_states)
     # Row s of weighted[k] is state s's cash, so the 1-based states index it; row 0 is never read.
     stacked = np.stack([c.matrix for c in cashflows], axis=2)
     weighted = np.zeros((n + 1, stacked.shape[1] + 1, len(cashflows)))
     np.multiply(discount.values[:, None, None], stacked, out=weighted[:, 1:])
     totals = np.zeros((states.shape[1], len(cashflows)))
-
-    def add_block(worker: int, start: int, stop: int):
-        block = totals[start:stop]
-        for k, row in enumerate(states):
-            block += weighted[k].take(row[start:stop], axis=0)
-
-    _run_blocks(add_block, *_path_blocks(states.shape[1]))
+    for k, row in enumerate(states):
+        totals += weighted[k].take(row, axis=0)
     totals = np.ascontiguousarray(totals.T)
     return totals if index is None else totals.take(index, axis=1)
 
@@ -595,17 +580,12 @@ def mc_premium(ensemble: PathEnsemble, c_in: CashflowMatrix, discount: DiscountV
 
 def empirical_distribution(ensemble: PathEnsemble, n_states: int) -> np.ndarray:
     """Occupancy frequencies by (time, state); shape (n+1, n_states)."""
-    ensemble._check_states_up_to(n_states)
-    states, index = _distinct_paths(ensemble)
+    n_states = _integer("state count", n_states)
+    states, index = _distinct_paths(ensemble, n_states)
     multiplicities = None if index is None else np.bincount(index, minlength=states.shape[1])
-
-    def count_block(worker: int, start: int, stop: int) -> np.ndarray:
-        # Counted by the 1-based state, so column 0 stays zero.
-        weights = None if multiplicities is None else multiplicities[start:stop]
-        return np.stack([np.bincount(row[start:stop], weights, minlength=n_states + 1) for row in states])
-
-    counts = _run_blocks(count_block, *_path_blocks(states.shape[1]))
-    return sum(counts, np.zeros((ensemble.n + 1, n_states + 1), dtype=np.intp))[:, 1:] / ensemble.n_paths
+    # Counted by the 1-based state, so column 0 stays zero.
+    counts = np.stack([np.bincount(row, multiplicities, minlength=n_states + 1) for row in states])
+    return counts[:, 1:] / ensemble.n_paths
 
 
 def frequency_vs_distribution(ensemble: PathEnsemble, dist: DistributionMatrix) -> tuple[float, float]:

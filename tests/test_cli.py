@@ -175,8 +175,18 @@ class TestExitCodes:
         code, out, err = run(capsys, "--precision", "1000000000000", "premium", "--model", MODEL, "--table", TABLE,
                              "--rate", "0.01", "--accel", "0.5", "--single")
         assert (code, out) == (2, "")
-        assert "argument --precision: expected at most 2147483647 decimal places, got '1000000000000'" in err
-        assert build_parser().parse_args(["--precision", "2147483647", "validate", MODEL]).precision == 2 ** 31 - 1
+        assert "argument --precision: expected at most 1074 decimal places, got '1000000000000'" in err
+        assert build_parser().parse_args(["--precision", "1074", "validate", MODEL]).precision == 1074
+
+    def test_precision_stops_where_a_float_has_no_more_digits(self, capsys):
+        """2^-1074, the smallest subnormal, has 1 074 decimal places; no float has more."""
+        premium = ("premium", "--model", MODEL, "--table", TABLE, "--rate", "0.01", "--accel", "0.5", "--single")
+        code, out, err = run(capsys, "--precision", "1074", *premium)
+        assert (code, err) == (0, "")
+        assert len(out.split(": ")[1].strip().split(".")[1]) == 1074
+        code, out, err = run(capsys, "--precision", "1075", *premium)
+        assert (code, out) == (2, "")
+        assert "argument --precision: expected at most 1074 decimal places, got '1075'" in err
 
     def test_cashflow_zero_states_keeps_its_validation_error(self, capsys, tmp_path):
         flows = tmp_path / "c.flows"

@@ -4,18 +4,19 @@
 distinct simulated path once and gather the results by each path's index
 into the table.  Every total, estimate and frequency must equal, bit for
 bit, what a pass over every path gives (``chains.reference_path_totals``
-and ``chains.reference_empirical_distribution``), whatever the path layout,
-the states' integer type and the core count, and whether the table is
-built or given up.  An ensemble's first estimator call reads every path
-and keeps no table; the second builds it.  The table must hold exactly the
-ensemble's paths, the table kept for 200 000 fixture paths little more
-than its index and distinct paths, and the estimators must read states
-only through it.
+and ``chains.reference_empirical_distribution``), whatever the path layout
+and the states' integer type, and whether the table is built or given up.
+An ensemble's first estimator call builds the table and keeps it for every
+later call.  The table must hold exactly the ensemble's paths, the table
+kept for 200 000 fixture paths little more than its index and distinct
+paths, and the estimators must read states only through it, on the
+calling thread.
 """
 
 import ast
 import inspect
 import textwrap
+import threading
 import tracemalloc
 
 import numpy as np
@@ -62,9 +63,8 @@ def everywhere(n_states: int) -> pv.ArrivalOffsets:
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 2_500), st.sampled_from(["path-major", "time-major"]),
-       st.sampled_from(["int16", "int64", "uint64"]), st.sampled_from([1, 2, 3]), st.sampled_from(sorted(MODES)),
-       st.sampled_from([64, 300, 1 << 15]))
-def test_estimators_match_the_full_pass(seed, n_paths, layout, dtype, cores, mode, chunk_size):
+       st.sampled_from(["int16", "int64", "uint64"]), st.sampled_from(sorted(MODES)))
+def test_estimators_match_the_full_pass(seed, n_paths, layout, dtype, mode):
     rng = np.random.default_rng(seed)
     seq, initial, cash, discount = random_chain(rng)
     n_states = seq.n_states
@@ -78,16 +78,12 @@ def test_estimators_match_the_full_pass(seed, n_paths, layout, dtype, cores, mod
     args = (ensemble, cash, discount, pay, everywhere(n_states), m, n_states)
     want = reference_estimates(*args)
     with pytest.MonkeyPatch.context() as patch:
-        # Small chunks and thread blocks make many blocks, and threads run them at every core count.
-        patch.setattr(oracle, "CHUNK_SIZE", chunk_size)
-        patch.setattr(oracle, "_THREADED_PATHS", 16)
-        patch.setattr(oracle, "_usable_cores", lambda: cores)
         patch.setattr(oracle, "_DISTINCT_SHARE", MODES[mode])
-        # The first mc_pv reads every path; every later call reads the table or, given up, every path again.
+        # The first mc_pv builds the table or gives it up; every later call reads what it kept.
         first = estimates(*args)
         again = estimates(*args)
     assert first == want and again == want
-    index = vars(ensemble)["_distinct"][1]
+    index = vars(ensemble)["_distinct"][2]
     if mode == "table":
         assert index is not None
     elif mode == "given-up":
@@ -100,7 +96,7 @@ def test_keys_are_exact_for_every_integer_type(dtype):
     sevens passes 2^53: in float64 arithmetic their keys would round together."""
     paths = np.full((2, 20), 7, dtype=dtype)
     paths[1, 19] = 6
-    distinct, index = oracle._distinct_columns(paths.T, 2)
+    distinct, index = oracle._distinct_columns(paths.T, 7, 2)
     assert distinct.shape == (20, 2)
     np.testing.assert_array_equal(distinct[:, index], paths.T)
 
@@ -109,13 +105,13 @@ def test_keys_are_exact_for_every_integer_type(dtype):
 def test_states_near_2_63_give_the_table_up(dtype, top):
     """No renumbered key has room for one more such state: the table is given up, not overflowed."""
     paths = np.array([[1, 2, 3], [1, top, 3], [2, 2, 3]], dtype=dtype)
-    assert oracle._distinct_columns(paths.T, 3) is None
+    assert oracle._distinct_columns(paths.T, top, 3) is None
 
 
 def test_large_states_are_renumbered_at_every_step():
     rng = np.random.default_rng(2)
     paths = rng.choice(np.array([1, 2 ** 40, 2 ** 41], dtype=np.int64), size=(500, 12))
-    distinct, index = oracle._distinct_columns(paths.T, 500)
+    distinct, index = oracle._distinct_columns(paths.T, 2 ** 41, 500)
     assert distinct.shape[1] == len(np.unique(paths, axis=0))
     np.testing.assert_array_equal(distinct[:, index], paths.T)
 
@@ -124,30 +120,26 @@ def fixture_ensemble(dread, n_paths=FIXTURE_PATHS, seed=20261018):
     return pv.simulate(dread.seq, dread.initial, n_paths, seed)
 
 
-def read_twice(ensemble):
-    """``_distinct_paths`` on an ensemble's second read, which builds its table."""
-    oracle._distinct_paths(ensemble)
-    return oracle._distinct_paths(ensemble)
-
-
 def test_the_table_holds_each_fixture_path_once(dread):
     ensemble = fixture_ensemble(dread)
-    distinct, index = read_twice(ensemble)
+    distinct, index = oracle._distinct_paths(ensemble, dread.model.n_states)
     assert distinct.flags.c_contiguous and distinct.shape[0] == ensemble.n + 1
     assert np.unique(distinct, axis=1).shape == distinct.shape
     # Around 1 150 of the 200 000 paths are distinct.
     assert distinct.shape[1] < FIXTURE_PATHS * oracle._DISTINCT_SHARE
     np.testing.assert_array_equal(distinct[:, index], ensemble.paths.T)
-    assert oracle._distinct_paths(ensemble)[0] is distinct
+    assert oracle._distinct_paths(ensemble, dread.model.n_states)[0] is distinct
 
 
-def test_an_ensemble_read_once_keeps_no_table(dread):
+def test_the_first_read_builds_the_table_and_keeps_it(dread):
     ensemble = fixture_ensemble(dread, 4_000)
     benefit = pv.accelerated_benefit(0.5, dread.table.n)
     first = pv.mc_pv(ensemble, benefit, dread.discount)
-    assert "_distinct" not in vars(ensemble)
+    kept = vars(ensemble)["_distinct"]
+    assert kept[2] is not None
     assert pv.mc_pv(ensemble, benefit, dread.discount) == first
-    assert vars(ensemble)["_distinct"][1] is not None
+    assert vars(ensemble)["_distinct"] is kept
+    assert oracle._distinct_paths(ensemble, dread.model.n_states)[0] is kept[1]
 
 
 def test_the_table_is_given_up_past_its_share(dread):
@@ -155,7 +147,7 @@ def test_the_table_is_given_up_past_its_share(dread):
     rng = np.random.default_rng(5)
     paths = rng.integers(1, dread.model.n_states + 1, (5_000, dread.table.n + 1), dtype=np.int16)
     ensemble = pv.PathEnsemble(paths, master_seed=0)
-    states, index = read_twice(ensemble)
+    states, index = oracle._distinct_paths(ensemble, dread.model.n_states)
     assert index is None and np.shares_memory(states, paths)
     benefit = pv.accelerated_benefit(0.5, dread.table.n)
     args = (ensemble, benefit, dread.discount, {1, 2}, dread.offsets, dread.table.n, dread.model.n_states)
@@ -201,16 +193,32 @@ def test_paths_are_a_read_only_view():
 
 def test_the_kept_table_and_its_build_stay_small(dread):
     ensemble = fixture_ensemble(dread)
-    oracle._distinct_paths(ensemble)
     tracemalloc.start()
     try:
-        distinct, index = oracle._distinct_paths(ensemble)
+        distinct, index = oracle._distinct_paths(ensemble, dread.model.n_states)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     table = index.nbytes + distinct.nbytes
     assert held <= table + HELD_SLACK, f"{held} B held for a {table} B table"
     assert peak <= 2 * index.nbytes + BUILD_SLACK, f"peak {peak / 1e6:.2f} MB"
+
+
+def test_the_estimators_start_no_thread(dread, monkeypatch):
+    """Threads are ``simulate``'s alone: at any core count, the estimators
+    read an ensemble, first and again, on the calling thread."""
+    ensemble = fixture_ensemble(dread, 40_000)
+    benefit = pv.accelerated_benefit(0.5, dread.table.n)
+
+    def refuse(thread):
+        raise AssertionError("an estimator started a thread")
+
+    monkeypatch.setattr(oracle, "_usable_cores", lambda: 4)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    for _ in range(2):
+        pv.mc_pv(ensemble, benefit, dread.discount)
+        pv.mc_premium(ensemble, benefit, dread.discount, {1, 2}, dread.offsets, dread.table.n)
+        pv.empirical_distribution(ensemble, dread.model.n_states)
 
 
 def path_reads(function) -> list[int]:

@@ -317,6 +317,12 @@ class TestEmpiricalDistribution:
         np.testing.assert_allclose(freq.sum(axis=1), 1.0, rtol=0, atol=1e-12)
         assert freq[0, 0] == 1.0
 
+    @pytest.mark.parametrize("n_states, shown", [(10.0, "float 10.0"), ("3", "str 3")], ids=["float", "str"])
+    def test_state_count_must_be_an_integer(self, chain3, n_states, shown):
+        ensemble = pv.simulate(chain3.seq, _unit(3, 1), 10, master_seed=12)
+        with pytest.raises(pv.ValidationError, match=f"^state count must be an integer, got {shown}$"):
+            pv.empirical_distribution(ensemble, n_states)
+
     def test_frequencies_track_distribution(self, chain3):
         ensemble = pv.simulate(chain3.seq, _unit(3, 1), 50_000, master_seed=13)
         gap, scale = pv.frequency_vs_distribution(ensemble, chain3.dist)

@@ -167,7 +167,7 @@ def test_estimates_do_not_depend_on_the_core_count(dread, monkeypatch):
 
 
 def test_estimates_match_a_pass_over_every_path(dread, monkeypatch):
-    # After the first mc_pv, the estimators read the 200 000 paths through their distinct-path table.
+    # From the first mc_pv on, the estimators read the 200 000 paths through their distinct-path table.
     monkeypatch.setattr(oracle, "_path_totals", reference_path_totals)
     monkeypatch.setattr(pv, "empirical_distribution", reference_empirical_distribution)
     want = fixture_estimates(dread)
@@ -223,30 +223,29 @@ def test_no_thread_gets_a_block_below_the_threaded_size(monkeypatch):
 
 def test_one_thread_runs_every_block_on_the_calling_thread():
     caller = threading.get_ident()
-    idents = oracle._run_blocks(lambda worker, start, stop: threading.get_ident(),
-                                [(start, start + 1) for start in range(5)], threads=1)
-    assert idents == [caller] * 5
+    ran = []
+    oracle._run_blocks(lambda worker, start, stop: ran.append((start, threading.get_ident())),
+                       [(start, start + 1) for start in range(5)], threads=1)
+    assert ran == [(start, caller) for start in range(5)]
 
 
 def run_blocks_bounded(function, blocks, threads):
     """``oracle._run_blocks`` on a daemon thread joined with a timeout, so
     that a deadlock fails the test instead of hanging the suite."""
-    outcome = []
+    failures = []
 
     def run():
         try:
-            outcome.append((True, oracle._run_blocks(function, blocks, threads)))
+            oracle._run_blocks(function, blocks, threads)
         except BaseException as exc:  # handed to the test thread below
-            outcome.append((False, exc))
+            failures.append(exc)
 
     runner = threading.Thread(target=run, daemon=True)
     runner.start()
     runner.join(timeout=120)
     assert not runner.is_alive(), "_run_blocks did not finish"
-    finished, value = outcome[0]
-    if not finished:
-        raise value
-    return value
+    if failures:
+        raise failures[0]
 
 
 def test_every_block_runs_once_under_contention():
@@ -254,18 +253,16 @@ def test_every_block_runs_once_under_contention():
     seen = []
 
     def record(worker, start, stop):
-        seen.append(start)
-        return worker, start
+        seen.append((start, worker))
 
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        results = run_blocks_bounded(record, blocks, threads=4)
+        run_blocks_bounded(record, blocks, threads=4)
     finally:
         sys.setswitchinterval(switch)
-    assert sorted(seen) == list(range(3_000))
-    assert [start for _, start in results] == list(range(3_000))
-    assert {worker for worker, _ in results} <= {0, 1, 2, 3}
+    assert sorted(start for start, _ in seen) == list(range(3_000))
+    assert {worker for _, worker in seen} <= {0, 1, 2, 3}
 
 
 def test_a_failing_block_is_raised_after_every_thread_ends():
