@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, ValidationError, _allocate, _fields, _integer, _read_only, read_text
+from .errors import ParseError, ValidationError, _allocate, _fields, _integer, _read_only, _real, read_text
 from .statemodel import ArrivalOffsets
 
 
@@ -157,14 +157,14 @@ def premium_outflow(premium: float, pay_states, offsets: ArrivalOffsets, m: int,
     """Outflow matrix of a period premium: ``-premium`` wherever the selector is one."""
     selector = premium_selector(pay_states, offsets, m, n, n_states).matrix
     # The selector holds a one, so the outflow is finite just when the premium is.
-    if not np.isfinite(premium):
+    if not math.isfinite(premium := _real("premium", premium)):
         raise ValidationError("non-finite cash-flow amount")
     return CashflowMatrix._of(-premium * selector)
 
 
 def __getattr__(name):
     # perfbench's ``tracing.FUNCTIONS["cashflow"]`` still looks these two fixture builders
-    # up here; ROADMAP item 6 points it at ``premval.fixtures`` and deletes this alias.
+    # up here; ROADMAP item 8 points it at ``premval.fixtures`` and deletes this alias.
     if name in ("accelerated_benefit", "dread_disease_case"):
         from . import fixtures
         return getattr(fixtures, name)

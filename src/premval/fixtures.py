@@ -1,6 +1,9 @@
 """The bundled dread-disease example: its model, a SYNTHETIC companion life
 table, the benefit builders priced on it and the demo's settings.
 
+Both models are read from their one statement, the shipped files under
+``data/``, which :func:`write_fixture_files` (``premval fixtures``) copies.
+
 The model has ten states:
 
     1  healthy                       6  terminal stage, under 1 year left
@@ -34,8 +37,8 @@ from pathlib import Path
 import numpy as np
 
 from .cashflow import CashflowMatrix, _periods
-from .errors import ValidationError, _allocate, _integer
-from .statemodel import ModelFile, StateModel, _extend_file, format_model, shortest_arrival
+from .errors import ValidationError, _allocate, _integer, _real, read_text
+from .statemodel import ModelFile, StateModel, load_model_file, shortest_arrival
 
 ENTRY_AGE = 40
 HORIZON = 25
@@ -66,40 +69,20 @@ DEMO_PAY_SETS = (("p{1}", frozenset({1})), ("p{1,2}", frozenset({1, 2})),
 
 
 def dread_disease_model() -> StateModel:
-    """The ten-state model: the extension of :func:`base_dread_disease`, as the plain
-    model that the shipped extended file parses to."""
-    extended, _ = _extend_file(base_dread_disease())
-    return StateModel(extended.n_states, extended.transitions, extended.labels, extended.initial_state,
-                      extended.reflex)
+    """The ten-state model, read from the shipped extended file: the extension of
+    :func:`base_dread_disease`."""
+    return load_model_file(bundled_path(MODEL_FILE)).model
 
 
 def base_dread_disease() -> ModelFile:
-    """The eight-state model with its transition lump sums, pre-extension.
+    """The eight-state model with its transition lump sums, pre-extension, read
+    from the shipped base file.
 
     A unit death benefit is payable on every transition into either death
     state, and a unit diagnosis benefit on entry into the terminal stage.
     Its extension is :func:`dread_disease_model`.
     """
-    model = StateModel(
-        n_states=8,
-        transitions=frozenset({
-            (1, 2), (1, 3), (1, 7), (2, 3), (2, 7),
-            (3, 4), (3, 8), (4, 5), (4, 8), (5, 6), (5, 8), (6, 8),
-        }),
-        labels={
-            1: "healthy", 2: "diagnosed local",
-            3: "terminal e<4y", 4: "terminal e<3y", 5: "terminal e<2y", 6: "terminal e<1y",
-            7: "dead other", 8: "dead terminal",
-        },
-        initial_state=1,
-        reflex=frozenset({3, 4, 5, 6}),
-    )
-    lump_sums = {
-        (1, 7): 1.0, (2, 7): 1.0,
-        (3, 8): 1.0, (4, 8): 1.0, (5, 8): 1.0, (6, 8): 1.0,
-        (1, 3): 1.0, (2, 3): 1.0,
-    }
-    return ModelFile(model=model, lump_sums=lump_sums, attachments={})
+    return load_model_file(bundled_path(BASE_MODEL_FILE))
 
 
 @functools.cache
@@ -129,7 +112,7 @@ def accelerated_benefit(acceleration: float, n: int) -> CashflowMatrix:
     place; an acceleration of 1 is the stand-alone cover, where nothing is
     left to pay at state 9.
     """
-    if not 0.0 <= acceleration <= 1.0:
+    if not 0.0 <= (acceleration := _real("acceleration share", acceleration)) <= 1.0:
         raise ValidationError(f"acceleration share {acceleration!r} outside [0, 1]")
     c = _paying(n, {3: acceleration, 7: 1.0, 9: 1.0 - acceleration})
     return CashflowMatrix._of(c)  # amounts in [0, 1], n + 1 >= 1 periods
@@ -229,16 +212,7 @@ def write_fixture_files(directory) -> list[Path]:
     """Copy the bundled model and table files into ``directory``."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    base = base_dread_disease()
-    extended, attachments = _extend_file(base)
-    contents = {
-        MODEL_FILE: format_model(extended, attachments=attachments),
-        BASE_MODEL_FILE: format_model(base.model, base.lump_sums),
-        TABLE_FILE: synthetic_table_text(),
-    }
-    written = []
-    for name, text in contents.items():
-        path = directory / name
-        path.write_text(text, encoding="utf-8")
-        written.append(path)
+    written = [directory / name for name in (MODEL_FILE, BASE_MODEL_FILE, TABLE_FILE)]
+    for path in written:
+        path.write_text(read_text(bundled_path(path.name), "bundled"), encoding="utf-8")
     return written

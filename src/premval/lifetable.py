@@ -29,7 +29,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ParseError, ValidationError, _integer, _read_only, read_text
+from .errors import _REAL_KINDS, ParseError, ValidationError, _integer, _read_only, read_text
 from .statemodel import ArrivalOffsets, StateClassification, StateModel, classify_states, shortest_arrival
 
 _ROW_SUM_TOL = 1e-12
@@ -37,8 +37,6 @@ _PROB_TOL = 1e-12
 _COUNT_SLACK = 1e-9
 _RESIDUAL_TOL = 1e-9
 
-#: Kinds of array, strings and objects, whose entries are not counts even when float() reads them.
-_NOT_COUNTS = "OSU"
 _COLUMN = re.compile(r"l_(\d+)|d_(\d+)_(\d+)")
 # One line of a table text, its "\n" kept, as a text stream yields it.
 _LINE = re.compile(r"[^\n]*\n|[^\n]+")
@@ -87,7 +85,7 @@ class IncrementDecrementTable:
         given = {**self.occupancy, **self.decrements}
         try:
             counts = np.array([np.zeros(self.n + 1), *map(given.get, keys)])
-            if counts.dtype.kind in _NOT_COUNTS:
+            if counts.dtype.kind not in _REAL_KINDS:
                 raise TypeError
             counts = counts.astype(float, copy=False).T
         except (TypeError, ValueError):  # a column that is not n + 1 numbers
@@ -147,7 +145,7 @@ class IncrementDecrementTable:
         for name, column in self._columns():
             try:
                 column = np.asarray(column)
-                column = None if column.dtype.kind in _NOT_COUNTS else column.astype(float, copy=False)
+                column = None if column.dtype.kind not in _REAL_KINDS else column.astype(float, copy=False)
             except (TypeError, ValueError):
                 column = None
             if column is None or column.ndim == 0:

@@ -8,8 +8,8 @@ kernel chooses.  Each term is (m_k * D[k, j]) * C[k, j], written in place as
 then the state totals over the states.  So a value is a fixed function of
 its float inputs on any host, and a 0/1 selector gives the sum of its
 one-state parts bit for bit.  Values, net single premiums, residuals and
-premium numerators take a cash-flow matrix; annuities and premium
-denominators a 0/1 selector: one state over an interval, or
+premium numerators take a cash-flow matrix; annuities a 0/1 selector of one
+state over an interval, and premium denominators the selector of
 :func:`~premval.cashflow.premium_selector`, whose states collect from their
 earliest arrival after the chain's start.  All interval arguments are
 half-open: [k1, k2) covers payments at times k1, ..., k2 - 1.
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cashflow import CashflowEntry, CashflowMatrix, build_cashflow, premium_selector
-from .errors import ParseError, ValidationError, _allocate, _fields, _integer, _read_only, read_text
+from .errors import ParseError, ValidationError, _allocate, _fields, _integer, _read_only, _real, read_text
 from .lifetable import DistributionMatrix
 from .statemodel import ArrivalOffsets
 
@@ -89,10 +89,10 @@ def constant_rate_discount(n: int, v: "float | None" = None, rate: "float | None
     if (v is None) == (rate is None):
         raise ValidationError("pass exactly one of v or rate")
     if v is None:
-        if not rate > -1.0:
+        if not (rate := _real("interest rate", rate)) > -1.0:
             raise ValidationError(f"interest rate {rate!r} must exceed -1")
         v = 1.0 / (1.0 + rate)
-    if not 0.0 < v <= 1.0:
+    if not 0.0 < (v := _real("discount factor", v)) <= 1.0:
         raise ValidationError(f"discount factor {v!r} outside (0, 1]")
     powers = _allocate(max(_integer("horizon n", n) + 1, 0), "discount vector", make=np.arange)
     return DiscountVector(np.asarray(v, dtype=float) ** powers)
@@ -163,24 +163,11 @@ def annuity_due(dist: DistributionMatrix, discount: DiscountVector, state: int, 
     return _contract(selector, dist, discount)
 
 
-def _period_result(c_in: CashflowMatrix, dist: DistributionMatrix, discount: DiscountVector,
-                   selector: CashflowMatrix, pay: frozenset, m: int) -> PremiumResult:
-    _check_inflows(c_in)
-    numerator = _contract(c_in, dist, discount)
-    denominator = _contract(selector, dist, discount)
-    if denominator == 0.0:
-        raise ValidationError("premium annuity value is zero; the premium is undefined")
-    return PremiumResult(value=numerator / denominator, kind="period", pay_states=pay, m=m,
-                         numerator=numerator, denominator=denominator)
-
-
 def period_premium_initial(c_in: CashflowMatrix, dist: DistributionMatrix, discount: DiscountVector,
                            m: int, initial_state: int = 1) -> PremiumResult:
     """Net period premium payable in the initial state at times 0..m-1."""
-    if not 1 <= _integer("premium horizon m", m) <= dist.n:
-        raise ValidationError(f"premium horizon m={m} out of range 1..{dist.n}")
-    selector = build_cashflow([CashflowEntry(initial_state, 0, m, 1.0)], dist.n, dist.n_states)
-    return _period_result(c_in, dist, discount, selector, frozenset({initial_state}), m)
+    s = _integer("pay state", initial_state)
+    return period_premium(c_in, dist, discount, {s}, ArrivalOffsets({s: 0}, s), m)
 
 
 def period_premium(c_in: CashflowMatrix, dist: DistributionMatrix, discount: DiscountVector,
@@ -192,7 +179,13 @@ def period_premium(c_in: CashflowMatrix, dist: DistributionMatrix, discount: Dis
     """
     pay = frozenset(pay_states)
     selector = premium_selector(pay, offsets, m, dist.n, dist.n_states)
-    return _period_result(c_in, dist, discount, selector, pay, m)
+    _check_inflows(c_in)
+    numerator = _contract(c_in, dist, discount)
+    denominator = _contract(selector, dist, discount)
+    if denominator == 0.0:
+        raise ValidationError("premium annuity value is zero; the premium is undefined")
+    return PremiumResult(value=numerator / denominator, kind="period", pay_states=pay, m=m,
+                         numerator=numerator, denominator=denominator)
 
 
 def equivalence_residual(c_in: CashflowMatrix, c_out: CashflowMatrix,

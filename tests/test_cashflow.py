@@ -18,13 +18,13 @@ SRC = Path(pv.__file__).parent
 #: reason no argument can give it a matrix the check would refuse.
 UNCHECKED_BUILDERS = {
     ("fixtures", "accelerated_benefit"):
-        "its amounts are the share, 1 and 1 - share, with the share checked in [0, 1], on n + 1 >= 1 periods",
+        "its amounts are the share, 1 and 1 - share, with the share checked a real in [0, 1], on n + 1 >= 1 periods",
     ("fixtures", "dread_disease_case"):
         "its amounts are 0, 0.25, 1 and 2, with the case checked in 1..3, on n + 1 >= 1 periods",
     ("cashflow", "premium_selector"):
         "its amounts are 0 and 1, on n + 1 >= 2 periods, with a state payable before m or a refusal",
     ("cashflow", "premium_outflow"):
-        "its amounts are -premium times a selector holding a one, after the premium is checked finite",
+        "its amounts are -premium times a selector holding a one, after the premium is checked a finite real",
 }
 
 
@@ -295,6 +295,22 @@ class TestIntegerArguments:
     def test_amount_that_is_not_a_real_number(self, amount):
         with pytest.raises(pv.ValidationError, match=rf"^amount {re.escape(repr(amount))} for state 2 is not a real number$"):
             pv.build_cashflow([pv.CashflowEntry(2, 1, 5, amount)], 25, 10)
+
+    @pytest.mark.parametrize("premium", ["x", 1j, np.complex128(0.1)], ids=["str", "complex", "numpy-complex"])
+    def test_premium_that_is_not_a_real_number(self, dread, premium):
+        got = f"{type(premium).__name__} {re.escape(repr(premium))}"
+        with pytest.raises(pv.ValidationError, match=rf"^premium must be a real number, got {got}$"):
+            pv.premium_outflow(premium, {1}, dread.offsets, 10, 25, 10)
+
+    def test_premium_too_large_for_a_float(self, dread):
+        with pytest.raises(pv.ValidationError, match=rf"^premium {10 ** 400} is too large for a float$"):
+            pv.premium_outflow(10 ** 400, {1}, dread.offsets, 10, 25, 10)
+
+    @pytest.mark.parametrize("share", ["x", 0.5j], ids=["str", "complex"])
+    def test_share_that_is_not_a_real_number(self, share):
+        got = f"{type(share).__name__} {re.escape(repr(share))}"
+        with pytest.raises(pv.ValidationError, match=rf"^acceleration share must be a real number, got {got}$"):
+            pv.accelerated_benefit(share, 3)
 
     def test_float_horizon_in_accelerated_benefit(self):
         with pytest.raises(pv.ValidationError, match=r"^horizon n must be an integer, got float 25\.0$"):

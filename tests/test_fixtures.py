@@ -17,6 +17,9 @@ SRC = Path(pv.__file__).parent
 #: The modules that hold no fixture code.
 GENERIC_MODULES = ("cashflow", "valuation", "lifetable", "statemodel", "oracle", "errors")
 
+#: What builds a model; the fixture reads its models from the shipped files instead.
+MODEL_BUILDERS = ("StateModel", "ModelFile", "extend_model", "_extend_file")
+
 
 @pytest.fixture(scope="module")
 def shipped():
@@ -148,3 +151,27 @@ def test_the_cashflow_alias_resolves_only_the_two_builders():
     for name in ("ceased_cover_states", "DREAD_DISEASE_STATES", "TERMINAL_STATES", "DEMO_RATE"):
         with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
             getattr(cashflow, name)
+
+
+def model_builds(path=SRC / "fixtures.py"):
+    """The name of each call of a :data:`MODEL_BUILDERS` function, by name or as an attribute, in the file."""
+    tree = ast.parse(Path(path).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in MODEL_BUILDERS:
+                yield name
+
+
+def test_the_fixture_builds_no_model():
+    assert list(model_builds()) == []
+
+
+@pytest.mark.parametrize("source, name", [
+    ("StateModel(2, {(1, 2)})", "StateModel"), ("x = pv.ModelFile(model, {}, {})", "ModelFile"),
+    ("def f(m):\n    return statemodel.extend_model(m, {})", "extend_model"),
+    ("extended, _ = _extend_file(base)", "_extend_file"),
+])
+def test_the_guard_sees_a_model_built_in_the_fixture(tmp_path, source, name):
+    (tmp_path / "fixtures.py").write_text(source + "\n", encoding="utf-8")
+    assert list(model_builds(tmp_path / "fixtures.py")) == [name]

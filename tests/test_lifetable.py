@@ -132,6 +132,12 @@ class TestTableConstructor:
         with pytest.raises(pv.ValidationError, match=r"^column 'l_1' is not a sequence of 2 counts$"):
             pv.IncrementDecrementTable(1, {1: ["10", "9"]}, {})
 
+    @pytest.mark.parametrize("column", [np.array([10 + 1j, 9]), np.array([10, 9], "datetime64[D]"),
+                                        np.array([10, 9], "timedelta64[s]")], ids=["complex", "datetime64", "timedelta64"])
+    def test_a_column_of_numbers_that_are_not_real_is_refused_by_name(self, column):
+        with pytest.raises(pv.ValidationError, match=r"^column 'l_1' is not a sequence of 2 counts$"):
+            pv.IncrementDecrementTable(1, {1: column}, {})
+
     def test_a_list_of_the_wrong_length_is_refused_by_name(self):
         with pytest.raises(pv.ValidationError, match=r"^column 'l_1' has 3 rows, expected 2$"):
             pv.IncrementDecrementTable(1, {1: [10.0, 9.0, 8.0]}, {})

@@ -1,5 +1,7 @@
 """Discounting, expected present values, annuity values and premiums."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,20 @@ class TestDiscountVector:
     def test_rate_at_or_below_minus_one_rejected(self, rate):
         with pytest.raises(pv.ValidationError, match=f"interest rate {rate!r} must exceed -1"):
             pv.constant_rate_discount(3, rate=rate)
+
+    @pytest.mark.parametrize("source, value", [("rate", 1j), ("rate", "0.01"), ("v", "0.5"),
+                                               ("v", np.complex128(0.5))],
+                             ids=["complex-rate", "str-rate", "str-v", "numpy-complex-v"])
+    def test_a_rate_or_factor_that_is_not_a_real_number_is_refused_by_name(self, source, value):
+        name = {"rate": "interest rate", "v": "discount factor"}[source]
+        with pytest.raises(pv.ValidationError,
+                           match=rf"^{name} must be a real number, got {type(value).__name__} {re.escape(repr(value))}$"):
+            pv.constant_rate_discount(3, **{source: value})
+
+    def test_a_float32_rate_is_widened_before_the_arithmetic(self):
+        rate = np.float32(0.01)
+        assert (pv.constant_rate_discount(25, rate=rate).values.tobytes()
+                == pv.constant_rate_discount(25, rate=float(rate)).values.tobytes())
 
     @pytest.mark.parametrize("n", [2.5, 25.0, "25"])
     def test_horizon_must_be_an_integer(self, n):
@@ -186,6 +202,14 @@ class TestPeriodPremium:
     def test_initial_state_premium_horizon_out_of_range(self, chain3, claim_cash3, geometric_discount3, m):
         with pytest.raises(pv.ValidationError, match=f"^premium horizon m={m} out of range 1..2$"):
             pv.period_premium_initial(claim_cash3, chain3.dist, geometric_discount3, m=m)
+
+    @pytest.mark.parametrize("state, message", [(4, "pay state 4 out of range 1..3"),
+                                                ([1], r"pay state must be an integer, got list \[1\]"),
+                                                (1.0, r"pay state must be an integer, got float 1\.0")],
+                             ids=["out-of-range", "unhashable", "float"])
+    def test_initial_state_is_checked_as_a_pay_state(self, chain3, claim_cash3, geometric_discount3, state, message):
+        with pytest.raises(pv.ValidationError, match=f"^{message}$"):
+            pv.period_premium_initial(claim_cash3, chain3.dist, geometric_discount3, m=2, initial_state=state)
 
     def test_initial_state_premium_horizon_must_be_an_integer(self, chain3, claim_cash3, geometric_discount3):
         with pytest.raises(pv.ValidationError, match=r"^premium horizon m must be an integer, got float 2\.0$"):
