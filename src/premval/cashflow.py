@@ -102,11 +102,12 @@ def build_cashflow(entries, n: int, n_states: int) -> CashflowMatrix:
         if not 0 <= k_start <= k_end <= periods:
             raise ValidationError(f"period range [{e.k_start}, {e.k_end}) out of range 0..{periods}")
         try:
-            if not math.isfinite(e.amount):
-                raise ValidationError(f"non-finite amount for state {e.state}")
-            c[k_start:k_end, state - 1] += e.amount
-        except (TypeError, OverflowError):
+            amount = _real("amount", e.amount)
+        except ValidationError:
             raise ValidationError(f"amount {e.amount!r} for state {e.state} is not a real number") from None
+        if not math.isfinite(amount):
+            raise ValidationError(f"non-finite amount for state {e.state}")
+        c[k_start:k_end, state - 1] += amount
     return CashflowMatrix(c)
 
 

@@ -124,7 +124,7 @@ def ceased_cover_states(acceleration: float) -> frozenset[int]:
     With the whole benefit accelerated the contract ends at terminal
     diagnosis, so no premium can be collected in states 3..6.
     """
-    return TERMINAL_STATES if acceleration >= 1.0 else frozenset()
+    return TERMINAL_STATES if _real("acceleration share", acceleration) >= 1.0 else frozenset()
 
 
 def dread_disease_case(case: int, n: int) -> CashflowMatrix:

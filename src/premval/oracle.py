@@ -12,18 +12,25 @@ thread among them, and never on more threads than blocks; the cores are
 those ``os.sched_getaffinity`` (else ``os.cpu_count()``) reports.  There is
 no setting for it, and the thread count changes no path: a block writes
 only its own paths.  Threads hand the interpreter lock over at every numpy
-call, about five a step, so a block below 8 192 paths runs faster on one
-thread: on both chains below, two threads first gain at 8 192 paths a block.
-Median ``simulate`` times, one thread vs two, by block size (2 cores,
-numpy 2.4.6, seven alternating runs; more cores not measured; the N=200
-chain is perfbench's synthetic chain of seed 61):
+call, five a step and eight more where a path misses the guide table
+below, so a block below 8 192 paths steps faster on one thread.  Median
+``simulate`` times, one thread vs two, by block size (2 cores, numpy 2.4.6,
+seven alternating runs, measured 2026-10-20; more cores not measured; the
+N=200 chain is perfbench's synthetic chain of seed 61):
 
     block size   200 000 fixture paths   32 768 paths, N=200, n=120
-         1 024   200 vs 487 ms           285 vs 366 ms
-         2 048   152 vs 240 ms           140 vs 254 ms
-         4 096   158 vs 160 ms           144 vs 158 ms
-         8 192   121 vs 108 ms           116 vs  94 ms
-        16 384    93 vs  72 ms            99 vs  74 ms
+         1 024   123 vs 231 ms           124 vs 201 ms
+         2 048   103 vs 146 ms           102 vs 139 ms
+         4 096    77 vs  98 ms            85 vs  89 ms
+         8 192    71 vs  68 ms            70 vs  61 ms
+        16 384    74 vs  59 ms            65 vs  57 ms
+
+A block draws from one generator positioned at its first path, on the
+thread that steps it.  A call that runs as one block, such as 4 096 paths
+on 2 cores, draws and steps on the calling thread alone: drawing its paths
+on the idle cores took about 1 ms off ``simulate`` on perfbench's N=200
+chain, but left perfbench's mc-large operations no faster and its set-ups
+slower (2 cores, numpy 2.4.6).
 
 A uniform u moves a path from row c of cumulative probabilities (last entry
 forced to 1.0) to the 0-based state ``#{j : c_j < u}``.  The cumulative sum
@@ -40,11 +47,11 @@ of two, and holds for each period, row and bucket b the count at b/G, or a
 mark where a threshold c_w has floor(c_w * G) == b.  Scaling by a power of
 two is exact, so each threshold lies below every draw of an unmarked bucket
 or above every one, and all of the bucket's draws give the same count: the
-guide answers exactly what the thresholds would.  A path that lands in a
-marked bucket is stepped from the thresholds.  G is the largest power of
+guide answers exactly what the thresholds would.  G is the largest power of
 two in [16, 1024] that keeps the guide within 2^20 entries: 1 024 on the
 fixture, with 0.2% of its buckets marked, and 32 on an N=200, n=120 chain,
-with about 6% marked.
+with about 6% marked.  A path that lands in a marked bucket is stepped in
+one expression from the thresholds, kept times G (see ``_slot_tables``).
 
 The estimators run on the calling thread and read an ensemble through its
 distinct-path table: its distinct paths, time-major, and each path's index
@@ -53,18 +60,22 @@ its largest state.  ``mc_pv`` and ``mc_premium`` sum each distinct path's
 cash over k in the same order, from 0.0, and gather the totals by the
 index; ``empirical_distribution`` counts each distinct path times the
 number of paths that take it.  Every total, estimate and frequency is
-therefore the one a pass over every path gives, bit for bit.  The table is
-exact: a path's prefix through time k is the int64 key
-``key * (top + 1) + X_k``, and just before a key could overflow, the keys
-are replaced by their ranks (``np.sort``, a not-equal flag and
-``np.searchsorted``).  200 000 fixture paths hold about 1 150 distinct
-ones; their table takes about 25 ms to build and keeps 1.66 MB, nearly all
-of it the index.  An ensemble that one estimator reads once, such as
-``premval simulate``'s, still pays for the build: a first ``mc_pv`` on a
-million fixture paths takes about 115 ms, where a pass over every path on
-two threads took about 65 ms (2 cores, numpy 2.4.6).  The table is given
-up, and every path read instead, once the distinct prefixes pass a quarter
-of the paths at a renumbering.
+therefore the one a pass over every path gives, bit for bit, in whatever
+order the table holds the distinct paths.  The table is exact: a path is
+packed, one time at a time, into the int64 key ``key * (top + 1) + X_k``,
+and just before a key could overflow, the keys are replaced by their ranks
+(``np.sort``, a not-equal flag and ``np.searchsorted``).  The times go in a
+spread order: first the r evenly spaced ones that one key holds (r = 8 at
+N=200), then the rest.  No set of times has more distinct tuples than the
+paths have distinct paths, so once the distinct keys pass a quarter of the
+paths at a renumbering, the table is given up before any rank is sought,
+and every path is read instead: 4 096 paths on perfbench's N=200 chain
+hold about 2 400 distinct tuples of the spread times, so their first key
+gives the table up.  200 000 fixture paths hold about 1 150 distinct
+paths; their table takes about 19 ms to build and keeps 1.66 MB, nearly
+all of it the index.  An ensemble that one estimator reads once, such as
+``premval simulate``'s, still pays for the build: about 0.1 s of a first
+``mc_pv`` on a million fixture paths (2 cores, numpy 2.4.6).
 """
 
 from __future__ import annotations
@@ -96,7 +107,7 @@ _THREADED_PATHS = 1 << 13
 _STAGED_PATHS = 1 << 11
 #: Most entries in a sequence's guide table, 2 MB of int16 states.
 _GUIDE_ENTRIES = 1 << 20
-#: Most (slot, path) entries ``_step`` compares in one call.
+#: Most (slot, path) entries ``_table_step`` compares at once.
 _STEP_ENTRIES = 1 << 16
 #: Largest share of an ensemble's paths that may be distinct path prefixes
 #: before its distinct-path table is given up.
@@ -251,16 +262,27 @@ def _words_per_path(n: int) -> int:
     return blocks * _PHILOX_WORDS_PER_BLOCK
 
 
-def _chunk_uniforms(master_seed: int, start_path: int, out: np.ndarray):
-    """Fill ``out``, shape (count, w), with the uniform draws of paths
-    [start_path, start_path + count).
+def _chunk_uniforms(master_seed: int, start_path: int, draws: np.ndarray, u: np.ndarray, scale: int):
+    """Write ``scale``, a power of two, times the uniform draws of paths
+    [start_path, start_path + P) into ``u``, shape (n+1, P), time-major,
+    staging them ``len(draws)`` paths at a time in ``draws``, shape
+    (count, w).
 
     Path i owns the words [i * w, (i + 1) * w) of the Philox stream keyed by
-    the master seed, where w is the per-path block size; the chunk start
-    only positions the counter, so batching cannot change any path's draws.
+    the master seed, where w is the per-path block size, a whole number of
+    Philox blocks.  One generator is positioned at the first path and draws
+    path after path from there, so batching cannot change any path's
+    draws.  The staged draws are scaled in place, where they are
+    contiguous, so neither the product nor the transposing copy needs a
+    ufunc buffer.
     """
-    blocks = start_path * (out.shape[1] // _PHILOX_WORDS_PER_BLOCK)
-    np.random.Generator(np.random.Philox(key=master_seed).advance(blocks)).random(out=out)
+    stream = np.random.Generator(np.random.Philox(key=master_seed).advance(
+        start_path * (draws.shape[1] // _PHILOX_WORDS_PER_BLOCK)))
+    for first in range(0, u.shape[1], len(draws)):
+        staged = draws[:min(len(draws), u.shape[1] - first)]
+        stream.random(out=staged)
+        staged *= scale
+        u[:, first:first + len(staged)] = staged[:, :u.shape[0]].T
 
 
 def _step_tables(rows: np.ndarray, columns: np.ndarray, probabilities: np.ndarray,
@@ -349,37 +371,57 @@ def _guide_table(thresholds: np.ndarray, lengths: np.ndarray, buckets: int, dtyp
     return guide
 
 
+def _slot_tables(thresholds: np.ndarray, lengths: np.ndarray, buckets: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The tables a step reads, from n periods' (W, R) ``_step_tables``:
+    two (n, W + 1, R + 1) arrays whose column s is the row of 1-based state
+    s (column 0 is never read).  The thresholds are multiplied by G =
+    ``buckets``, which is exact for a power of two, so they compare with the
+    scaled draws as the thresholds do with the draws.  Slot W holds
+    threshold -inf and length 1, so the sum over slots counts the 1-based
+    next state.  The lengths are held in the path dtype."""
+    n, width, n_rows = thresholds.shape
+    scaled = np.full((n, width + 1, n_rows + 1), -np.inf)
+    np.multiply(thresholds, buckets, out=scaled[:, :width, 1:])
+    counts = np.ones((n, width + 1, n_rows + 1), dtype=dtype)
+    counts[:, :width, 1:] = lengths
+    return scaled, counts
+
+
 def _sequence_steps(seq: TransitionSequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_step_tables`` of the sequence's edges and their ``_guide_table``,
+    """``_slot_tables`` of the sequence's edges and their ``_guide_table``,
     built on its first simulation and kept on it; its arrays are read-only,
     so the tables stay its own."""
     if "_steps" not in vars(seq):
         thresholds, lengths = _step_tables(seq.rows, seq.columns, seq.probabilities, (seq.n_states, seq.n_states))
-        guide = _guide_table(thresholds, lengths, _guide_buckets(seq.n, seq.n_states), _path_dtype(seq.n_states))
-        vars(seq)["_steps"] = thresholds, lengths, guide
+        buckets, dtype = _guide_buckets(seq.n, seq.n_states), _path_dtype(seq.n_states)
+        guide = _guide_table(thresholds, lengths, buckets, dtype)
+        vars(seq)["_steps"] = (*_slot_tables(thresholds, lengths, buckets, dtype), guide)
     return vars(seq)["_steps"]
 
 
-def _step(thresholds: np.ndarray, lengths: np.ndarray, states: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Next 0-based states, ``#{j : cumulative[state, j] < u}``, from one
-    period's (W, N) tables: the sum over slots of length x [threshold < u].
-    The slots go ``_STEP_ENTRIES // len(states)`` at a time, so the few
-    paths a guide table leaves take a few calls, and a wide row still holds
-    a bounded block of (slot, path) entries."""
-    following = np.zeros(states.shape, dtype=np.intp)
-    span = max(1, _STEP_ENTRIES // max(1, states.size))
-    for w in range(0, thresholds.shape[0], span):
-        below = thresholds[w:w + span].take(states, axis=1) < u
-        following += (lengths[w:w + span].take(states, axis=1) * below).sum(axis=0)
-    return following
+def _table_step(thresholds: np.ndarray, lengths: np.ndarray, states: np.ndarray, scaled: np.ndarray,
+                out: np.ndarray, paths: np.ndarray):
+    """Write to ``out[paths]`` the 1-based next states of the 1-based
+    ``states[paths]`` under the draws ``scaled[paths]`` / G, from one
+    period's (W + 1, R + 1) ``_slot_tables``: the sum over slots of length x
+    [threshold x G < scaled draw].  The paths go ``_STEP_ENTRIES // (W + 1)``
+    at a time, so a wide row still holds a bounded block of (slot, path)
+    entries; on narrow rows that is one expression."""
+    span = max(1, _STEP_ENTRIES // len(thresholds))
+    for first in range(0, paths.size, span):
+        part = paths[first:first + span]
+        at = states[part]
+        below = thresholds.take(at, axis=1) < scaled[part]
+        # The lengths sum to at most N, which the path dtype holds.
+        out[part] = (lengths.take(at, axis=1) * below).sum(axis=0, dtype=out.dtype)
 
 
 def _guided_step(guide: np.ndarray, thresholds: np.ndarray, lengths: np.ndarray, states: np.ndarray,
                  scaled: np.ndarray, index: np.ndarray, out: np.ndarray):
     """Write to ``out`` the 1-based next states of the 1-based ``states``
     under the draws ``scaled`` / G, from one period's (R + 1, G) guide table
-    and (W, R) step tables: one gather from bucket floor(u * G) of the
-    state's row, then ``_step`` for the paths whose bucket holds a
+    and (W + 1, R + 1) slot tables: one gather from bucket floor(u * G) of
+    the state's row, then ``_table_step`` for the paths whose bucket holds a
     threshold.  ``index`` is an intp buffer as long as ``states``."""
     buckets = guide.shape[1]
     np.multiply(states, buckets, out=index, dtype=np.intp)
@@ -387,9 +429,7 @@ def _guided_step(guide: np.ndarray, thresholds: np.ndarray, lengths: np.ndarray,
     np.add(index, scaled, out=index, dtype=np.intp, casting="unsafe")
     # Every index is in range; "clip" lets take write to out unbuffered.
     guide.take(index, out=out, mode="clip")
-    missed = np.flatnonzero(out == 0)
-    if missed.size:
-        out[missed] = _step(thresholds, lengths, states[missed] - 1, scaled[missed] / buckets) + 1
+    _table_step(thresholds, lengths, states, scaled, out, (out == 0).nonzero()[0])
 
 
 def simulate(seq: TransitionSequence, initial: np.ndarray, n_paths: int, master_seed: int) -> PathEnsemble:
@@ -408,18 +448,20 @@ def simulate(seq: TransitionSequence, initial: np.ndarray, n_paths: int, master_
     Each step reads a path's next state from its bucket of a guide table
     (see the module docstring and ``_guide_table``) and, for the few paths
     whose bucket holds a threshold, from compact run-length tables (see
-    ``_step_tables``) instead of a dense row of N cumulative values.  The
-    tables are built from the sequence's edges, once per sequence, on its
-    first simulation; the guide holds at most 2^20 entries, 1.5 MB of int16
-    on an N=200, n=120 chain.  The initial state is drawn from the tables
-    of a one-row sequence with an edge at every state, built on every call,
-    so no dense Q is ever formed.
+    ``_step_tables`` and ``_slot_tables``) instead of a dense row of N
+    cumulative values.  The tables are built from the sequence's edges,
+    once per sequence, on its first simulation; the guide holds at most
+    2^20 entries, 1.5 MB of int16 on an N=200, n=120 chain.  The initial
+    state is drawn in the same way from the tables of a one-row sequence
+    with an edge at every state, built on every call, so no dense Q is
+    ever formed.
     Each thread steps its blocks of paths (see the module docstring) and
     writes their states straight into their columns of the time-major path
-    array (see ``PathEnsemble``).  A block's draws are staged
-    ``_STAGED_PATHS`` paths at a time into its time-major uniforms, and
-    each thread's buffers are allocated once per call by the calling
-    thread, so no helper thread's malloc arena keeps them once freed.
+    array (see ``PathEnsemble``).  A block's draws come from one generator
+    positioned at its first path and are staged ``_STAGED_PATHS`` paths at
+    a time into its time-major uniforms, and each thread's buffers are
+    allocated once per call by the calling thread, so no helper thread's
+    malloc arena keeps them once freed.
     ``n_paths`` and ``master_seed`` must be integers (numpy integers
     included).  See the module docstring for the reproducibility contract.
     """
@@ -432,29 +474,28 @@ def simulate(seq: TransitionSequence, initial: np.ndarray, n_paths: int, master_
     if not 0 <= master_seed < 2 ** 64:
         raise ValidationError("master_seed must fit in an unsigned 64-bit integer")
 
-    initial_thresholds, initial_lengths = _step_tables(np.zeros(n_states, dtype=np.intp), np.arange(n_states),
-                                                       initial[None], (1, n_states))
     thresholds, lengths, guide = _sequence_steps(seq)
-    buckets = guide.shape[2]
+    buckets, dtype = guide.shape[2], guide.dtype
+    # The initial state is a step from state 1 of a one-row sequence.
+    first_step = _step_tables(np.zeros(n_states, dtype=np.intp), np.arange(n_states), initial[None], (1, n_states))
+    first_guide = _guide_table(*first_step, buckets, dtype)[0]
+    first_thresholds, first_lengths = (table[0] for table in _slot_tables(*first_step, buckets, dtype))
 
     # Time-major, so that every step reads and writes contiguous vectors.
-    time_major = _allocate((n + 1, n_paths), "path array", _path_dtype(n_states), np.empty)
+    time_major = _allocate((n + 1, n_paths), "path array", dtype, np.empty)
     blocks, threads = _path_blocks(n_paths)
     size = blocks[0][1]
     buffers = [(np.empty((min(size, _STAGED_PATHS), _words_per_path(n))), np.empty((n + 1, size)),
                 np.empty(size, dtype=np.intp)) for _ in range(threads)]
+    state_one = np.ones(size, dtype=dtype)
 
     def simulate_block(worker: int, start: int, stop: int):
         count = stop - start
         draws, u, index = buffers[worker][0], buffers[worker][1][:, :count], buffers[worker][2][:count]
-        # u holds the draws times G, which is exact for a power of two.
-        for first in range(0, count, len(draws)):
-            staged = draws[:min(len(draws), count - first)]
-            _chunk_uniforms(master_seed, start + first, staged)
-            np.multiply(staged[:, :n + 1].T, buckets, out=u[:, first:first + len(staged)])
+        # u holds the draws times G.
+        _chunk_uniforms(master_seed, start, draws, u, buckets)
         columns = time_major[:, start:stop]
-        states = _step(initial_thresholds[0], initial_lengths[0], np.zeros(count, dtype=np.intp), u[0] / buckets)
-        np.add(states, 1, out=columns[0])
+        _guided_step(first_guide, first_thresholds, first_lengths, state_one[:count], u[0], index, columns[0])
         for k in range(n):
             _guided_step(guide[k], thresholds[k], lengths[k], columns[k], u[k + 1], index, columns[k + 1])
 
@@ -462,43 +503,53 @@ def simulate(seq: TransitionSequence, initial: np.ndarray, n_paths: int, master_
     return PathEnsemble(paths=time_major.T, master_seed=master_seed)
 
 
-def _renumbered(keys: np.ndarray) -> tuple[np.ndarray, int]:
-    """Each key's rank among the distinct keys, and their number."""
+def _renumbered(keys: np.ndarray, limit: float) -> "tuple[np.ndarray, int] | None":
+    """Each key's rank among the distinct keys, and their number; None,
+    before any rank is sought, where that number passes ``limit``."""
     distinct = np.sort(keys)
     first = np.empty(distinct.size, dtype=bool)
     first[0] = True
     np.not_equal(distinct[1:], distinct[:-1], out=first[1:])
     distinct = distinct[first]
-    return np.searchsorted(distinct, keys), distinct.size
+    return None if distinct.size > limit else (np.searchsorted(distinct, keys), distinct.size)
 
 
 def _distinct_columns(states: np.ndarray, top: int, limit: float) -> "tuple[np.ndarray, np.ndarray] | None":
     """The distinct columns of ``states``, an (n+1, P) array of states in
     [1, top], as a C-contiguous (n+1, U) array, and each column's index into
-    it; None once more than ``limit`` distinct prefixes turn up.
+    it; None once more than ``limit`` distinct tuples of rows turn up.
 
-    Column i's prefix through time k is the int64 key
-    ``key * (top + 1) + states[k, i]``, which is exact and distinct for
-    distinct prefixes.  Just before a key could pass 2^63 - 1, the keys are
-    replaced by their ranks, which keeps them so, and counted against
-    ``limit``.
+    The rows are keyed in a spread order: first the r evenly spaced rows
+    that one int64 key holds, then the others in turn.  Column i's key
+    after row k is ``key * (top + 1) + states[k, i]``, which is exact and
+    distinct for distinct tuples.  Just before a key could pass 2^63 - 1,
+    the keys are replaced by their ranks, which keeps them so, and counted
+    against ``limit``.  No tuple of some of the rows has more distinct
+    values than the columns, so a table given up there is one the whole
+    count would give up; the spread rows part most paths at the first count.
     """
     base = top + 1
     keys = np.zeros(states.shape[1], dtype=np.int64)
+    fit, bound = 0, 1
+    while bound * base <= _KEY_BOUND:
+        fit, bound = fit + 1, bound * base
+    spread = np.linspace(0, len(states) - 1, min(fit, len(states))).astype(np.intp).tolist()
     bound = 1  # every key is below it
-    for row in states:
+    for k in spread + sorted(set(range(len(states))) - set(spread)):
         if bound * base > _KEY_BOUND:
-            keys, bound = _renumbered(keys)
+            if (renumbered := _renumbered(keys, limit)) is None:
+                return None
+            keys, bound = renumbered
             # States near 2^63 leave no room for a key even after renumbering.
-            if bound > limit or bound * base > _KEY_BOUND:
+            if bound * base > _KEY_BOUND:
                 return None
         keys *= base
         # Exact in int64, whatever the states' integer type: every state is below base.
-        np.add(keys, row, out=keys, dtype=np.int64, casting="unsafe")
+        np.add(keys, states[k], out=keys, dtype=np.int64, casting="unsafe")
         bound *= base
-    keys, bound = _renumbered(keys)
-    if bound > limit:
+    if (renumbered := _renumbered(keys, limit)) is None:
         return None
+    keys, bound = renumbered
     first = np.empty(bound, dtype=np.intp)
     first[keys] = np.arange(keys.size)
     return states.take(first, axis=1), keys

@@ -1,6 +1,7 @@
 """Plain test helpers: the frozen three-state contract, the sequence of a
-dense (n, N, N) array, randomized chain, graph and table factories for
-property tests, an independent earliest-arrival oracle, and references kept
+dense (n, N, N) array, a seeded wide N=200 chain, randomized chain, graph
+and table factories for property tests, an independent earliest-arrival
+oracle, and references kept
 from earlier versions of the library: the column-by-column table check,
 path enumeration over the dense Q(k), the estimators' pass over every
 simulated path, the quote path that checked every cash-flow matrix and
@@ -37,6 +38,9 @@ OVERFLOWING_TABLES = {
 #: A table for it that passes, but whose next-period occupancy over a
 #: subnormal one gives an inf gap between the two diagonal conventions.
 SUBNORMAL_OCCUPANCY_TABLE = "k,l_1,l_2,d_1_2,d_1_3,d_2_3\n0,5e-324,0,0,0,0\n1,1e300,0,0,0,0\n"
+#: The wide chain's states, and its initial distribution by 1-based state.
+WIDE_STATES = 200
+WIDE_INITIAL = {1: 0.5, 4: 0.3, 8: 0.2}
 
 
 def make_three_state_model() -> pv.StateModel:
@@ -55,6 +59,38 @@ def dense_sequence(q) -> pv.TransitionSequence:
     rows, columns = np.nonzero(np.any(q.view(np.uint64), axis=0))
     return pv.TransitionSequence(n_states=q.shape[1], rows=rows, columns=columns,
                                  probabilities=np.ascontiguousarray(q[:, rows, columns]))
+
+
+def wide_sequence(n: int, seed: int = 20261018) -> pv.TransitionSequence:
+    """A seeded N=200 chain: 1-4 nonzeros per row, about 15% identity rows
+    and about 20% rows whose diagonal is ``1 - total`` in [-1e-12, 0).
+    ``transition_sequence`` clamps its diagonals at 0, so rows like these
+    reach ``simulate`` only from a hand-built ``TransitionSequence``."""
+    rng = np.random.default_rng(seed)
+    q = np.zeros((n, WIDE_STATES, WIDE_STATES))
+    for k in range(n):
+        for i in range(WIDE_STATES):
+            kind = rng.random()
+            if kind < 0.15:
+                q[k, i, i] = 1.0
+                continue
+            degree = int(rng.integers(1, 4 if kind < 0.35 else 5))
+            targets = rng.choice(WIDE_STATES - 1, size=degree, replace=False)
+            targets[targets >= i] += 1
+            weights = rng.random(degree) + 0.05
+            p = weights / weights.sum()
+            if kind < 0.35:
+                p = p * (1.0 + rng.uniform(1e-13, 9e-13))
+                q[k, i, i] = 1.0 - p.sum()
+            q[k, i, targets] = p
+    return dense_sequence(q)
+
+
+def wide_initial() -> np.ndarray:
+    initial = np.zeros(WIDE_STATES)
+    for state, probability in WIDE_INITIAL.items():
+        initial[state - 1] = probability
+    return initial
 
 
 def random_chain(rng, max_states=6, max_horizon=8):

@@ -296,6 +296,13 @@ class TestIntegerArguments:
         with pytest.raises(pv.ValidationError, match=rf"^amount {re.escape(repr(amount))} for state 2 is not a real number$"):
             pv.build_cashflow([pv.CashflowEntry(2, 1, 5, amount)], 25, 10)
 
+    @pytest.mark.filterwarnings("error")
+    def test_numpy_complex_amount_is_refused_before_any_warning(self):
+        # Read as a float, it would warn that the imaginary part is discarded.
+        amount = np.complex128(1 + 1j)
+        with pytest.raises(pv.ValidationError, match=rf"^amount {re.escape(repr(amount))} for state 2 is not a real number$"):
+            pv.build_cashflow([pv.CashflowEntry(2, 1, 5, amount)], 25, 10)
+
     @pytest.mark.parametrize("premium", ["x", 1j, np.complex128(0.1)], ids=["str", "complex", "numpy-complex"])
     def test_premium_that_is_not_a_real_number(self, dread, premium):
         got = f"{type(premium).__name__} {re.escape(repr(premium))}"
@@ -311,6 +318,12 @@ class TestIntegerArguments:
         got = f"{type(share).__name__} {re.escape(repr(share))}"
         with pytest.raises(pv.ValidationError, match=rf"^acceleration share must be a real number, got {got}$"):
             pv.accelerated_benefit(share, 3)
+
+    @pytest.mark.parametrize("share", ["x", 1j], ids=["str", "complex"])
+    def test_ceased_cover_share_that_is_not_a_real_number(self, share):
+        got = f"{type(share).__name__} {re.escape(repr(share))}"
+        with pytest.raises(pv.ValidationError, match=rf"^acceleration share must be a real number, got {got}$"):
+            pv.ceased_cover_states(share)
 
     def test_float_horizon_in_accelerated_benefit(self):
         with pytest.raises(pv.ValidationError, match=r"^horizon n must be an integer, got float 25\.0$"):

@@ -10,7 +10,8 @@ An ensemble's first estimator call builds the table and keeps it for every
 later call.  The table must hold exactly the ensemble's paths, the table
 kept for 200 000 fixture paths little more than its index and distinct
 paths, and the estimators must read states only through it, on the
-calling thread.
+calling thread.  The table is given up exactly when the distinct paths
+pass its limit, and on 4 096 paths of an N=200 chain at its first key.
 """
 
 import ast
@@ -26,7 +27,7 @@ from hypothesis import strategies as st
 
 import premval as pv
 from premval import oracle
-from chains import random_chain, reference_empirical_distribution, reference_path_totals
+from chains import random_chain, reference_empirical_distribution, reference_path_totals, wide_initial, wide_sequence
 
 FIXTURE_PATHS = 200_000
 #: Bytes the kept table may hold beyond its index and its distinct paths.
@@ -114,6 +115,52 @@ def test_large_states_are_renumbered_at_every_step():
     distinct, index = oracle._distinct_columns(paths.T, 2 ** 41, 500)
     assert distinct.shape[1] == len(np.unique(paths, axis=0))
     np.testing.assert_array_equal(distinct[:, index], paths.T)
+
+
+def gives_up_exactly_past_the_limit(states: np.ndarray):
+    """``_distinct_columns`` of ``states`` gives up, at limits on either
+    side of its distinct columns' count and below it, exactly when that
+    count passes the limit."""
+    distinct = np.unique(states, axis=1).shape[1]
+    for limit in sorted({0, 1, distinct // 4, distinct // 2, distinct - 1, distinct, distinct + 1}):
+        given_up = oracle._distinct_columns(states, int(states.max()), limit) is None
+        assert given_up == (distinct > limit), f"{distinct} distinct columns, limit {limit}"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 2_500), st.sampled_from(["int16", "int64", "uint64"]))
+def test_the_table_is_given_up_exactly_past_the_limit(seed, n_paths, dtype):
+    seq, initial, _, _ = random_chain(np.random.default_rng(seed))
+    gives_up_exactly_past_the_limit(pv.simulate(seq, initial, n_paths, seed).paths.T.astype(dtype))
+
+
+@pytest.mark.parametrize("values, shape", [([1, 2 ** 40, 2 ** 41], (12, 500)), ([1, 2 ** 15, 2 ** 16], (30, 2_000))],
+                         ids=["one-row-a-key", "three-rows-a-key"])
+@pytest.mark.parametrize("prototypes", [None, 40])
+def test_wide_states_are_given_up_exactly_past_the_limit(values, shape, prototypes):
+    """States so large that a key holds one or three rows, so the keys are
+    renumbered many times, on paths that are nearly all distinct or that
+    repeat a few."""
+    rng = np.random.default_rng(3)
+    states = rng.choice(np.array(values, dtype=np.int64), size=(shape[0], prototypes or shape[1]))
+    if prototypes:
+        states = states[:, rng.integers(0, prototypes, shape[1])]
+    gives_up_exactly_past_the_limit(states)
+
+
+def test_a_wide_chains_table_is_given_up_at_its_first_key(monkeypatch):
+    """4 096 paths on an N=200, n=120 chain: the eight spread rows of the
+    first key already part more paths than a quarter of them."""
+    ensemble = pv.simulate(wide_sequence(120), wide_initial(), 4_096, master_seed=1)
+    renumbered, counts = oracle._renumbered, []
+
+    def counting(keys, limit):
+        counts.append(keys.size)
+        return renumbered(keys, limit)
+
+    monkeypatch.setattr(oracle, "_renumbered", counting)
+    assert oracle._distinct_paths(ensemble, 200)[1] is None
+    assert counts == [4_096]
 
 
 def fixture_ensemble(dread, n_paths=FIXTURE_PATHS, seed=20261018):

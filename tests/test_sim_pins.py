@@ -8,9 +8,12 @@ rows, identity rows and tiny negative diagonals, at several chunk sizes.
 The fixture and wide pins hold with the simulator's core count set to 1, 2
 and 3, and so do the fixture estimates, which must equal those of a pass
 over every path and whose draws in flight must not grow with the thread
-count.  The step itself, with and without the guide table,
-is checked against the dense rule it replaces, its memory against the size
-of the transition matrices, and the guide table against its budget.
+count.  A lone block must give the same paths at 1 to 4 cores, start no
+thread and hold no more memory on two cores than on one, and a helper's
+failing draw must be raised.  The step itself, with and
+without the guide table, is checked against the dense rule it replaces,
+its memory against the size of the transition matrices, and the guide
+table against its budget.
 """
 
 import hashlib
@@ -28,50 +31,22 @@ from hypothesis import strategies as st
 
 import premval as pv
 from premval import oracle
-from chains import dense_sequence, reference_empirical_distribution, reference_path_totals
+from chains import (WIDE_STATES, dense_sequence, reference_empirical_distribution, reference_path_totals,
+                    wide_initial, wide_sequence)
 
 DIGESTS = json.loads((Path(__file__).parent / "data" / "sim_digests.json").read_text(encoding="utf-8"))
-WIDE_STATES = 200
 WIDE_PATHS = 4_096
-WIDE_INITIAL = {1: 0.5, 4: 0.3, 8: 0.2}
 #: Core counts the simulator is made to see; paths must not depend on them.
 CORE_COUNTS = (1, 2, 3)
+#: Path counts that run as one block on one and two cores, from one path to
+#: the largest such block, at and beside multiples of 1 024.
+LONE_BLOCKS = (1, 1_023, 1_024, 1_025, 2_048, 4_096, 16_383, 16_384)
+#: Bytes a lone block may hold on two cores beyond its peak on one.
+LONE_BLOCK_SLACK = 65_536
 
 
 def path_digest(paths: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(paths, dtype="<i4").tobytes()).hexdigest()
-
-
-def wide_sequence(n: int, seed: int = 20261018) -> pv.TransitionSequence:
-    """A seeded N=200 chain: 1-4 nonzeros per row, about 15% identity rows
-    and about 20% rows whose diagonal is ``1 - total`` in [-1e-12, 0).
-    ``transition_sequence`` clamps its diagonals at 0, so rows like these
-    reach ``simulate`` only from a hand-built ``TransitionSequence``."""
-    rng = np.random.default_rng(seed)
-    q = np.zeros((n, WIDE_STATES, WIDE_STATES))
-    for k in range(n):
-        for i in range(WIDE_STATES):
-            kind = rng.random()
-            if kind < 0.15:
-                q[k, i, i] = 1.0
-                continue
-            degree = int(rng.integers(1, 4 if kind < 0.35 else 5))
-            targets = rng.choice(WIDE_STATES - 1, size=degree, replace=False)
-            targets[targets >= i] += 1
-            weights = rng.random(degree) + 0.05
-            p = weights / weights.sum()
-            if kind < 0.35:
-                p = p * (1.0 + rng.uniform(1e-13, 9e-13))
-                q[k, i, i] = 1.0 - p.sum()
-            q[k, i, targets] = p
-    return dense_sequence(q)
-
-
-def wide_initial() -> np.ndarray:
-    initial = np.zeros(WIDE_STATES)
-    for state, probability in WIDE_INITIAL.items():
-        initial[state - 1] = probability
-    return initial
 
 
 @pytest.fixture(scope="module")
@@ -127,7 +102,7 @@ def test_wide_paths_are_pinned(wide, chunk_size, monkeypatch):
 
 @pytest.mark.parametrize("buckets", [1, 16])
 def test_paths_stay_pinned_when_the_thresholds_step_most_paths(dread, wide, buckets, monkeypatch):
-    # With one bucket, every row with a threshold in [0, 1) sends its paths to _step.
+    # With one bucket, every row with a threshold in [0, 1) sends its paths to the slot tables.
     monkeypatch.setattr(oracle, "_guide_buckets", lambda n, n_rows: buckets)
     fixture, pin = DIGESTS["fixture"], DIGESTS["wide"]
     seed = min(fixture["digests"])
@@ -177,11 +152,11 @@ def test_estimates_match_a_pass_over_every_path(dread, monkeypatch):
         assert fixture_estimates(dread) == want, f"{cores} cores"
 
 
-def simulate_peak(dread, monkeypatch, cores) -> int:
+def simulate_peak(monkeypatch, cores, seq, initial, n_paths) -> int:
     set_cores(monkeypatch, cores)
     tracemalloc.start()
     try:
-        pv.simulate(dread.seq, dread.initial, DIGESTS["fixture"]["n_paths"], 5)
+        pv.simulate(seq, initial, n_paths, 5)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -190,9 +165,55 @@ def simulate_peak(dread, monkeypatch, cores) -> int:
 def test_draws_in_flight_do_not_grow_with_the_thread_count(dread, monkeypatch):
     # CHUNK_SIZE counts paths across all threads, so two threads hold about
     # as many draws at once as one.
-    serial = simulate_peak(dread, monkeypatch, 1)
-    parallel = simulate_peak(dread, monkeypatch, 2)
+    serial = simulate_peak(monkeypatch, 1, dread.seq, dread.initial, DIGESTS["fixture"]["n_paths"])
+    parallel = simulate_peak(monkeypatch, 2, dread.seq, dread.initial, DIGESTS["fixture"]["n_paths"])
     assert parallel <= 1.1 * serial, f"peak {parallel / 1e6:.1f} MB on 2 threads, {serial / 1e6:.1f} MB on 1"
+
+
+def test_a_lone_block_holds_as_much_on_two_cores_as_on_one(monkeypatch):
+    # A lone block stages 2 048 paths' draws at every core count; a
+    # staging buffer a core would hold 2 MB more on this chain.
+    seq = wide_sequence(120)
+    pv.simulate(seq, wide_initial(), 1, 5)  # builds the step tables before either peak
+    serial = simulate_peak(monkeypatch, 1, seq, wide_initial(), WIDE_PATHS)
+    split = simulate_peak(monkeypatch, 2, seq, wide_initial(), WIDE_PATHS)
+    assert split <= serial + LONE_BLOCK_SLACK, f"peak {split} B on 2 cores, {serial} B on 1"
+
+
+@pytest.mark.parametrize("n_paths", LONE_BLOCKS)
+def test_a_lone_blocks_paths_do_not_depend_on_the_core_count(wide, n_paths, monkeypatch):
+    set_cores(monkeypatch, 1)
+    want = path_digest(pv.simulate(wide, wide_initial(), n_paths, 11).paths)
+    for cores in CORE_COUNTS[1:] + (4,):
+        set_cores(monkeypatch, cores)
+        assert path_digest(pv.simulate(wide, wide_initial(), n_paths, 11).paths) == want, f"{cores} cores"
+
+
+def test_a_lone_block_starts_no_thread(wide, monkeypatch):
+    set_cores(monkeypatch, 2)
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: (started.append(thread), start(thread))[1])
+    before = threading.active_count()
+    pv.simulate(wide, wide_initial(), WIDE_PATHS, 11)
+    assert started == [] and threading.active_count() == before
+
+
+def test_a_helpers_failing_draw_is_raised(wide, monkeypatch):
+    set_cores(monkeypatch, 2)
+    chunk_uniforms = oracle._chunk_uniforms
+
+    def fail_past_the_first_path(master_seed, start_path, *args):
+        if start_path:
+            raise ArithmeticError(f"draw from path {start_path} on a helper: {threading.get_ident() != caller}")
+        chunk_uniforms(master_seed, start_path, *args)
+
+    monkeypatch.setattr(oracle, "_chunk_uniforms", fail_past_the_first_path)
+    caller, before = threading.get_ident(), threading.active_count()
+    # Two blocks, from paths 0 and 16 384; the helper draws the second.
+    with pytest.raises(ArithmeticError, match="^draw from path 16384 on a helper: True$"):
+        pv.simulate(wide, wide_initial(), 20_000, 11)
+    assert threading.active_count() == before
 
 
 def test_blocks_split_the_chunk_between_the_cores(monkeypatch):
@@ -339,6 +360,16 @@ def rows_and_draws(draw, dyadic=False):
     return periods, np.nonzero(on_edges), sorted(u for u in draws if 0.0 <= u < 1.0)
 
 
+def table_steps(thresholds: np.ndarray, lengths: np.ndarray, states: np.ndarray, u: np.ndarray) -> list[int]:
+    """0-based next states of the 0-based ``states`` under ``u`` from one
+    period's ``_step_tables``, stepped by ``oracle._table_step`` on their
+    slot tables with G = 1."""
+    slot_thresholds, slot_lengths = oracle._slot_tables(thresholds[None], lengths[None], 1, np.int16)
+    got = np.empty_like(states)
+    oracle._table_step(slot_thresholds[0], slot_lengths[0], states + 1, u, got, np.arange(len(states)))
+    return (got - 1).tolist()
+
+
 @settings(max_examples=400, deadline=None)
 @given(rows_and_draws())
 def test_step_follows_the_dense_rule(case):
@@ -347,25 +378,26 @@ def test_step_follows_the_dense_rule(case):
     states = np.repeat(np.arange(periods.shape[1], dtype=np.int16), len(draws))
     u = np.tile(draws, periods.shape[1])
     for k, period in enumerate(periods):
-        got = oracle._step(thresholds[k], lengths[k], states, u)
-        assert got.tolist() == [dense_step(period[i], x) for i, x in zip(states, u)]
+        got = table_steps(thresholds[k], lengths[k], states, u)
+        assert got == [dense_step(period[i], x) for i, x in zip(states, u)]
 
 
 def test_u_zero_picks_the_first_state_even_with_zero_probability():
     row = np.array([0.0, 0.0, 0.25, 0.75])
     thresholds, lengths = oracle._step_tables(np.zeros(4, dtype=np.intp), np.arange(4), row[None], (1, 4))
-    got = oracle._step(thresholds[0], lengths[0], np.zeros(1, dtype=np.int16), np.array([0.0]))
-    assert got.tolist() == [0] == [dense_step(row, 0.0)]
+    got = table_steps(thresholds[0], lengths[0], np.zeros(1, dtype=np.int16), np.array([0.0]))
+    assert got == [0] == [dense_step(row, 0.0)]
 
 
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(rows_and_draws(), rows_and_draws(dyadic=True)), st.sampled_from([1, 4, 16, 1024]),
        st.sampled_from([1, oracle._STEP_ENTRIES]))
 def test_guided_step_follows_the_dense_rule(case, buckets, step_entries):
-    # One bucket sends nearly every draw to _step, and one (slot, path) entry a call makes it go slot by slot.
+    # One bucket sends nearly every draw to the slot tables, and one (slot, path) entry a call makes them go path by path.
     periods, (rows, columns), draws = case
     thresholds, lengths = oracle._step_tables(rows, columns, periods[:, rows, columns], periods.shape[1:])
     guide = oracle._guide_table(thresholds, lengths, buckets, np.int16)
+    thresholds, lengths = oracle._slot_tables(thresholds, lengths, buckets, np.int16)
     # Every bucket's lower end and the floats beside it, all of them for a
     # few buckets and those of the buckets at and after each cumulative value otherwise.
     lower = set(range(min(buckets, 16)))
