@@ -383,7 +383,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # The library refuses a value past the largest float by name; numpy's warning would only repeat it.
+        with np.errstate(over="ignore"):
+            return args.func(args)
     except (PremvalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, (ParseError, OSError)) else 1

@@ -178,10 +178,10 @@ class TransitionSequence:
     Checked for the state count, edges and shape, then non-finite and range
     on the edges (min and max propagate NaN), then row sums.  A row sum adds
     the row's edges in column order, starting from +0.0, so a row with no
-    edge sums to 0.0; all of them come from one ``bincount`` over the
-    period-major edges.  The fault named is the first (k, row) with the
-    largest distance from 1.  The three arrays are read-only views, so a
-    checked sequence stays as checked.
+    edge sums to 0.0; all of them come from one ``np.add.at`` over the
+    edges.  The fault named is the first (k, row) with the largest distance
+    from 1.  The three arrays are read-only views, so a checked sequence
+    stays as checked.
     """
 
     n_states: int
@@ -195,8 +195,7 @@ class TransitionSequence:
         edges = [np.asarray(a) for a in (self.rows, self.columns)]
         whole = all(a.dtype.kind in "iu" or a.size == 0 for a in edges)  # [] reads as floats
         rows, columns = (_read_only(a, "edges", np.intp) if whole else a for a in edges)
-        given = np.asarray(self.probabilities)  # bincount copies a read-only view, so it reads this
-        p = _read_only(given, "transition probabilities", float)
+        p = _read_only(self.probabilities, "transition probabilities", float)
         if (not whole or p.ndim != 2 or not rows.shape == columns.shape == p.shape[1:]
                 or np.any((np.minimum(rows, columns) < 0) | (np.maximum(rows, columns) >= n_states))
                 or np.any(np.diff(rows * n_states + columns) <= 0)):
@@ -208,9 +207,9 @@ class TransitionSequence:
             raise ValidationError("non-finite transition probability")
         if lo < -_PROB_TOL or hi > 1 + _PROB_TOL:
             raise ValidationError("transition probability outside [0, 1]")
-        # One bin per (k, row), filled in period-major edge order.
-        sums = np.bincount((np.arange(self.n)[:, None] * n_states + rows).ravel(), weights=given.ravel(),
-                           minlength=self.n * n_states).reshape(self.n, n_states)
+        # Each (k, row) adds its edges in edge order, from +0.0.
+        sums = np.zeros((self.n, n_states))
+        np.add.at(sums, (slice(None), rows), p)
         if np.any(np.abs(sums - 1.0) > _ROW_SUM_TOL):
             k, i = np.unravel_index(int(np.argmax(np.abs(sums - 1.0))), sums.shape)
             raise ValidationError(f"row {i + 1} of Q({k}) sums to {float(sums[k, i])!r}, not 1")
@@ -495,10 +494,14 @@ def transition_sequence(table: IncrementDecrementTable, model: StateModel) -> Tr
     with np.errstate(over="ignore"):  # an exit over a subnormal occupancy may be inf, refused below
         raw = np.divide(exits, np.where(unoccupied, 1.0, living), out=exits)
     np.copyto(raw, 0.0, where=unoccupied)
-    p = np.clip(raw, 0.0, 1.0)
+    outside = raw < -_PROB_TOL
+    outside |= raw > 1 + _PROB_TOL
+    in_range = not outside.any()
+    # Clipped in place unless a fault quotes a raw value.
+    p = np.clip(raw, 0.0, 1.0, out=raw if in_range else None)
     diagonal = 1.0 - sum((p[:, w] for w in range(width)), np.zeros((len(transient), n)))
-    faults = np.concatenate([(raw < -_PROB_TOL) | (raw > 1 + _PROB_TOL), diagonal[:, None] < -_PROB_TOL], axis=1)
-    if faults.any():
+    if not in_range or (diagonal < -_PROB_TOL).any():
+        faults = np.concatenate([outside, diagonal[:, None] < -_PROB_TOL], axis=1)
         t, k, c = (int(x) for x in np.argwhere(faults.transpose(0, 2, 1))[0])
         if c < width:
             raise ValidationError(f"probability {float(raw[t, c, k])!r} outside [0, 1] at k={k}, "

@@ -51,7 +51,9 @@ guide answers exactly what the thresholds would.  G is the largest power of
 two in [16, 1024] that keeps the guide within 2^20 entries: 1 024 on the
 fixture, with 0.2% of its buckets marked, and 32 on an N=200, n=120 chain,
 with about 6% marked.  A path that lands in a marked bucket is stepped in
-one expression from the thresholds, kept times G (see ``_slot_tables``).
+one expression from the thresholds, kept times G.  One builder,
+``_step_tables``, makes a sequence's guide and run-length tables at once,
+in the layout the steps read.
 
 The estimators run on the calling thread and read an ensemble through its
 distinct-path table: its distinct paths, time-major, and each path's index
@@ -285,47 +287,6 @@ def _chunk_uniforms(master_seed: int, start_path: int, draws: np.ndarray, u: np.
         u[:, first:first + len(staged)] = staged[:, :u.shape[0]].T
 
 
-def _step_tables(rows: np.ndarray, columns: np.ndarray, probabilities: np.ndarray,
-                 shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Run-length tables of the dense stepping rule for every row of n
-    (R, C) matrices given on edges sorted by (row, column): ``probabilities``
-    has shape (n, E), and every entry off the edges is 0.
-
-    A row's dense cumulative sum, last entry forced to 1.0, can change value
-    only at column 0, at a nonzero column or at the last column.  Row (k, i)
-    keeps, in slots w = 0..W-1, the cumulative value ``thresholds[k, w, i]``
-    at column 0 and at each column before the last whose entry in period k
-    is nonzero, and in ``lengths[k, w, i]`` the number of columns from there
-    up to the next such column or the last one.  Unused slots have length 0.
-    The last column is left out: its forced 1.0 is never below a draw from
-    [0, 1).  Zero entries on the edges are skipped, so the tables are those
-    of the dense rows, whatever edges carry them.
-    """
-    n_rows, n_columns = shape
-    n = probabilities.shape[0]
-    # Nonzero entries before the last column, by (k, row, column): the edges are sorted.
-    k, e = np.nonzero(probabilities != 0)
-    kept = (columns[e] != 0) & (columns[e] != n_columns - 1)
-    k, e = k[kept], e[kept]
-    row = k * n_rows + rows[e]
-    counts = np.bincount(row, minlength=n * n_rows)
-    slot = np.arange(row.size) - (np.cumsum(counts) - counts)[row] + 1
-    width = int(counts.max(initial=0)) + 1
-    thresholds = np.zeros((n, width, n_rows))
-    first = columns == 0
-    thresholds[:, 0, rows[first]] = probabilities[:, first]
-    thresholds[k, slot, rows[e]] = probabilities[k, e]
-    # The skipped columns hold exact zeros, so a sequential sum over the
-    # slots' entries reproduces the dense cumulative sum bit for bit.
-    for w in range(1, width):
-        thresholds[:, w] += thresholds[:, w - 1]
-    # The column of every slot, then the last column: the lengths are their differences.
-    starts = np.full((n, width + 1, n_rows), n_columns - 1)
-    starts[:, 0] = 0
-    starts[k, slot, rows[e]] = columns[e]
-    return thresholds, np.diff(starts, axis=1)
-
-
 def _path_dtype(n_states: int):
     """The integer type of simulated states, and so of a guide table's entries."""
     return np.int16 if n_states < 2 ** 15 else np.int32
@@ -339,63 +300,93 @@ def _guide_buckets(n: int, n_rows: int) -> int:
     return 1 << min(10, max(4, fit.bit_length() - 1))
 
 
-def _guide_table(thresholds: np.ndarray, lengths: np.ndarray, buckets: int, dtype) -> np.ndarray:
-    """Guide table of n periods' (W, R) step tables with G = ``buckets``, a
-    power of two: entry (k, s, b) of the (n, R + 1, G) result is the 1-based
-    next state, ``#{j : c_j < u} + 1``, of every draw u in [b/G, (b + 1)/G)
-    from the row of 1-based state s in period k, or 0 where that count is
-    not the same for all of them.  Row 0 is never read.
+def _step_tables(rows: np.ndarray, columns: np.ndarray, probabilities: np.ndarray, shape: tuple[int, int],
+                 buckets: int, dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tables a step reads for every row of n (R, C) matrices given on
+    edges sorted by (row, column): ``probabilities`` has shape (n, E), and
+    every entry off the edges is 0.  The row of 1-based state s is column s
+    of the run-length tables and row s of the guide; column and row 0 are
+    never read.
 
-    u * G and t * G are exact, so a used slot's threshold t is below every
-    draw of bucket b if floor(t * G) < b, and above every one if
-    floor(t * G) > b.  On a bucket that holds no threshold the count is
-    therefore constant, and it is the count at b/G.
+    A row's dense cumulative sum, last entry forced to 1.0, can change value
+    only at column 0, at a nonzero column or at the last column.  Row (k, s)
+    keeps, in slots w = 0..W-1 of the two (n, W + 1, R + 1) run-length
+    tables, the cumulative value ``thresholds[k, w, s]`` at column 0 and at
+    each column before the last whose entry in period k is nonzero, and in
+    ``lengths[k, w, s]`` the number of columns from there up to the next
+    such column or the last one.  Unused slots have length 0.  The last
+    column is left out: its forced 1.0 is never below a draw from [0, 1).
+    Zero entries on the edges are skipped, so the tables are those of the
+    dense rows, whatever edges carry them.  The thresholds are multiplied by
+    G = ``buckets``, which is exact for a power of two, so they compare with
+    the scaled draws as the thresholds do with the draws.  Slot W holds
+    threshold -inf and length 1, so the sum over slots counts the 1-based
+    next state.  The lengths are held in ``dtype``, the path dtype.
+
+    Entry (k, s, b) of the (n, R + 1, G) guide table is the 1-based next
+    state, ``#{j : c_j < u} + 1``, of every draw u in [b/G, (b + 1)/G) from
+    the row of state s in period k, or 0 where that count is not the same
+    for all of them.  u * G and t * G are exact, so a used slot's threshold
+    t is below every draw of bucket b if floor(t * G) < b, and above every
+    one if floor(t * G) > b.  On a bucket that holds no threshold the count
+    is therefore constant, and it is the count at b/G.
     """
-    n, width, n_rows = thresholds.shape
+    n_rows, n_columns = shape
+    n = probabilities.shape[0]
+    # Nonzero entries before the last column, by (k, row, column): the edges are sorted.
+    k, e = np.nonzero(probabilities != 0)
+    kept = (columns[e] != 0) & (columns[e] != n_columns - 1)
+    k, e = k[kept], e[kept]
+    row = k * n_rows + rows[e]
+    counts = np.bincount(row, minlength=n * n_rows)
+    slot = np.arange(row.size) - (np.cumsum(counts) - counts)[row] + 1
+    width = int(counts.max(initial=0)) + 1
+    state = rows[e] + 1
+    thresholds = np.zeros((n, width + 1, n_rows + 1))
+    first = columns == 0
+    thresholds[:, 0, rows[first] + 1] = probabilities[:, first]
+    thresholds[k, slot, state] = probabilities[k, e]
+    # The skipped columns hold exact zeros, so a sequential sum over the
+    # slots' entries reproduces the dense cumulative sum bit for bit.
+    for w in range(1, width):
+        thresholds[:, w] += thresholds[:, w - 1]
+    thresholds *= buckets
+    thresholds[:, width] = -np.inf
+    # The column of every slot, then the last column: the lengths are their differences.
+    starts = np.full((n, width + 1, n_rows + 1), n_columns - 1, dtype=dtype)
+    starts[:, 0, 1:] = 0
+    starts[k, slot, state] = columns[e]
+    lengths = np.ones_like(starts)
+    lengths[:, :width] = np.diff(starts, axis=1)
+    # The scatter's indices go before the guide is made, so they add nothing to its peak.
+    del k, e, row, slot, state, starts
+
     guide = np.zeros((n, n_rows + 1, buckets), dtype=dtype)
     guide[:, 1:, 0] = 1
     flat = guide.reshape(-1)
     straddled = []
     for w in range(width):
-        k, row = np.nonzero(lengths[:, w])
-        first = np.floor(thresholds[k, w, row] * buckets).astype(np.intp)
-        at = (k * (n_rows + 1) + row + 1) * buckets
+        k, s = np.nonzero(lengths[:, w])
+        first = np.floor(thresholds[k, w, s]).astype(np.intp)
+        at = (k * (n_rows + 1) + s) * buckets
         # The slot's length counts from the first bucket wholly above its
         # threshold; a row has one threshold per slot, so no index repeats.
         rises = first < buckets - 1
-        flat[at[rises] + np.maximum(first[rises] + 1, 0)] += lengths[k[rises], w, row[rises]].astype(dtype)
+        flat[at[rises] + np.maximum(first[rises] + 1, 0)] += lengths[k[rises], w, s[rises]]
         inside = (first >= 0) & (first < buckets)
         straddled.append(at[inside] + first[inside])
     np.cumsum(guide, axis=2, dtype=dtype, out=guide)
     flat[np.concatenate(straddled)] = 0
-    return guide
-
-
-def _slot_tables(thresholds: np.ndarray, lengths: np.ndarray, buckets: int, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """The tables a step reads, from n periods' (W, R) ``_step_tables``:
-    two (n, W + 1, R + 1) arrays whose column s is the row of 1-based state
-    s (column 0 is never read).  The thresholds are multiplied by G =
-    ``buckets``, which is exact for a power of two, so they compare with the
-    scaled draws as the thresholds do with the draws.  Slot W holds
-    threshold -inf and length 1, so the sum over slots counts the 1-based
-    next state.  The lengths are held in the path dtype."""
-    n, width, n_rows = thresholds.shape
-    scaled = np.full((n, width + 1, n_rows + 1), -np.inf)
-    np.multiply(thresholds, buckets, out=scaled[:, :width, 1:])
-    counts = np.ones((n, width + 1, n_rows + 1), dtype=dtype)
-    counts[:, :width, 1:] = lengths
-    return scaled, counts
+    return thresholds, lengths, guide
 
 
 def _sequence_steps(seq: TransitionSequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_slot_tables`` of the sequence's edges and their ``_guide_table``,
-    built on its first simulation and kept on it; its arrays are read-only,
-    so the tables stay its own."""
+    """``_step_tables`` of the sequence's edges, built on its first
+    simulation and kept on it; its arrays are read-only, so the tables stay
+    its own."""
     if "_steps" not in vars(seq):
-        thresholds, lengths = _step_tables(seq.rows, seq.columns, seq.probabilities, (seq.n_states, seq.n_states))
-        buckets, dtype = _guide_buckets(seq.n, seq.n_states), _path_dtype(seq.n_states)
-        guide = _guide_table(thresholds, lengths, buckets, dtype)
-        vars(seq)["_steps"] = (*_slot_tables(thresholds, lengths, buckets, dtype), guide)
+        vars(seq)["_steps"] = _step_tables(seq.rows, seq.columns, seq.probabilities, (seq.n_states, seq.n_states),
+                                           _guide_buckets(seq.n, seq.n_states), _path_dtype(seq.n_states))
     return vars(seq)["_steps"]
 
 
@@ -403,7 +394,7 @@ def _table_step(thresholds: np.ndarray, lengths: np.ndarray, states: np.ndarray,
                 out: np.ndarray, paths: np.ndarray):
     """Write to ``out[paths]`` the 1-based next states of the 1-based
     ``states[paths]`` under the draws ``scaled[paths]`` / G, from one
-    period's (W + 1, R + 1) ``_slot_tables``: the sum over slots of length x
+    period's (W + 1, R + 1) ``_step_tables``: the sum over slots of length x
     [threshold x G < scaled draw].  The paths go ``_STEP_ENTRIES // (W + 1)``
     at a time, so a wide row still holds a bounded block of (slot, path)
     entries; on narrow rows that is one expression."""
@@ -420,9 +411,10 @@ def _guided_step(guide: np.ndarray, thresholds: np.ndarray, lengths: np.ndarray,
                  scaled: np.ndarray, index: np.ndarray, out: np.ndarray):
     """Write to ``out`` the 1-based next states of the 1-based ``states``
     under the draws ``scaled`` / G, from one period's (R + 1, G) guide table
-    and (W + 1, R + 1) slot tables: one gather from bucket floor(u * G) of
-    the state's row, then ``_table_step`` for the paths whose bucket holds a
-    threshold.  ``index`` is an intp buffer as long as ``states``."""
+    and (W + 1, R + 1) run-length tables: one gather from bucket
+    floor(u * G) of the state's row, then ``_table_step`` for the paths
+    whose bucket holds a threshold.  ``index`` is an intp buffer as long as
+    ``states``."""
     buckets = guide.shape[1]
     np.multiply(states, buckets, out=index, dtype=np.intp)
     # Cast to intp before the sum, which floors the nonnegative scaled draws.
@@ -446,14 +438,14 @@ def simulate(seq: TransitionSequence, initial: np.ndarray, n_paths: int, master_
     still holds exactly.
 
     Each step reads a path's next state from its bucket of a guide table
-    (see the module docstring and ``_guide_table``) and, for the few paths
-    whose bucket holds a threshold, from compact run-length tables (see
-    ``_step_tables`` and ``_slot_tables``) instead of a dense row of N
-    cumulative values.  The tables are built from the sequence's edges,
-    once per sequence, on its first simulation; the guide holds at most
-    2^20 entries, 1.5 MB of int16 on an N=200, n=120 chain.  The initial
-    state is drawn in the same way from the tables of a one-row sequence
-    with an edge at every state, built on every call, so no dense Q is
+    and, for the few paths whose bucket holds a threshold, from compact
+    run-length tables instead of a dense row of N cumulative values (see
+    the module docstring and ``_step_tables``, the one builder of both).
+    The tables are built from the sequence's edges, once per sequence, on
+    its first simulation; the guide holds at most 2^20 entries, 1.5 MB of
+    int16 on an N=200, n=120 chain.  The initial state is drawn in the same
+    way from the tables of a one-row sequence with an edge at every state,
+    built by one call of the same builder on every call, so no dense Q is
     ever formed.
     Each thread steps its blocks of paths (see the module docstring) and
     writes their states straight into their columns of the time-major path
@@ -477,9 +469,8 @@ def simulate(seq: TransitionSequence, initial: np.ndarray, n_paths: int, master_
     thresholds, lengths, guide = _sequence_steps(seq)
     buckets, dtype = guide.shape[2], guide.dtype
     # The initial state is a step from state 1 of a one-row sequence.
-    first_step = _step_tables(np.zeros(n_states, dtype=np.intp), np.arange(n_states), initial[None], (1, n_states))
-    first_guide = _guide_table(*first_step, buckets, dtype)[0]
-    first_thresholds, first_lengths = (table[0] for table in _slot_tables(*first_step, buckets, dtype))
+    first_thresholds, first_lengths, first_guide = (table[0] for table in _step_tables(
+        np.zeros(n_states, dtype=np.intp), np.arange(n_states), initial[None], (1, n_states), buckets, dtype))
 
     # Time-major, so that every step reads and writes contiguous vectors.
     time_major = _allocate((n + 1, n_paths), "path array", dtype, np.empty)
@@ -579,7 +570,8 @@ def _path_totals(ensemble: PathEnsemble, cashflows: list[CashflowMatrix],
                  discount: DiscountVector) -> np.ndarray:
     """Discounted cash total of every path under each of K cash-flow
     matrices, shape (K, n_paths): one fixed-order pass over k for each
-    distinct path, gathered by the paths' index."""
+    distinct path, gathered by the paths' index.  A ValidationError names a
+    total past the largest float."""
     n = ensemble.n
     if any(c.matrix.shape[0] != n + 1 for c in cashflows) or discount.values.shape[0] != n + 1:
         raise ValidationError("cash-flow or discount shape does not match the ensemble horizon")
@@ -587,18 +579,25 @@ def _path_totals(ensemble: PathEnsemble, cashflows: list[CashflowMatrix],
     # Row s of weighted[k] is state s's cash, so the 1-based states index it; row 0 is never read.
     stacked = np.stack([c.matrix for c in cashflows], axis=2)
     weighted = np.zeros((n + 1, stacked.shape[1] + 1, len(cashflows)))
-    np.multiply(discount.values[:, None, None], stacked, out=weighted[:, 1:])
     totals = np.zeros((states.shape[1], len(cashflows)))
-    for k, row in enumerate(states):
-        totals += weighted[k].take(row, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, by name
+        np.multiply(discount.values[:, None, None], stacked, out=weighted[:, 1:])
+        for k, row in enumerate(states):
+            totals += weighted[k].take(row, axis=0)
+    if not np.isfinite(totals).all():
+        raise ValidationError("a path's discounted cash total overflows the largest float")
     totals = np.ascontiguousarray(totals.T)
     return totals if index is None else totals.take(index, axis=1)
 
 
 def _estimate(mean: float, residuals: np.ndarray, scale: float = 1.0) -> McEstimate:
-    """``mean`` with the standard error of the residuals' mean divided by ``scale``; 0.0 from one path."""
+    """``mean`` with the standard error of the residuals' mean divided by ``scale``; 0.0 from one path.
+    A ValidationError names an estimate or standard error past the largest float."""
     n_paths = residuals.shape[0]
-    std_error = float(np.std(residuals, ddof=1) / (scale * np.sqrt(n_paths))) if n_paths > 1 else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, by name
+        std_error = float(np.std(residuals, ddof=1) / (scale * np.sqrt(n_paths))) if n_paths > 1 else 0.0
+    if not np.isfinite([mean, std_error]).all():
+        raise ValidationError(f"the estimate {mean!r} or its standard error {std_error!r} overflows a float")
     return McEstimate(mean=mean, std_error=std_error, n_paths=n_paths)
 
 

@@ -21,6 +21,7 @@ nonzero annuity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,7 +122,8 @@ def load_discount_file(path, n: int) -> DiscountVector:
 
 
 def _contract(c: CashflowMatrix, dist: DistributionMatrix, discount: DiscountVector) -> float:
-    """The kernel: the discounted expected sum of ``c`` under ``dist``, in the module's one order."""
+    """The kernel: the discounted expected sum of ``c`` under ``dist``, in the module's one order.
+    A ValidationError names a sum past the largest float; numpy warns of it first."""
     if c.matrix.shape != dist.matrix.shape:
         raise ValidationError(
             f"cash-flow shape {c.matrix.shape} does not match distribution shape {dist.matrix.shape}")
@@ -130,7 +132,10 @@ def _contract(c: CashflowMatrix, dist: DistributionMatrix, discount: DiscountVec
             f"discount vector length {discount.values.shape[0]} does not match horizon {dist.matrix.shape[0] - 1}")
     w = discount.values[:, None] * dist.matrix
     w *= c.matrix
-    return float(np.add.accumulate(np.add.accumulate(w)[-1])[-1])
+    value = float(np.add.accumulate(np.add.accumulate(w)[-1])[-1])
+    if not math.isfinite(value):
+        raise ValidationError(f"the expected present value overflows the largest float ({value!r})")
+    return value
 
 
 def expected_pv(c: CashflowMatrix, dist: DistributionMatrix, discount: DiscountVector) -> float:

@@ -1,7 +1,8 @@
 """Plain test helpers: the frozen three-state contract, the sequence of a
 dense (n, N, N) array, a seeded wide N=200 chain, randomized chain, graph
 and table factories for property tests, an independent earliest-arrival
-oracle, and references kept
+oracle, the simulator's paths recomputed from the published Philox4x64-10
+algorithm, and references kept
 from earlier versions of the library: the column-by-column table check,
 path enumeration over the dense Q(k), the estimators' pass over every
 simulated path, the quote path that checked every cash-flow matrix and
@@ -14,6 +15,8 @@ Test modules import them with ``from chains import ...``; fixtures stay in
 ``conftest.py``."""
 
 import heapq
+import itertools
+import math
 from collections import defaultdict
 from fractions import Fraction
 
@@ -458,7 +461,8 @@ def reference_expected_pv(c: pv.CashflowMatrix, dist, discount) -> float:
     """The valuation kernel as explicit loops over Python floats, in its stated
     order: each term (m_k * D[k, j]) * C[k, j], added over k from k = 0 for
     each state, then the state totals from state 1.  Each sum starts from
-    its first term, as ``np.add.accumulate`` does, so a sum of -0.0 stays -0.0."""
+    its first term, as ``np.add.accumulate`` does, so a sum of -0.0 stays -0.0.
+    A value past the largest float is refused, as the kernel refuses it."""
     if c.matrix.shape != dist.matrix.shape:
         raise pv.ValidationError(
             f"cash-flow shape {c.matrix.shape} does not match distribution shape {dist.matrix.shape}")
@@ -475,6 +479,8 @@ def reference_expected_pv(c: pv.CashflowMatrix, dist, discount) -> float:
     value = states[0]
     for total in states[1:]:
         value += total
+    if not math.isfinite(value):
+        raise pv.ValidationError(f"the expected present value overflows the largest float ({value!r})")
     return value
 
 
@@ -507,3 +513,72 @@ def rational_expected_pv(c: pv.CashflowMatrix, d: list, discount: pv.DiscountVec
     """The exact expected present value of ``c`` under the rational distribution ``d``."""
     return sum((Fraction(m) * sum((Fraction(x) * p for x, p in zip(row, d_k) if x), Fraction(0))
                 for m, row, d_k in zip(discount.values.tolist(), c.matrix.tolist(), d)), Fraction(0))
+
+
+#: Philox4x64-10's round multipliers and key increments (Salmon, Moraes, Dror
+#: and Shaw, "Parallel random numbers: as easy as 1, 2, 3", SC'11).
+PHILOX_MULTIPLIERS = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+PHILOX_KEY_STEPS = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+WORD = (1 << 64) - 1
+
+
+def philox_block(counter: int, key: int) -> list:
+    """The four 64-bit words Philox4x64-10 makes of a 256-bit counter and a
+    128-bit key, both split into 64-bit words from the lowest up."""
+    x = [counter >> shift & WORD for shift in (0, 64, 128, 192)]
+    k0, k1 = key & WORD, key >> 64 & WORD
+    for round_ in range(10):
+        if round_:
+            k0, k1 = (k0 + PHILOX_KEY_STEPS[0]) & WORD, (k1 + PHILOX_KEY_STEPS[1]) & WORD
+        p0, p1 = PHILOX_MULTIPLIERS[0] * x[0], PHILOX_MULTIPLIERS[1] * x[2]
+        x = [p1 >> 64 ^ x[1] ^ k0, p1 & WORD, p0 >> 64 ^ x[3] ^ k1, p0 & WORD]
+    return x
+
+
+def philox_words(key: int, first_block: int, count: int) -> list:
+    """``count`` words of the Philox4x64-10 stream keyed by ``key``, from
+    block ``first_block`` on.  Block b is the output for counter b + 1, as
+    numpy's ``Philox(key=key)`` numbers them."""
+    blocks = range(first_block, first_block + -(-count // 4))
+    return [word for b in blocks for word in philox_block(b + 1, key)][:count]
+
+
+def reference_paths(seq: pv.TransitionSequence, initial: np.ndarray, n_paths: int, key: int,
+                    first_block: int = 0, shift: int = 11) -> np.ndarray:
+    """``simulate``'s paths, shape (n_paths, n+1) of 1-based states,
+    recomputed from ``philox_words`` by the dense rule, with no table.
+
+    Path i reads the n+1 words from block i * w/4 + ``first_block`` of the
+    stream keyed by ``key``, w being n+1 rounded up to whole blocks of four.
+    Word k gives the uniform (word >> ``shift``) * 2**-53 of time k.  With c
+    the cumulative sum of ``initial`` or of the current row of Q(k), its
+    last entry forced to 1.0, the next 0-based state is #{j : c_j < u}.
+    ``first_block`` and ``shift`` are there to be mutated."""
+    n, n_states = seq.n, seq.n_states
+    starts = np.searchsorted(seq.rows, np.arange(n_states + 1)).tolist()
+
+    def cumulative(row: list) -> list:
+        c = list(itertools.accumulate(row))
+        c[-1] = 1.0
+        return c
+
+    rows = {}
+
+    def step(k: int, state: int, u: float) -> int:
+        if (k, state) not in rows:
+            row = [0.0] * n_states
+            for e in range(starts[state], starts[state + 1]):
+                row[int(seq.columns[e])] = float(seq.probabilities[k, e])
+            rows[k, state] = cumulative(row)
+        return sum(c < u for c in rows[k, state])
+
+    first = cumulative(np.asarray(initial, dtype=float).tolist())
+    paths = []
+    for i in range(n_paths):
+        words = philox_words(key, i * -(-(n + 1) // 4) + first_block, n + 1)
+        u = [(word >> shift) * 2.0 ** -53 for word in words]
+        path = [sum(c < u[0] for c in first)]
+        for k in range(n):
+            path.append(step(k, path[-1], u[k + 1]))
+        paths.append(path)
+    return np.array(paths) + 1

@@ -211,6 +211,25 @@ class TestExitCodes:
         assert "--premium" in done.stderr
         assert "RuntimeWarning" not in done.stderr
 
+    @pytest.mark.parametrize("argv, message", [
+        (("premium", "--rate", "0", "--cashflow", "{flows}", "--single"),
+         "the expected present value overflows the largest float (inf)"),
+        (("check", "--rate", "0.01", "--accel", "0.5", "--premium", "1.7e308", "--period", "--m", "25",
+          "--pay-states", "1,2"), "the expected present value overflows the largest float (-inf)"),
+        (("simulate", "--rate", "0", "--cashflow", "{flows}", "--paths", "100", "--seed", "1"),
+         "a path's discounted cash total overflows the largest float"),
+    ], ids=["premium", "check", "simulate"])
+    def test_a_value_past_the_largest_float_is_refused(self, tmp_path, argv, message):
+        flows = tmp_path / "huge.flows"
+        flows.write_text("flow 1 0 26 1e308\nflow 2 0 26 1e308\n")
+        # A child process, so that a numpy warning would reach stderr.
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(pv.__file__).parents[1])] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run([sys.executable, "-m", "premval.cli", argv[0], "--model", MODEL, "--table", TABLE,
+                               *(arg.format(flows=flows) for arg in argv[1:])],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (1, "", f"error: {message}\n")
+
 
 class TestInputChecks:
     """The valuation commands check their options in one fixed order, all before reading a file."""

@@ -224,6 +224,28 @@ class TestSimulate:
 
 
 class TestMcEstimates:
+    @pytest.mark.parametrize("estimator", ["mc_pv", "mc_premium"])
+    def test_a_path_total_past_the_largest_float_is_refused(self, dread, estimator):
+        n, n_states = dread.table.n, dread.model.n_states
+        huge = pv.build_cashflow([pv.CashflowEntry(1, 0, n + 1, 1e308), pv.CashflowEntry(2, 0, n + 1, 1e308)],
+                                 n, n_states)
+        flat = pv.constant_rate_discount(n, rate=0.0)
+        ensemble = pv.simulate(dread.seq, dread.initial, 100, master_seed=1)
+        estimate = {
+            "mc_pv": lambda: pv.mc_pv(ensemble, huge, flat),
+            "mc_premium": lambda: pv.mc_premium(ensemble, huge, flat, {1}, dread.offsets, n),
+        }[estimator]
+        # No numpy warning either: the test configuration would raise it.
+        with pytest.raises(pv.ValidationError, match=r"^a path's discounted cash total overflows the largest float$"):
+            estimate()
+
+    def test_a_standard_error_past_the_largest_float_is_refused(self, flat_discount3):
+        # Totals of 1e308 and -1e308 are finite, and so is their mean, 0.0; their spread is not.
+        paths = np.array([[1, 1, 1], [2, 2, 2]], dtype=np.int16)
+        cash = pv.CashflowMatrix(np.array([[1e308, -1e308, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+        with pytest.raises(pv.ValidationError, match=r"^the estimate 0\.0 or its standard error inf overflows a float$"):
+            pv.mc_pv(pv.PathEnsemble(paths, master_seed=0), cash, flat_discount3)
+
     def test_pv_within_four_standard_errors(self, chain3, claim_cash3, geometric_discount3):
         ensemble = pv.simulate(chain3.seq, _unit(3, 1), 60_000, master_seed=41)
         estimate = pv.mc_pv(ensemble, claim_cash3, geometric_discount3)

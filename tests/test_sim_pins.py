@@ -362,11 +362,10 @@ def rows_and_draws(draw, dyadic=False):
 
 def table_steps(thresholds: np.ndarray, lengths: np.ndarray, states: np.ndarray, u: np.ndarray) -> list[int]:
     """0-based next states of the 0-based ``states`` under ``u`` from one
-    period's ``_step_tables``, stepped by ``oracle._table_step`` on their
-    slot tables with G = 1."""
-    slot_thresholds, slot_lengths = oracle._slot_tables(thresholds[None], lengths[None], 1, np.int16)
+    period's run-length tables of ``_step_tables`` with G = 1, stepped by
+    ``oracle._table_step``."""
     got = np.empty_like(states)
-    oracle._table_step(slot_thresholds[0], slot_lengths[0], states + 1, u, got, np.arange(len(states)))
+    oracle._table_step(thresholds, lengths, states + 1, u, got, np.arange(len(states)))
     return (got - 1).tolist()
 
 
@@ -374,7 +373,8 @@ def table_steps(thresholds: np.ndarray, lengths: np.ndarray, states: np.ndarray,
 @given(rows_and_draws())
 def test_step_follows_the_dense_rule(case):
     periods, (rows, columns), draws = case
-    thresholds, lengths = oracle._step_tables(rows, columns, periods[:, rows, columns], periods.shape[1:])
+    thresholds, lengths, _ = oracle._step_tables(rows, columns, periods[:, rows, columns], periods.shape[1:],
+                                                 1, np.int16)
     states = np.repeat(np.arange(periods.shape[1], dtype=np.int16), len(draws))
     u = np.tile(draws, periods.shape[1])
     for k, period in enumerate(periods):
@@ -384,7 +384,8 @@ def test_step_follows_the_dense_rule(case):
 
 def test_u_zero_picks_the_first_state_even_with_zero_probability():
     row = np.array([0.0, 0.0, 0.25, 0.75])
-    thresholds, lengths = oracle._step_tables(np.zeros(4, dtype=np.intp), np.arange(4), row[None], (1, 4))
+    thresholds, lengths, _ = oracle._step_tables(np.zeros(4, dtype=np.intp), np.arange(4), row[None], (1, 4),
+                                                 1, np.int16)
     got = table_steps(thresholds[0], lengths[0], np.zeros(1, dtype=np.int16), np.array([0.0]))
     assert got == [0] == [dense_step(row, 0.0)]
 
@@ -393,11 +394,11 @@ def test_u_zero_picks_the_first_state_even_with_zero_probability():
 @given(st.one_of(rows_and_draws(), rows_and_draws(dyadic=True)), st.sampled_from([1, 4, 16, 1024]),
        st.sampled_from([1, oracle._STEP_ENTRIES]))
 def test_guided_step_follows_the_dense_rule(case, buckets, step_entries):
-    # One bucket sends nearly every draw to the slot tables, and one (slot, path) entry a call makes them go path by path.
+    # One bucket sends nearly every draw to the run-length tables, and one (slot, path) entry a call makes
+    # them go path by path.
     periods, (rows, columns), draws = case
-    thresholds, lengths = oracle._step_tables(rows, columns, periods[:, rows, columns], periods.shape[1:])
-    guide = oracle._guide_table(thresholds, lengths, buckets, np.int16)
-    thresholds, lengths = oracle._slot_tables(thresholds, lengths, buckets, np.int16)
+    thresholds, lengths, guide = oracle._step_tables(rows, columns, periods[:, rows, columns], periods.shape[1:],
+                                                     buckets, np.int16)
     # Every bucket's lower end and the floats beside it, all of them for a
     # few buckets and those of the buckets at and after each cumulative value otherwise.
     lower = set(range(min(buckets, 16)))
@@ -418,14 +419,16 @@ def test_guided_step_follows_the_dense_rule(case, buckets, step_entries):
 
 def test_the_guide_table_stays_within_its_budget():
     seq = wide_sequence(120)
-    thresholds, lengths = oracle._step_tables(seq.rows, seq.columns, seq.probabilities, (WIDE_STATES, WIDE_STATES))
     buckets = oracle._guide_buckets(seq.n, seq.n_states)
     tracemalloc.start()
     try:
-        guide = oracle._guide_table(thresholds, lengths, buckets, np.int16)
+        thresholds, lengths, guide = oracle._step_tables(seq.rows, seq.columns, seq.probabilities,
+                                                         (WIDE_STATES, WIDE_STATES), buckets, np.int16)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    # The builder also makes the run-length tables; the guide's share is what it holds beyond them.
+    held, peak = (size - thresholds.nbytes - lengths.nbytes for size in (held, peak))
     budget = oracle._GUIDE_ENTRIES * guide.itemsize
     assert buckets == 32 and guide.size <= oracle._GUIDE_ENTRIES
     assert held <= budget, f"{held / 1e6:.2f} MB held of a {budget / 1e6:.2f} MB budget"

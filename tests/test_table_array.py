@@ -220,9 +220,9 @@ def test_simulate_builds_the_step_tables_once_per_sequence(dread, monkeypatch):
     seq, other = (pv.transition_sequence(dread.table, dread.model) for _ in range(2))
     built = []
 
-    def counting(rows, columns, probabilities, shape):
+    def counting(rows, columns, probabilities, shape, buckets, dtype):
         built.append(probabilities is seq.probabilities)
-        return step_tables(rows, columns, probabilities, shape)
+        return step_tables(rows, columns, probabilities, shape, buckets, dtype)
 
     step_tables = oracle._step_tables
     monkeypatch.setattr(oracle, "_step_tables", counting)

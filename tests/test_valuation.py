@@ -281,6 +281,31 @@ class TestEquivalence:
         assert abs(residual) <= 1e-10 * max(1.0, result.numerator)
 
 
+    def test_a_residual_past_the_largest_float_is_refused(self, dread):
+        c_out = pv.premium_outflow(1.7e308, {1, 2}, dread.offsets, 25, dread.table.n, dread.model.n_states)
+        c_in = pv.accelerated_benefit(0.5, dread.table.n)
+        # numpy warns of the overflow, and the kernel refuses the value it leaves.
+        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(
+                pv.ValidationError, match=r"^the expected present value overflows the largest float \(-inf\)$"):
+            pv.equivalence_residual(c_in, c_out, dread.dist, dread.discount)
+
+
+@pytest.mark.parametrize("value", ["expected_pv", "net_single_premium", "period_premium"])
+def test_a_value_past_the_largest_float_is_refused(dread, value):
+    n, n_states = dread.table.n, dread.model.n_states
+    huge = pv.build_cashflow([pv.CashflowEntry(1, 0, n + 1, 1e308), pv.CashflowEntry(2, 0, n + 1, 1e308)],
+                             n, n_states)
+    flat = pv.constant_rate_discount(n, rate=0.0)
+    call = {
+        "expected_pv": lambda: pv.expected_pv(huge, dread.dist, flat),
+        "net_single_premium": lambda: pv.net_single_premium(huge, dread.dist, flat),
+        "period_premium": lambda: pv.period_premium(huge, dread.dist, flat, {1}, dread.offsets, n),
+    }[value]
+    with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(
+            pv.ValidationError, match=r"^the expected present value overflows the largest float \(inf\)$"):
+        call()
+
+
 def test_every_annuity_and_premium_goes_through_one_contraction(monkeypatch, chain3, claim_cash3,
                                                                  geometric_discount3):
     def refuse(*args):
